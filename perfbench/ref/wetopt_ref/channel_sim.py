@@ -1,0 +1,384 @@
+"""Monte Carlo simulation of the two-phase protocol and benchmark schemes.
+
+Every analytic expression in :mod:`wetopt.training_model` has an
+empirical counterpart here.  Trials are processed in fixed-size chunks
+whose randomness derives only from ``(seed, chunk index)``, so reports
+are bit-identical across runs and independent of evaluation order.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import order_stats
+from .training_model import SystemParams, TrainingPlan, expected_selected_power
+
+__all__ = [
+    "BruteForce",
+    "ChannelRealization",
+    "EnergyReport",
+    "NoCsi",
+    "PerfectCsi",
+    "Phase1Only",
+    "Phase2Only",
+    "Scheme",
+    "TwoPhase",
+    "draw_channels",
+    "ranked_power_moments",
+    "run_benchmark",
+    "run_two_phase",
+    "tune_brute_force_energy",
+]
+
+# Trials per chunk are sized so a chunk holds roughly this many complex
+# channel entries; a fixed target keeps chunking (and therefore RNG
+# streams) deterministic for given inputs.
+_CHUNK_TARGET = 1 << 21
+
+
+@dataclass(frozen=True)
+class ChannelRealization:
+    """One block's channels: array of shape (bands, antennas), complex."""
+
+    h: np.ndarray
+
+
+@dataclass(frozen=True)
+class EnergyReport:
+    """Aggregated simulation outcome for one scheme.
+
+    ``stderr`` is the standard error of the per-trial harvested energy;
+    the training cost is deterministic, so it applies to both the average
+    and the net figures.  ``mean_qnet == mean_qbar - training_cost``
+    holds exactly.
+    """
+
+    mean_qnet: float
+    mean_qbar: float
+    training_cost: float
+    stderr: float
+    trials: int
+    seed: int
+
+
+# --- scheme tags -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TwoPhase:
+    plan: TrainingPlan
+
+
+@dataclass(frozen=True)
+class PerfectCsi:
+    pass
+
+
+@dataclass(frozen=True)
+class NoCsi:
+    pass
+
+
+@dataclass(frozen=True)
+class Phase1Only:
+    n1: int
+    e1: float
+
+
+@dataclass(frozen=True)
+class Phase2Only:
+    e2: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class BruteForce:
+    energy_per_band: float
+
+
+Scheme = TwoPhase | PerfectCsi | NoCsi | Phase1Only | Phase2Only | BruteForce
+
+
+# --- randomness helpers ----------------------------------------------------
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
+
+
+def _complex_normal(
+    rng: np.random.Generator, shape: tuple[int, ...], var: float
+) -> np.ndarray:
+    scale = math.sqrt(var / 2.0)
+    return scale * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+
+
+def _chunks(trials: int, elements_per_trial: int):
+    size = max(1, min(trials, _CHUNK_TARGET // max(1, elements_per_trial)))
+    start = 0
+    index = 0
+    while start < trials:
+        count = min(size, trials - start)
+        yield index, count
+        start += count
+        index += 1
+
+
+def draw_channels(p: SystemParams, seed: int, trial: int) -> ChannelRealization:
+    """One block of channels, i.i.d. CN(0, beta) entries; deterministic."""
+    rng = _rng(seed, trial)
+    return ChannelRealization(h=_complex_normal(rng, (p.n, p.m), p.beta))
+
+
+# --- kernels ---------------------------------------------------------------
+
+
+def _beamformed_harvest(
+    hsel: np.ndarray, y2: np.ndarray, coeff: np.ndarray, e2: np.ndarray, m: int
+) -> np.ndarray:
+    """Per-trial, per-band harvested channel power with estimated beams.
+
+    Bands whose pilot energy is zero have a zero estimate and fall back to
+    isotropic transmission (expected power ||h||^2 / m), which keeps the
+    all-zero plan identical to the no-CSI scheme.
+    """
+    out = np.empty(hsel.shape[:2])
+    active = e2 > 0.0
+    if np.any(active):
+        hhat = coeff[None, :, None] * y2
+        inner = np.abs((hsel.conj() * hhat).sum(axis=2)) ** 2
+        power = np.abs(hhat) ** 2
+        denom = power.sum(axis=2)
+        out[:, active] = inner[:, active] / denom[:, active]
+    if not np.all(active):
+        iso = (np.abs(hsel) ** 2).sum(axis=2) / m
+        out[:, ~active] = iso[:, ~active]
+    return out
+
+
+def _report(per_trial: np.ndarray, cost: float, seed: int) -> EnergyReport:
+    trials = per_trial.size
+    mean_qbar = float(per_trial.mean())
+    stderr = (
+        float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    )
+    return EnergyReport(
+        mean_qnet=mean_qbar - cost,
+        mean_qbar=mean_qbar,
+        training_cost=cost,
+        stderr=stderr,
+        trials=trials,
+        seed=seed,
+    )
+
+
+def run_two_phase(
+    plan: TrainingPlan, p: SystemParams, trials: int, seed: int
+) -> EnergyReport:
+    """Simulate the full protocol: probe, rank, refine, beamform, harvest.
+
+    Per trial: matched-filter observations on the n1 probed bands rank the
+    bands by received energy; the top n2 are observed again with the
+    per-rank pilot energies; scalar LMMSE estimates (prior power taken
+    from the rank's analytic expected power) steer the transmit beams.
+    """
+    plan.validate_against(p)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n1, m, n2 = plan.n1, p.m, p.n2
+    e2 = np.asarray(plan.e2)
+    powers = np.array(
+        [expected_selected_power(r, n1, plan.e1, p) for r in range(1, n2 + 1)]
+    )
+    coeff = np.sqrt(e2) * powers / (e2 * powers + p.n0 * m)
+    sqrt_e1 = math.sqrt(plan.e1)
+    harvested = np.empty(trials)
+    pos = 0
+    for index, count in _chunks(trials, 2 * n1 * m):
+        rng = _rng(seed, index)
+        h = _complex_normal(rng, (count, n1, m), p.beta)
+        z1 = _complex_normal(rng, (count, n1, m), p.n0)
+        y1 = sqrt_e1 * h + z1
+        received = (np.abs(y1) ** 2).sum(axis=2)
+        order = np.argsort(-received, axis=1)[:, :n2]
+        hsel = np.take_along_axis(h, order[:, :, None], axis=1)
+        z2 = _complex_normal(rng, (count, n2, m), p.n0)
+        y2 = np.sqrt(e2)[None, :, None] * hsel + z2
+        per_band = _beamformed_harvest(hsel, y2, coeff, e2, m)
+        harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
+        pos += count
+    return _report(harvested, plan.cost, seed)
+
+
+def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
+    # Beamforming on the true channel harvests exactly ||h||^2 per band,
+    # so only the band norms matter; they are Gamma(m, beta) draws.
+    harvested = np.empty(trials)
+    pos = 0
+    for index, count in _chunks(trials, p.n):
+        rng = _rng(seed, index)
+        norms = rng.gamma(p.m, p.beta, (count, p.n))
+        top = np.partition(norms, p.n - p.n2, axis=1)[:, p.n - p.n2 :]
+        harvested[pos : pos + count] = p.eta_t_ps * top.sum(axis=1)
+        pos += count
+    return _report(harvested, 0.0, seed)
+
+
+def _run_no_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
+    harvested = np.empty(trials)
+    pos = 0
+    for index, count in _chunks(trials, p.n2):
+        rng = _rng(seed, index)
+        norms = rng.gamma(p.m, p.beta, (count, p.n2))
+        harvested[pos : pos + count] = p.eta_t_ps * norms.sum(axis=1) / p.m
+        pos += count
+    return _report(harvested, 0.0, seed)
+
+
+def _run_phase2_only(
+    e2: tuple[float, ...], p: SystemParams, trials: int, seed: int
+) -> EnergyReport:
+    # Bands are exchangeable, so a fixed selection stands in for a random
+    # one and the reported spread reflects channel randomness only.
+    if len(e2) != p.n2:
+        raise ValueError(f"need {p.n2} phase-2 energies, got {len(e2)}")
+    e2 = np.asarray(e2, dtype=float)
+    if np.any(e2 < 0):
+        raise ValueError("phase-2 energies must be >= 0")
+    prior = p.beta * p.m
+    coeff = np.sqrt(e2) * prior / (e2 * prior + p.n0 * p.m)
+    harvested = np.empty(trials)
+    pos = 0
+    for index, count in _chunks(trials, 2 * p.n2 * p.m):
+        rng = _rng(seed, index)
+        h = _complex_normal(rng, (count, p.n2, p.m), p.beta)
+        z2 = _complex_normal(rng, (count, p.n2, p.m), p.n0)
+        y2 = np.sqrt(e2)[None, :, None] * h + z2
+        per_band = _beamformed_harvest(h, y2, coeff, e2, p.m)
+        harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
+        pos += count
+    return _report(harvested, float(e2.sum()), seed)
+
+
+def _run_brute_force(
+    energy: float, p: SystemParams, trials: int, seed: int
+) -> EnergyReport:
+    # Estimate every band (prior power beta*m), pick the n2 largest
+    # estimated norms, beamform with the estimates.
+    if energy < 0:
+        raise ValueError(f"per-band energy must be >= 0, got {energy}")
+    prior = p.beta * p.m
+    b = math.sqrt(energy) * prior / (energy * prior + p.n0 * p.m)
+    e2 = np.full(p.n2, energy)
+    coeff = np.full(p.n2, b)
+    harvested = np.empty(trials)
+    pos = 0
+    for index, count in _chunks(trials, 2 * p.n * p.m):
+        rng = _rng(seed, index)
+        h = _complex_normal(rng, (count, p.n, p.m), p.beta)
+        z = _complex_normal(rng, (count, p.n, p.m), p.n0)
+        y = math.sqrt(energy) * h + z
+        est_norm = (np.abs(y) ** 2).sum(axis=2)  # ranks same as ||hhat||^2
+        order = np.argsort(-est_norm, axis=1)[:, : p.n2]
+        hsel = np.take_along_axis(h, order[:, :, None], axis=1)
+        ysel = np.take_along_axis(y, order[:, :, None], axis=1)
+        per_band = _beamformed_harvest(hsel, ysel, coeff, e2, p.m)
+        harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
+        pos += count
+    return _report(harvested, energy * p.n, seed)
+
+
+def run_benchmark(
+    scheme: Scheme, p: SystemParams, trials: int, seed: int
+) -> EnergyReport:
+    """Simulate one scheme; see the scheme dataclasses for parameters."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if isinstance(scheme, TwoPhase):
+        return run_two_phase(scheme.plan, p, trials, seed)
+    if isinstance(scheme, PerfectCsi):
+        return _run_perfect_csi(p, trials, seed)
+    if isinstance(scheme, NoCsi):
+        return _run_no_csi(p, trials, seed)
+    if isinstance(scheme, Phase1Only):
+        plan = TrainingPlan(n1=scheme.n1, e1=scheme.e1, e2=(0.0,) * p.n2)
+        return run_two_phase(plan, p, trials, seed)
+    if isinstance(scheme, Phase2Only):
+        return _run_phase2_only(scheme.e2, p, trials, seed)
+    if isinstance(scheme, BruteForce):
+        return _run_brute_force(scheme.energy_per_band, p, trials, seed)
+    raise TypeError(f"unknown scheme {scheme!r}")
+
+
+def ranked_power_moments(
+    n1: int, e1: float, p: SystemParams, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical mean true channel power per rank after noisy selection.
+
+    Runs the probing phase only and averages ||h||^2 of the band placed at
+    each rank; returns ``(means, stderrs)`` over all n1 ranks.  Direct
+    validation of the analytic per-rank expected powers.
+    """
+    if not p.n2 <= n1 <= p.n:
+        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+    if e1 < 0:
+        raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    sqrt_e1 = math.sqrt(e1)
+    total = np.zeros(n1)
+    total_sq = np.zeros(n1)
+    for index, count in _chunks(trials, 2 * n1 * p.m):
+        rng = _rng(seed, index)
+        h = _complex_normal(rng, (count, n1, p.m), p.beta)
+        z1 = _complex_normal(rng, (count, n1, p.m), p.n0)
+        received = (np.abs(sqrt_e1 * h + z1) ** 2).sum(axis=2)
+        order = np.argsort(-received, axis=1)
+        true_power = (np.abs(h) ** 2).sum(axis=2)
+        ranked = np.take_along_axis(true_power, order, axis=1)
+        total += ranked.sum(axis=0)
+        total_sq += (ranked**2).sum(axis=0)
+    means = total / trials
+    if trials > 1:
+        var = (total_sq - trials * means**2) / (trials - 1)
+        stderrs = np.sqrt(np.maximum(var, 0.0) / trials)
+    else:
+        stderrs = np.zeros(n1)
+    return means, stderrs
+
+
+def tune_brute_force_energy(
+    p: SystemParams, seed: int, pilot_trials: int = 1000
+) -> float:
+    """Per-band pilot energy for the brute-force scheme.
+
+    The scheme definition leaves the energy open; a golden-section search
+    maximizes the empirical net energy at pilot scale with common random
+    numbers (the same seed for every probe keeps the objective smooth).
+    """
+    top = float(np.sum(order_stats.gains_up_to(p.n2, p.n, p.m)))
+    hi = p.eta_t_ps * p.beta * top / p.n
+    lo = 0.0
+
+    def net(energy: float) -> float:
+        return _run_brute_force(energy, p, pilot_trials, seed).mean_qnet
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = net(c), net(d)
+    for _ in range(24):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = net(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = net(d)
+    return 0.5 * (a + b)

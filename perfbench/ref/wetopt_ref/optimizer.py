@@ -1,0 +1,514 @@
+"""Exact maximization of the net harvested energy over training designs.
+
+The search space is (n1, e1, {e2 per rank}).  With (n1, e1) fixed, the
+optimal per-rank phase-2 energy is a closed-form water-filling rule, so
+the problem collapses to a one-dimensional search over e1 for each n1,
+followed by an argmax over n1.
+
+The reduced objective in e1 is a sum of linear fractional terms minus a
+linear cost.  Its shape depends on where the per-rank expected powers sit
+relative to the refinement threshold, which splits the parameter space
+into three ESNR regimes:
+
+* low:    no band ever clears the threshold; phase 2 is off and the
+  optimum is closed form,
+* high:   every band clears the threshold for every e1; stationary
+  points are roots of a single polynomial,
+* medium: bands cross the threshold as e1 grows; the e1 axis splits
+  into intervals with fixed branch patterns, one polynomial each.
+
+All stationary-point polynomials are assembled in the dimensionless
+variable x = beta * e1 / n0 (the phase-1 pilot SNR), which keeps their
+coefficients well scaled regardless of the physical unit magnitudes.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from . import order_stats
+from .training_model import (
+    SystemParams,
+    TrainingPlan,
+    esnr,
+    expected_selected_power,
+    refinement_threshold,
+)
+
+__all__ = [
+    "CaseLabel",
+    "CaseSolution",
+    "RootFindingError",
+    "Solution",
+    "classify_esnr_case",
+    "min_phase2_penalty",
+    "net_energy_given_phase1",
+    "optimal_phase2_energy",
+    "optimize_training",
+    "poly_real_roots",
+    "solve_for_n1",
+    "solve_high_esnr",
+    "solve_low_esnr",
+    "solve_medium_esnr",
+    "solve_phase1_only",
+    "solve_phase2_only",
+]
+
+LOW_ESNR = "low_esnr"
+HIGH_ESNR = "high_esnr"
+MEDIUM_ESNR = "medium_esnr"
+
+
+class RootFindingError(RuntimeError):
+    """Polynomial root extraction failed to converge."""
+
+    def __init__(self, message: str, coeffs: np.ndarray):
+        super().__init__(f"{message}; coefficients (low to high): {coeffs.tolist()}")
+        self.coeffs = coeffs
+
+
+@dataclass(frozen=True)
+class CaseLabel:
+    """ESNR regime of one (n1, params) instance.
+
+    ``j`` is set only in the medium regime: the number of ranks whose
+    noise-free expected power sits strictly above the refinement
+    threshold.
+    """
+
+    kind: str
+    j: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in (LOW_ESNR, HIGH_ESNR, MEDIUM_ESNR):
+            raise ValueError(f"unknown case kind {self.kind!r}")
+        if self.kind == MEDIUM_ESNR and (self.j is None or self.j < 1):
+            raise ValueError("medium case requires j >= 1")
+
+
+@dataclass(frozen=True)
+class CaseSolution:
+    """Optimal phase-1 energy for one fixed n1, with the candidates tried."""
+
+    label: CaseLabel
+    e1: float
+    value: float
+    candidates: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Global optimum: winning plan plus the per-n1 search trace."""
+
+    plan: TrainingPlan
+    qnet_star: float
+    case_used_per_n1: dict[int, CaseLabel] = field(repr=False)
+    candidate_log: list[tuple[int, tuple[float, ...]]] = field(repr=False)
+
+
+# ---------------------------------------------------------------------------
+# closed-form inner pieces
+
+
+def optimal_phase2_energy(rank: int, n1: int, e1: float, p: SystemParams) -> float:
+    """Water-filling phase-2 pilot energy for one ranked band.
+
+    Fixed water level sqrt(eta*t*ps*(m-1)*n0); base level rises as the
+    band's expected power falls, and bands below the refinement threshold
+    get nothing.  With one antenna the water level is zero.
+    """
+    if p.m == 1:
+        return 0.0
+    rn = expected_selected_power(rank, n1, e1, p)
+    level = math.sqrt(p.eta_t_ps * (p.m - 1) * p.n0)
+    return max(level - p.n0 * p.m / rn, 0.0)
+
+
+def _penalty_of_power(rn: float, p: SystemParams) -> float:
+    # Minimum of (beamforming loss + e2) over e2 >= 0 for prior power rn.
+    if p.m == 1:
+        return 0.0
+    alpha = refinement_threshold(p)
+    if rn <= alpha:
+        return (p.m - 1) / p.m * p.eta_t_ps * rn
+    return 2.0 * math.sqrt((p.m - 1) * p.n0 * p.eta_t_ps) - p.n0 * p.m / rn
+
+
+def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
+    """Estimation loss plus pilot cost at the optimal phase-2 energy.
+
+    Piecewise in the band's expected power and continuous at the
+    refinement threshold.
+    """
+    return _penalty_of_power(expected_selected_power(rank, n1, e1, p), p)
+
+
+def _powers(gains: np.ndarray, e1: float, p: SystemParams) -> np.ndarray:
+    return (p.beta**2 * e1 * gains + p.beta * p.n0 * p.m) / (p.beta * e1 + p.n0)
+
+
+def _reduced_net(gains: np.ndarray, n1: int, e1: float, p: SystemParams) -> float:
+    powers = _powers(gains, e1, p)
+    total = math.fsum(
+        p.eta_t_ps * rn - _penalty_of_power(rn, p) for rn in powers
+    )
+    return total - n1 * e1
+
+
+def net_energy_given_phase1(n1: int, e1: float, p: SystemParams) -> float:
+    """Net harvested energy at (n1, e1) with phase-2 energies optimized out."""
+    if not p.n2 <= n1 <= p.n:
+        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+    if e1 < 0:
+        raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    return _reduced_net(gains, n1, e1, p)
+
+
+# ---------------------------------------------------------------------------
+# case classification
+
+
+def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
+    """Which regime the reduced objective is in for this n1.
+
+    Compares the refinement threshold with the noise-free expected powers
+    beta*g_n.  Threshold at or above the strongest rank: low.  Below the
+    channel-hardening floor beta*m: high.  Otherwise medium, with j the
+    count of ranks strictly above the threshold (located by binary search
+    on the sorted gain sequence; ties go to the lower-j reading, where
+    both neighboring branch formulas coincide).
+    """
+    if not p.n2 <= n1 <= p.n:
+        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+    alpha = refinement_threshold(p)
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    if alpha >= p.beta * gains[0]:
+        return CaseLabel(LOW_ESNR)
+    if alpha < p.beta * p.m:
+        return CaseLabel(HIGH_ESNR)
+    # gains are sorted decreasing; count entries with beta*g > alpha
+    ascending = np.ascontiguousarray((p.beta * gains)[::-1])
+    j = p.n2 - int(np.searchsorted(ascending, alpha, side="right"))
+    return CaseLabel(MEDIUM_ESNR, j=max(j, 1))
+
+
+# ---------------------------------------------------------------------------
+# polynomial stationary points
+
+
+def poly_real_roots(coeffs) -> np.ndarray:
+    """All real roots of a polynomial given by ascending coefficients.
+
+    Roots come from the companion-matrix eigenvalues and are then polished
+    by Newton iteration until the residual falls below
+    1e-10 * ||coeffs|| * max(1, |x|)^degree; raises
+    :class:`RootFindingError` if polishing stalls above that.
+    Near-coincident roots are merged.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.size == 0:
+        raise ValueError("empty coefficient vector")
+    nz = np.nonzero(c)[0]
+    if nz.size == 0:
+        raise ValueError("zero polynomial has no well-defined root set")
+    c = c[: nz[-1] + 1]
+    deg = c.size - 1
+    if deg == 0:
+        return np.array([])
+    scale = float(np.linalg.norm(c))
+    raw = npoly.polyroots(c)
+    near_real = raw[np.abs(raw.imag) <= 1e-8 * np.maximum(1.0, np.abs(raw.real))]
+    if near_real.size == 0:
+        return np.array([])
+    dc = npoly.polyder(c)
+    polished = []
+    for x in np.sort(near_real.real):
+        tol = 1e-10 * scale * max(1.0, abs(x)) ** deg
+        best_x, best_r = x, abs(npoly.polyval(x, c))
+        for _ in range(60):
+            if best_r <= tol:
+                break
+            d = npoly.polyval(best_x, dc)
+            if d == 0.0:
+                break
+            step = npoly.polyval(best_x, c) / d
+            nxt = best_x - step
+            r = abs(npoly.polyval(nxt, c))
+            if not np.isfinite(r) or r >= best_r:
+                break
+            best_x, best_r = nxt, r
+        if best_r > tol:
+            raise RootFindingError(
+                f"Newton polishing stalled at x={best_x!r} (residual {best_r:.3e}, "
+                f"tolerance {tol:.3e})",
+                c,
+            )
+        polished.append(best_x)
+    merged: list[float] = []
+    for x in sorted(polished):
+        if not merged or abs(x - merged[-1]) > 1e-9 * max(1.0, abs(x)):
+            merged.append(x)
+    return np.array(merged)
+
+
+def _stationary_snrs(
+    gains: np.ndarray, branch2: int, n1: int, p: SystemParams
+) -> np.ndarray:
+    """Positive stationary points of the reduced objective, in x = beta*e1/n0.
+
+    ``branch2`` ranks (the strongest) are assumed above the refinement
+    threshold, the rest below.  The objective restricted to that pattern
+    is d0/(x+1) + x - sum b_i/(x+g_i) up to constants; its stationarity
+    condition clears to a polynomial of degree 2*branch2 + 2.
+    """
+    gamma = esnr(p)
+    m = p.m
+    above = gains[:branch2]
+    below = gains[branch2:]
+    d0 = gamma * (math.fsum(above - m) + math.fsum(below / m - 1.0)) / n1
+    b = m * (1.0 - m / above) / (n1 * above) if branch2 else np.array([])
+    pole = m / above if branch2 else np.array([])
+
+    one = np.array([1.0, 1.0])  # (x + 1)
+    sq0 = npoly.polymul(one, one)
+    pole_sq = [npoly.polymul([g, 1.0], [g, 1.0]) for g in pole]
+    prod_all = np.array([1.0])
+    for q in pole_sq:
+        prod_all = npoly.polymul(prod_all, q)
+    # (x+1)^2 prod (x+g)^2 - d0 prod (x+g)^2 + (x+1)^2 sum_i b_i prod_{k!=i} (x+g)^2
+    poly = npoly.polysub(npoly.polymul(sq0, prod_all), d0 * prod_all)
+    for i in range(branch2):
+        partial = np.array([1.0])
+        for k2, q in enumerate(pole_sq):
+            if k2 != i:
+                partial = npoly.polymul(partial, q)
+        poly = npoly.polyadd(poly, b[i] * npoly.polymul(sq0, partial))
+    roots = poly_real_roots(poly)
+    return roots[roots > 0.0]
+
+
+def _threshold_crossing_snr(g: float, alpha: float, p: SystemParams) -> float | None:
+    """x at which rank gain ``g`` has expected power exactly alpha, if any.
+
+    In x the expected power is beta*(x*g + m)/(x + 1); it moves
+    monotonically from beta*m toward beta*g, so a positive crossing exists
+    only when alpha lies strictly between the two.
+    """
+    bg, bm = p.beta * g, p.beta * p.m
+    if bg == alpha or (alpha - bm) * (bg - alpha) <= 0.0:
+        return None
+    return (alpha - bm) / (p.beta * (g - alpha / p.beta))
+
+
+def _best_over_pieces(
+    n1: int, gains: np.ndarray, breakpoints: list[float], p: SystemParams
+) -> tuple[float, float, tuple[float, ...]]:
+    """Maximize the reduced objective piecewise; returns (e1, value, tried).
+
+    ``breakpoints`` are the e1 values (ascending) where some rank crosses
+    the refinement threshold; between consecutive breakpoints the branch
+    pattern is frozen, so each piece contributes its polynomial stationary
+    points plus its endpoints as candidates.  Every candidate is scored
+    with the exact piecewise objective.
+    """
+    alpha = refinement_threshold(p)
+    x_scale = p.n0 / p.beta
+    edges = [0.0] + breakpoints + [math.inf]
+    candidates: list[float] = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi <= lo:
+            continue
+        probe = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + x_scale
+        powers = _powers(gains, probe, p)
+        branch2 = int(np.sum(powers > alpha))
+        xs = _stationary_snrs(gains, branch2, n1, p)
+        for x in xs:
+            e1 = x * x_scale
+            if lo <= e1 <= hi:
+                candidates.append(e1)
+        candidates.append(lo)
+        if math.isfinite(hi):
+            candidates.append(hi)
+    tried = sorted(set(candidates))
+    values = [_reduced_net(gains, n1, e1, p) for e1 in tried]
+    best = int(np.argmax(values))
+    return tried[best], values[best], tuple(tried)
+
+
+# ---------------------------------------------------------------------------
+# the three regime solvers
+
+
+def _require_case(n1: int, p: SystemParams, kind: str) -> CaseLabel:
+    label = classify_esnr_case(n1, p)
+    if label.kind != kind:
+        raise ValueError(f"(n1={n1}) classifies as {label.kind}, not {kind}")
+    return label
+
+
+def solve_low_esnr(n1: int, p: SystemParams) -> CaseSolution:
+    """Closed-form optimum when phase 2 is never worthwhile.
+
+    The objective is concave in e1; training pays only when the diversity
+    surplus per trained band beats 1/ESNR.
+    """
+    label = _require_case(n1, p, LOW_ESNR)
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    surplus = math.fsum(gains / p.m - 1.0)
+    gamma = esnr(p)
+    scale = p.eta_t_ps * p.beta
+    if surplus < n1 / gamma:
+        e1, value = 0.0, scale * p.n2
+    else:
+        e1 = math.sqrt(p.eta_t_ps * p.n0) * (
+            math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
+        )
+        value = scale * (
+            p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2
+        )
+    return CaseSolution(label, e1, value, (0.0, e1))
+
+
+def solve_high_esnr(n1: int, p: SystemParams) -> CaseSolution:
+    """Optimum when the channel-hardening floor clears the threshold.
+
+    Normally every rank stays above the threshold for all e1 and a single
+    polynomial yields all stationary candidates.  Ranks whose noise-free
+    gain sits below average can sink through the threshold as e1 grows
+    (possible when n1 is barely above n2); those crossings split the axis
+    and each piece is solved with the same machinery.
+    """
+    label = _require_case(n1, p, HIGH_ESNR)
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    alpha = refinement_threshold(p)
+    crossings = sorted(
+        x * p.n0 / p.beta
+        for g in gains
+        if (x := _threshold_crossing_snr(g, alpha, p)) is not None
+    )
+    e1, value, tried = _best_over_pieces(n1, gains, crossings, p)
+    return CaseSolution(label, e1, value, tried)
+
+
+def solve_medium_esnr(n1: int, j: int, p: SystemParams) -> CaseSolution:
+    """Optimum when the threshold cuts through the ranked gain sequence.
+
+    Ranks 1..j can rise through the threshold as e1 grows; the crossing
+    energies split the axis into j+1 intervals solved independently.
+    """
+    label = _require_case(n1, p, MEDIUM_ESNR)
+    if label.j != j:
+        raise ValueError(f"(n1={n1}) has {label.j} ranks above threshold, not {j}")
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    alpha = refinement_threshold(p)
+    boundaries = [
+        p.n0 * (alpha - p.beta * p.m) / (p.beta * (p.beta * gains[k - 1] - alpha))
+        for k in range(1, j + 1)
+    ]
+    if alpha > p.beta * p.m:
+        if not all(a < b for a, b in zip(boundaries, boundaries[1:])):
+            raise ArithmeticError(
+                f"threshold-crossing energies not strictly increasing at n1={n1}: "
+                f"{boundaries}"
+            )
+    breakpoints = [b for b in boundaries if b > 0.0]
+    e1, value, tried = _best_over_pieces(n1, gains, breakpoints, p)
+    return CaseSolution(label, e1, value, tried)
+
+
+def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
+    """Best phase-1 energy and value for one fixed number of trained bands."""
+    label = classify_esnr_case(n1, p)
+    if label.kind == LOW_ESNR:
+        return solve_low_esnr(n1, p)
+    if label.kind == HIGH_ESNR:
+        return solve_high_esnr(n1, p)
+    return solve_medium_esnr(n1, label.j, p)
+
+
+# ---------------------------------------------------------------------------
+# outer search
+
+
+def optimize_training(p: SystemParams) -> Solution:
+    """Globally optimal training design.
+
+    Sweeps n1 over its full range, solves each regime exactly, and keeps
+    the best; ties in value go to the smaller n1 (fewer trained bands at
+    equal net energy).  The returned plan re-derives the per-rank phase-2
+    energies from the winning (n1, e1).
+    """
+    best: CaseSolution | None = None
+    best_n1 = -1
+    cases: dict[int, CaseLabel] = {}
+    log: list[tuple[int, tuple[float, ...]]] = []
+    for n1 in range(p.n2, p.n + 1):
+        try:
+            sol = solve_for_n1(n1, p)
+        except Exception as exc:
+            raise RuntimeError(f"sub-solver failed at n1={n1}: {exc}") from exc
+        cases[n1] = sol.label
+        log.append((n1, sol.candidates))
+        if best is None or sol.value > best.value:
+            best, best_n1 = sol, n1
+    assert best is not None
+    e2 = tuple(
+        optimal_phase2_energy(rank, best_n1, best.e1, p)
+        for rank in range(1, p.n2 + 1)
+    )
+    plan = TrainingPlan(n1=best_n1, e1=best.e1, e2=e2)
+    return Solution(
+        plan=plan,
+        qnet_star=best.value,
+        case_used_per_n1=cases,
+        candidate_log=log,
+    )
+
+
+# ---------------------------------------------------------------------------
+# restricted designs used as benchmarks
+
+
+def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
+    """Best design with phase 2 disabled (diversity gain only).
+
+    With all e2 pinned at zero the objective matches the low-ESNR closed
+    form for every regime, so the same formula is swept over n1.
+    """
+    best_plan: TrainingPlan | None = None
+    best_value = -math.inf
+    gamma = esnr(p)
+    scale = p.eta_t_ps * p.beta
+    for n1 in range(p.n2, p.n + 1):
+        gains = order_stats.gains_up_to(p.n2, n1, p.m)
+        surplus = math.fsum(gains / p.m - 1.0)
+        if surplus < n1 / gamma:
+            e1, value = 0.0, scale * p.n2
+        else:
+            e1 = math.sqrt(p.eta_t_ps * p.n0) * (
+                math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
+            )
+            value = scale * (p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2)
+        if value > best_value:
+            best_value = value
+            best_plan = TrainingPlan(n1=n1, e1=e1, e2=(0.0,) * p.n2)
+    assert best_plan is not None
+    return best_plan, best_value
+
+
+def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
+    """Best design with phase 1 disabled (beamforming gain only).
+
+    Without ranking every band has prior power beta*m, so one water-filling
+    energy is shared by all selected bands.
+    """
+    bm = p.beta * p.m
+    e2 = optimal_phase2_energy(1, p.n2, 0.0, p) if p.m > 1 else 0.0
+    value = p.n2 * (p.eta_t_ps * bm - _penalty_of_power(bm, p))
+    plan = TrainingPlan(n1=p.n2, e1=0.0, e2=(e2,) * p.n2)
+    return plan, value
