@@ -321,10 +321,6 @@ def emit_gtable(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _plan_columns(plan: TrainingPlan) -> list[float]:
-    return [plan.e1, plan.e2[0] if plan.e2 else 0.0]
-
-
 def _run_optimize(cfg: ExperimentConfig) -> int:
     p = cfg.params
     sol = optimizer.optimize_training(p)

@@ -357,7 +357,10 @@ def solve_low_esnr(n1: int, p: SystemParams) -> CaseSolution:
     The objective is concave in e1; training pays only when the diversity
     surplus per trained band beats 1/ESNR.
     """
-    label = _require_case(n1, p, LOW_ESNR)
+    return _solve_low(n1, p, _require_case(n1, p, LOW_ESNR))
+
+
+def _solve_low(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
     surplus = math.fsum(gains / p.m - 1.0)
     gamma = esnr(p)
@@ -383,7 +386,10 @@ def solve_high_esnr(n1: int, p: SystemParams) -> CaseSolution:
     (possible when n1 is barely above n2); those crossings split the axis
     and each piece is solved with the same machinery.
     """
-    label = _require_case(n1, p, HIGH_ESNR)
+    return _solve_high(n1, p, _require_case(n1, p, HIGH_ESNR))
+
+
+def _solve_high(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
     alpha = refinement_threshold(p)
     crossings = sorted(
@@ -404,11 +410,15 @@ def solve_medium_esnr(n1: int, j: int, p: SystemParams) -> CaseSolution:
     label = _require_case(n1, p, MEDIUM_ESNR)
     if label.j != j:
         raise ValueError(f"(n1={n1}) has {label.j} ranks above threshold, not {j}")
+    return _solve_medium(n1, p, label)
+
+
+def _solve_medium(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
     alpha = refinement_threshold(p)
     boundaries = [
         p.n0 * (alpha - p.beta * p.m) / (p.beta * (p.beta * gains[k - 1] - alpha))
-        for k in range(1, j + 1)
+        for k in range(1, label.j + 1)
     ]
     if alpha > p.beta * p.m:
         if not all(a < b for a, b in zip(boundaries, boundaries[1:])):
@@ -425,10 +435,10 @@ def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     """Best phase-1 energy and value for one fixed number of trained bands."""
     label = classify_esnr_case(n1, p)
     if label.kind == LOW_ESNR:
-        return solve_low_esnr(n1, p)
+        return _solve_low(n1, p, label)
     if label.kind == HIGH_ESNR:
-        return solve_high_esnr(n1, p)
-    return solve_medium_esnr(n1, label.j, p)
+        return _solve_high(n1, p, label)
+    return _solve_medium(n1, p, label)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +457,8 @@ def optimize_training(p: SystemParams) -> Solution:
     best_n1 = -1
     cases: dict[int, CaseLabel] = {}
     log: list[tuple[int, tuple[float, ...]]] = []
+    # one quadrature fills the gains of every n1 below (the gain triangle)
+    order_stats.gains_up_to(p.n2, p.n, p.m)
     for n1 in range(p.n2, p.n + 1):
         try:
             sol = solve_for_n1(n1, p)
@@ -484,6 +496,7 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     best_value = -math.inf
     gamma = esnr(p)
     scale = p.eta_t_ps * p.beta
+    order_stats.gains_up_to(p.n2, p.n, p.m)  # fills every n1's gains at once
     for n1 in range(p.n2, p.n + 1):
         gains = order_stats.gains_up_to(p.n2, n1, p.m)
         surplus = math.fsum(gains / p.m - 1.0)

@@ -17,6 +17,7 @@ observation entry after matched filtering.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import order_stats
@@ -58,6 +59,10 @@ class SystemParams:
     n0: float
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "n2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ValueError(f"antenna count must be >= 1, got {self.m}")
         if self.n < 1:
@@ -65,8 +70,9 @@ class SystemParams:
         if not 1 <= self.n2 <= self.n:
             raise ValueError(f"active bands must be in [1, {self.n}], got {self.n2}")
         for name in ("ps", "eta", "t", "beta", "n0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.eta > 1:
             raise ValueError(f"conversion efficiency must be <= 1, got {self.eta}")
 
@@ -85,10 +91,10 @@ class TrainingPlan:
     e2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.e1 < 0:
-            raise ValueError(f"phase-1 energy must be >= 0, got {self.e1}")
-        if any(x < 0 for x in self.e2):
-            raise ValueError("phase-2 energies must be >= 0")
+        if not (math.isfinite(self.e1) and self.e1 >= 0):
+            raise ValueError(f"phase-1 energy must be finite and >= 0, got {self.e1}")
+        if not all(math.isfinite(x) and x >= 0 for x in self.e2):
+            raise ValueError("phase-2 energies must be finite and >= 0")
         object.__setattr__(self, "e2", tuple(float(x) for x in self.e2))
 
     def validate_against(self, p: SystemParams) -> None:

@@ -198,6 +198,60 @@ class TestDispatcher:
         assert rows[0][4] == "closed_form"
 
 
+class TestTriangle:
+    """gains_up_to on the quadrature route: one quadrature at the largest
+    population, every smaller one by the order-statistics triangle rule."""
+
+    @pytest.mark.parametrize(
+        "pop, dim, rank_max, samples",
+        [(120, 10, 16, None), (80, 4, 64, None), (866, 64, 64, 9)],
+    )
+    def test_matches_direct_quadrature(self, pop, dim, rank_max, samples):
+        table = GainTable()
+        gains_up_to(rank_max, pop, dim, table)
+        pops = range(rank_max, pop + 1)
+        if samples:
+            pops = np.unique(np.linspace(rank_max, pop, samples).astype(int))
+        for n in pops:
+            n = int(n)
+            tri = np.array([table.lookup(r, n, dim).value for r in range(1, rank_max + 1)])
+            direct = order_stats._quadrature_gains(rank_max, n, dim)
+            np.testing.assert_allclose(tri, direct, rtol=1e-11, atol=0.0)
+            assert table.lookup(1, n, dim).method == "quadrature"
+
+    def test_optimizer_integrates_once(self, monkeypatch):
+        from wetopt.optimizer import optimize_training
+        from wetopt.training_model import SystemParams
+
+        calls = []
+        real_quad_vec = order_stats.quad_vec
+
+        def counting_quad_vec(*args, **kwargs):
+            calls.append(1)
+            return real_quad_vec(*args, **kwargs)
+
+        monkeypatch.setattr(order_stats, "quad_vec", counting_quad_vec)
+        monkeypatch.setattr(order_stats, "_shared_table", GainTable())
+        p = SystemParams(m=10, n=120, n2=16, ps=0.06, eta=0.8, t=1e-5, beta=1e-6, n0=1e-19)
+        optimize_training(p)
+        assert len(calls) == 1
+
+    def test_keeps_closed_form_and_existing_entries(self):
+        table = GainTable()
+        closed = gains_up_to(4, 20, 4, table)
+        direct = gain(1, 50, 4, table)
+        gains_up_to(4, 60, 4, table)
+        for r in range(1, 5):
+            entry = table.lookup(r, 20, 4)
+            assert entry.method == "closed_form"
+            assert entry.value == closed[r - 1]
+        assert table.lookup(1, 50, 4).value == direct
+        # below the closed-form cap the triangle stops writing
+        assert table.lookup(1, 30, 4) is None
+        assert table.lookup(4, 31, 4).method == "quadrature"
+        assert gains_up_to(4, 30, 4, table)[0] == gain_closed_form(1, 30, 4)
+
+
 class TestMonteCarlo:
     def test_harmonic_within_three_sigma(self):
         mean, stderr = gain_monte_carlo(1, 3, 1, 200_000, seed=5)

@@ -46,6 +46,41 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             TrainingPlan(n1=5, e1=0.0, e2=(0.0,) * 2).validate_against(p)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ps", math.nan),
+            ("eta", math.nan),
+            ("t", math.inf),
+            ("beta", math.inf),
+            ("n0", math.inf),
+            ("m", 2.5),
+            ("m", True),
+            ("n", 12.0),
+            ("n2", False),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integer(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            params(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        p = params(m=np.int64(4), n=np.int32(12))
+        assert p.m == 4 and p.n == 12
+
+    @pytest.mark.parametrize(
+        "e1, e2",
+        [
+            (math.nan, (0.0,) * 3),
+            (math.inf, (0.0,) * 3),
+            (0.0, (0.0, math.nan, 0.0)),
+            (0.0, (math.inf, 0.0, 0.0)),
+        ],
+    )
+    def test_plan_rejects_non_finite_energies(self, e1, e2):
+        with pytest.raises(ValueError, match="finite"):
+            TrainingPlan(n1=5, e1=e1, e2=e2)
+
     def test_plan_cost(self):
         plan = TrainingPlan(n1=5, e1=2.0, e2=(1.0, 0.5, 0.25))
         assert plan.cost == pytest.approx(10.0 + 1.75)
