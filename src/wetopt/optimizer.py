@@ -201,14 +201,24 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
 # polynomial stationary points
 
 
+def _scaled_residual(x: float, c: np.ndarray) -> float:
+    # |p(x)| / max(1, |x|)^deg; beyond the unit interval it is the reversed
+    # polynomial at 1/x, which cannot overflow where x^deg would
+    if abs(x) <= 1.0:
+        return abs(npoly.polyval(x, c))
+    return abs(npoly.polyval(1.0 / x, c[::-1]))
+
+
 def poly_real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial given by ascending coefficients.
 
     Roots come from the companion-matrix eigenvalues and are then polished
     by Newton iteration until the residual falls below
     1e-10 * ||coeffs|| * max(1, |x|)^degree; raises
-    :class:`RootFindingError` if polishing stalls above that.
-    Near-coincident roots are merged.
+    :class:`RootFindingError` if polishing stalls above that.  The test
+    divides the residual by max(1, |x|)^degree rather than multiplying
+    the tolerance, which overflows for large roots of high-degree
+    polynomials.  Near-coincident roots are merged.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0:
@@ -220,7 +230,7 @@ def poly_real_roots(coeffs) -> np.ndarray:
     deg = c.size - 1
     if deg == 0:
         return np.array([])
-    scale = float(np.linalg.norm(c))
+    tol = 1e-10 * float(np.linalg.norm(c))
     raw = npoly.polyroots(c)
     near_real = raw[np.abs(raw.imag) <= 1e-8 * np.maximum(1.0, np.abs(raw.real))]
     if near_real.size == 0:
@@ -228,8 +238,7 @@ def poly_real_roots(coeffs) -> np.ndarray:
     dc = npoly.polyder(c)
     polished = []
     for x in np.sort(near_real.real):
-        tol = 1e-10 * scale * max(1.0, abs(x)) ** deg
-        best_x, best_r = x, abs(npoly.polyval(x, c))
+        best_x, best_r = x, _scaled_residual(x, c)
         for _ in range(60):
             if best_r <= tol:
                 break
@@ -238,14 +247,14 @@ def poly_real_roots(coeffs) -> np.ndarray:
                 break
             step = npoly.polyval(best_x, c) / d
             nxt = best_x - step
-            r = abs(npoly.polyval(nxt, c))
+            r = _scaled_residual(nxt, c)
             if not np.isfinite(r) or r >= best_r:
                 break
             best_x, best_r = nxt, r
         if best_r > tol:
             raise RootFindingError(
-                f"Newton polishing stalled at x={best_x!r} (residual {best_r:.3e}, "
-                f"tolerance {tol:.3e})",
+                f"Newton polishing stalled at x={best_x!r} (residual {best_r:.3e} "
+                f"> tolerance {tol:.3e}, both per max(1, |x|)^{deg})",
                 c,
             )
         polished.append(best_x)
@@ -263,31 +272,28 @@ def _stationary_snrs(
 
     ``branch2`` ranks (the strongest) are assumed above the refinement
     threshold, the rest below.  The objective restricted to that pattern
-    is d0/(x+1) + x - sum b_i/(x+g_i) up to constants; its stationarity
-    condition clears to a polynomial of degree 2*branch2 + 2.
+    is d0/(x+1) + x - sum b_i/(x+g_i) up to constants.  Its stationarity
+    condition 1 - d0/(x+1)^2 + sum b_i/(x+g_i)^2 = 0 clears to
+    (x+1)^2 (P + S) - d0 P, of degree 2*branch2 + 2, with P = prod (x+g_k)^2
+    and S = sum b_i prod_{k!=i} (x+g_k)^2.  Adding one q_k = (x+g_k)^2 at a
+    time, P_k = P_{k-1} q_k and S_k = S_{k-1} q_k + b_k P_{k-1}: 2*branch2 + 1
+    short convolutions per piece.  Every g_k > 0, and b_k > 0 for every gain
+    above m, so then P and S have positive coefficients and nothing cancels.
     """
     gamma = esnr(p)
     m = p.m
     above = gains[:branch2]
     below = gains[branch2:]
     d0 = gamma * (math.fsum(above - m) + math.fsum(below / m - 1.0)) / n1
-    b = m * (1.0 - m / above) / (n1 * above) if branch2 else np.array([])
-    pole = m / above if branch2 else np.array([])
-
-    one = np.array([1.0, 1.0])  # (x + 1)
-    sq0 = npoly.polymul(one, one)
-    pole_sq = [npoly.polymul([g, 1.0], [g, 1.0]) for g in pole]
-    prod_all = np.array([1.0])
-    for q in pole_sq:
-        prod_all = npoly.polymul(prod_all, q)
-    # (x+1)^2 prod (x+g)^2 - d0 prod (x+g)^2 + (x+1)^2 sum_i b_i prod_{k!=i} (x+g)^2
-    poly = npoly.polysub(npoly.polymul(sq0, prod_all), d0 * prod_all)
-    for i in range(branch2):
-        partial = np.array([1.0])
-        for k2, q in enumerate(pole_sq):
-            if k2 != i:
-                partial = npoly.polymul(partial, q)
-        poly = npoly.polyadd(poly, b[i] * npoly.polymul(sq0, partial))
+    b = m * (1.0 - m / above) / (n1 * above)
+    prod, part = np.ones(1), np.zeros(1)  # S is padded to the length of P
+    for g, bk in zip((m / above).tolist(), b.tolist()):
+        q = np.array([g * g, 2.0 * g, 1.0])
+        part = np.convolve(part, q)
+        part[:-2] += bk * prod
+        prod = np.convolve(prod, q)
+    poly = np.convolve(prod + part, [1.0, 2.0, 1.0])
+    poly[:-2] -= d0 * prod
     roots = poly_real_roots(poly)
     return roots[roots > 0.0]
 
@@ -360,20 +366,23 @@ def solve_low_esnr(n1: int, p: SystemParams) -> CaseSolution:
     return _solve_low(n1, p, _require_case(n1, p, LOW_ESNR))
 
 
-def _solve_low(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
+def _phase1_closed_form(n1: int, p: SystemParams) -> tuple[float, float]:
+    # (e1, value) with phase 2 off: the low-ESNR optimum for this n1
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
     surplus = math.fsum(gains / p.m - 1.0)
     gamma = esnr(p)
     scale = p.eta_t_ps * p.beta
     if surplus < n1 / gamma:
-        e1, value = 0.0, scale * p.n2
-    else:
-        e1 = math.sqrt(p.eta_t_ps * p.n0) * (
-            math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
-        )
-        value = scale * (
-            p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2
-        )
+        return 0.0, scale * p.n2
+    e1 = math.sqrt(p.eta_t_ps * p.n0) * (
+        math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
+    )
+    value = scale * (p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2)
+    return e1, value
+
+
+def _solve_low(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
+    e1, value = _phase1_closed_form(n1, p)
     return CaseSolution(label, e1, value, (0.0, e1))
 
 
@@ -494,19 +503,9 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     """
     best_plan: TrainingPlan | None = None
     best_value = -math.inf
-    gamma = esnr(p)
-    scale = p.eta_t_ps * p.beta
     order_stats.gains_up_to(p.n2, p.n, p.m)  # fills every n1's gains at once
     for n1 in range(p.n2, p.n + 1):
-        gains = order_stats.gains_up_to(p.n2, n1, p.m)
-        surplus = math.fsum(gains / p.m - 1.0)
-        if surplus < n1 / gamma:
-            e1, value = 0.0, scale * p.n2
-        else:
-            e1 = math.sqrt(p.eta_t_ps * p.n0) * (
-                math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
-            )
-            value = scale * (p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2)
+        e1, value = _phase1_closed_form(n1, p)
         if value > best_value:
             best_value = value
             best_plan = TrainingPlan(n1=n1, e1=e1, e2=(0.0,) * p.n2)

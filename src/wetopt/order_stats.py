@@ -15,8 +15,9 @@ Three mutually checking evaluation routes are provided:
   survival function (any size),
 * ``gain_monte_carlo``   direct simulation (independent oracle).
 
-``gain`` dispatches between the deterministic routes and memoizes results
-in a :class:`GainTable`.
+``gain`` dispatches between the closed form and the gain triangle below
+and memoizes results in a :class:`GainTable`; ``gain_quadrature`` serves
+as the triangle's oracle.
 
 ``gains_up_to`` on the quadrature route builds a whole gain triangle at
 once.  One adaptive pass integrates every rank of the largest population
@@ -369,7 +370,8 @@ def gain(rank: int, pop: int, dim: int, table: GainTable | None = None) -> float
     Routes to the closed form where it is affordable (including the exact
     harmonic tails for dim == 1 at any population) and to quadrature
     elsewhere; results are memoized in ``table`` (the shared table by
-    default).
+    default).  A quadrature-route miss is served by :func:`gains_up_to`,
+    so the memo holds the gain triangle's values only.
     """
     _validate_query(rank, pop, dim)
     table = table if table is not None else _shared_table
@@ -377,10 +379,9 @@ def gain(rank: int, pop: int, dim: int, table: GainTable | None = None) -> float
     if hit is not None:
         return hit.value
     method = _route(pop, dim)
-    if method == "closed_form":
-        value = gain_closed_form(rank, pop, dim)
-    else:
-        value = gain_quadrature(rank, pop, dim)
+    if method != "closed_form":
+        return float(gains_up_to(rank, pop, dim, table)[rank - 1])
+    value = gain_closed_form(rank, pop, dim)
     table.store(rank, pop, dim, value, method)
     return value
 

@@ -1,12 +1,14 @@
 """The exact training optimizer against independent brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from conftest import grid_oracle_best, random_instance
-from wetopt import order_stats
+from wetopt import optimizer, order_stats
 from wetopt.optimizer import (
     HIGH_ESNR,
     LOW_ESNR,
@@ -46,6 +48,11 @@ def params_with_threshold(alpha: float, **overrides) -> SystemParams:
     m, eta, t, ps = base["m"], base["eta"], base["t"], base["ps"]
     n0 = alpha**2 * eta * t * ps * (m - 1) / m**2
     return SystemParams(n0=n0, **base)
+
+
+def ism_link(**shape) -> SystemParams:
+    """The ISM link's radio constants with the given shape and block length."""
+    return SystemParams(ps=0.06, eta=0.8, beta=1e-6, n0=1e-19, **shape)
 
 
 def golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -311,6 +318,98 @@ class TestPolyRealRoots:
             poly_real_roots([])
         with pytest.raises(ValueError):
             poly_real_roots([0.0, 0.0])
+
+
+class TestStationaryPolynomial:
+    """The piece polynomial (x+1)^2 (P + S) - d0 P, built by the recurrence
+    over q_k = (x+g_k)^2, against the rational stationarity condition
+    1 - d0/(x+1)^2 + sum b_i/(x+g_i)^2 it clears."""
+
+    N1 = 200
+
+    @staticmethod
+    def _terms(x: float, gains: np.ndarray, branch2: int, p: SystemParams):
+        # the summands of 1 - d0/(x+1)^2 + sum b_i/(x+g_i)^2
+        m, n1 = p.m, TestStationaryPolynomial.N1
+        above, below = gains[:branch2], gains[branch2:]
+        d0 = esnr(p) * (np.sum(above - m) + np.sum(below / m - 1.0)) / n1
+        b = m * (1.0 - m / above) / (n1 * above)
+        g = m / above
+        return np.concatenate(([1.0, -d0 / (x + 1.0) ** 2], b / (x + g) ** 2))
+
+    @pytest.mark.parametrize("t", [5e-5, 1e-1])
+    @pytest.mark.parametrize("branch2", [0, 1, 16, 64, 100])
+    def test_matches_rational_form(self, monkeypatch, branch2, t):
+        p = ism_link(m=4, n=self.N1, n2=100, t=t)
+        gains = order_stats.gains_up_to(100, self.N1, 4)
+        seen = []
+        real_roots = optimizer.poly_real_roots
+
+        def capturing_roots(coeffs):
+            seen.append(np.array(coeffs, dtype=float))
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(optimizer, "poly_real_roots", capturing_roots)
+        roots = optimizer._stationary_snrs(gains, branch2, self.N1, p)
+        (poly,) = seen
+        assert poly.size == 2 * branch2 + 3
+        # relative to the summed magnitudes: the polynomial has roots
+        for x in (0.05, 0.5, 2.0, 9.0, 25.0):
+            terms = self._terms(x, gains, branch2, p)
+            clear = (x + 1.0) ** 2 * np.prod((x + p.m / gains[:branch2]) ** 2)
+            exact = clear * math.fsum(terms)
+            assert abs(npoly.polyval(x, poly) - exact) <= 1e-12 * clear * np.abs(terms).sum()
+        assert roots.size and np.all(roots > 0.0)
+        for x in roots:
+            terms = self._terms(x, gains, branch2, p)
+            assert abs(math.fsum(terms)) <= 1e-10 * np.abs(terms).sum()
+
+    def test_assembly_call_count(self, monkeypatch):
+        p = ism_link(m=4, n=self.N1, n2=100, t=5e-5)
+        gains = order_stats.gains_up_to(64, self.N1, 4)
+        convolves, polymuls = [], []
+        real_convolve, real_polymul = np.convolve, npoly.polymul
+
+        def counting_convolve(*args, **kwargs):
+            convolves.append(1)
+            return real_convolve(*args, **kwargs)
+
+        def counting_polymul(*args, **kwargs):
+            polymuls.append(1)
+            return real_polymul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", counting_convolve)
+        monkeypatch.setattr(npoly, "polymul", counting_polymul)
+        optimizer._stationary_snrs(gains, 64, self.N1, p)
+        assert not polymuls
+        assert 0 < len(convolves) <= 2 * 64 + 4
+
+
+class TestWideDesign:
+    """m=4, n=80, n2=64: stationary polynomials up to degree 130."""
+
+    def test_ten_crossings_vs_dense_grid(self):
+        # t=5e-6 is high ESNR with ten threshold crossings over n1 = 64..67
+        p = ism_link(m=4, n=80, n2=64, t=5e-6)
+        sol = optimize_training(p)
+        top = float(np.sum(order_stats.gains_up_to(p.n2, p.n, p.m)))
+        oracle = -math.inf
+        for n1 in range(p.n2, p.n + 1):
+            hi = p.eta_t_ps * p.beta * top / n1  # the pilot bill alone exceeds any harvest
+            grid = np.concatenate([[0.0], np.geomspace(hi * 1e-9, hi, 1000)])
+            oracle = max(oracle, *(net_energy_given_phase1(n1, float(e1), p) for e1 in grid))
+        assert sol.qnet_star >= oracle - 1e-9 * abs(oracle)
+
+    def test_long_block_no_overflow(self):
+        # t=1e-1 puts stationary points near x=135 on degree-130 polynomials,
+        # where max(1, |x|)^130 times the coefficient norm overflows
+        p = ism_link(m=4, n=80, n2=64, t=1e-1)
+        order_stats.gains_up_to(p.n2, p.n, p.m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = optimize_training(p)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert sol.qnet_star == pytest.approx(1.3988403631307118e-06, rel=1e-9)
 
 
 class TestOptimizeTraining:

@@ -251,6 +251,18 @@ class TestTriangle:
         assert table.lookup(4, 31, 4).method == "quadrature"
         assert gains_up_to(4, 30, 4, table)[0] == gain_closed_form(1, 30, 4)
 
+    def test_gain_miss_served_by_triangle(self):
+        # a quadrature-route miss in gain() walks the triangle from its own
+        # population: the same bits as gains_up_to there, and every smaller
+        # population on the quadrature route is memoized along the way
+        table = GainTable()
+        value = gain(1, 50, 4, table)
+        assert value == gains_up_to(1, 50, 4, GainTable())[0]
+        assert table.lookup(1, 40, 4).method == "quadrature"
+        assert gains_up_to(4, 60, 4, table)[0] == gains_up_to(4, 60, 4, GainTable())[0]
+        assert table.lookup(1, 50, 4).value == value
+        assert value == pytest.approx(gain_quadrature(1, 50, 4), rel=1e-12)
+
 
 class TestMonteCarlo:
     def test_harmonic_within_three_sigma(self):
