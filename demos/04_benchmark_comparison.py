@@ -15,7 +15,6 @@ from wetopt import (
     Phase1Only,
     Phase2Only,
     SystemParams,
-    channel_sim,
     optimizer,
     run_benchmark,
     run_two_phase,
@@ -31,7 +30,7 @@ sol = optimizer.optimize_training(p)
 rows = [("perfect CSI (ceiling)", run_benchmark(PerfectCsi(), p, trials, seed))]
 rows.append(("two-phase (optimized)", run_two_phase(sol.plan, p, trials, seed)))
 
-bf_energy = channel_sim.tune_brute_force_energy(p, seed, pilot_trials=400)
+bf_energy, _ = optimizer.solve_brute_force(p)
 rows.append(
     ("brute force (all bands)", run_benchmark(BruteForce(bf_energy), p, trials, seed))
 )

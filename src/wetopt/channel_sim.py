@@ -33,9 +33,9 @@ __all__ = [
     "tune_brute_force_energy",
 ]
 
-# Trials per chunk are sized so a chunk holds roughly this many complex
-# channel entries; a fixed target keeps chunking (and therefore RNG
-# streams) deterministic for given inputs.
+# Trials per chunk are sized so a chunk holds roughly this many drawn
+# entries (complex or real); a fixed target keeps chunking (and therefore
+# RNG streams) deterministic for given inputs.
 _CHUNK_TARGET = 1 << 21
 
 
@@ -117,13 +117,14 @@ def _complex_normal(
     )
 
 
-def _chunks(trials: int, elements_per_trial: int):
+def _chunks(trials: int, elements_per_trial: int, seed: int):
+    """Yields (generator, trial count) per chunk; chunk i draws from (seed, i)."""
     size = max(1, min(trials, _CHUNK_TARGET // max(1, elements_per_trial)))
     start = 0
     index = 0
     while start < trials:
         count = min(size, trials - start)
-        yield index, count
+        yield _rng(seed, index), count
         start += count
         index += 1
 
@@ -135,6 +136,28 @@ def draw_channels(p: SystemParams, seed: int, trial: int) -> ChannelRealization:
 
 
 # --- kernels ---------------------------------------------------------------
+
+
+def _strongest(
+    rng: np.random.Generator, count: int, probed: int, kept: int, e: float,
+    p: SystemParams,
+) -> np.ndarray:
+    """Channels of the ``kept`` strongest of ``probed`` bands, strongest first.
+
+    A band's pilot observation y = sqrt(e) h + z is CN(0, s^2 I) with
+    s^2 = beta*e + n0, so ||y||^2 is Gamma(m, s^2) and independent of the
+    direction of y, and h | y is CN((sqrt(e) beta / s^2) y, (beta n0 / s^2) I).
+    Every harvest is invariant under a common rotation of h and y, so each
+    kept y lies on the first axis and only h, shape (count, kept, m), is
+    returned: per trial ``probed`` Gammas and ``kept * m`` complex normals.
+    """
+    s2 = p.beta * e + p.n0
+    h = _complex_normal(rng, (count, kept, p.m), p.beta * p.n0 / s2)
+    energy = rng.gamma(p.m, s2, (count, probed))
+    top = np.partition(energy, probed - kept, axis=1)[:, probed - kept :]
+    top = np.sort(top, axis=1)[:, ::-1]
+    h[:, :, 0] += (math.sqrt(e) * p.beta / s2) * np.sqrt(top)
+    return h
 
 
 def _beamformed_harvest(
@@ -195,17 +218,10 @@ def run_two_phase(
         [expected_selected_power(r, n1, plan.e1, p) for r in range(1, n2 + 1)]
     )
     coeff = np.sqrt(e2) * powers / (e2 * powers + p.n0 * m)
-    sqrt_e1 = math.sqrt(plan.e1)
     harvested = np.empty(trials)
     pos = 0
-    for index, count in _chunks(trials, 2 * n1 * m):
-        rng = _rng(seed, index)
-        h = _complex_normal(rng, (count, n1, m), p.beta)
-        z1 = _complex_normal(rng, (count, n1, m), p.n0)
-        y1 = sqrt_e1 * h + z1
-        received = (np.abs(y1) ** 2).sum(axis=2)
-        order = np.argsort(-received, axis=1)[:, :n2]
-        hsel = np.take_along_axis(h, order[:, :, None], axis=1)
+    for rng, count in _chunks(trials, n1 + 2 * n2 * m, seed):
+        hsel = _strongest(rng, count, n1, n2, plan.e1, p)
         z2 = _complex_normal(rng, (count, n2, m), p.n0)
         y2 = np.sqrt(e2)[None, :, None] * hsel + z2
         per_band = _beamformed_harvest(hsel, y2, coeff, e2, m)
@@ -219,8 +235,7 @@ def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
     # so only the band norms matter; they are Gamma(m, beta) draws.
     harvested = np.empty(trials)
     pos = 0
-    for index, count in _chunks(trials, p.n):
-        rng = _rng(seed, index)
+    for rng, count in _chunks(trials, p.n, seed):
         norms = rng.gamma(p.m, p.beta, (count, p.n))
         top = np.partition(norms, p.n - p.n2, axis=1)[:, p.n - p.n2 :]
         harvested[pos : pos + count] = p.eta_t_ps * top.sum(axis=1)
@@ -231,8 +246,7 @@ def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
 def _run_no_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
     harvested = np.empty(trials)
     pos = 0
-    for index, count in _chunks(trials, p.n2):
-        rng = _rng(seed, index)
+    for rng, count in _chunks(trials, p.n2, seed):
         norms = rng.gamma(p.m, p.beta, (count, p.n2))
         harvested[pos : pos + count] = p.eta_t_ps * norms.sum(axis=1) / p.m
         pos += count
@@ -253,8 +267,7 @@ def _run_phase2_only(
     coeff = np.sqrt(e2) * prior / (e2 * prior + p.n0 * p.m)
     harvested = np.empty(trials)
     pos = 0
-    for index, count in _chunks(trials, 2 * p.n2 * p.m):
-        rng = _rng(seed, index)
+    for rng, count in _chunks(trials, 2 * p.n2 * p.m, seed):
         h = _complex_normal(rng, (count, p.n2, p.m), p.beta)
         z2 = _complex_normal(rng, (count, p.n2, p.m), p.n0)
         y2 = np.sqrt(e2)[None, :, None] * h + z2
@@ -267,26 +280,19 @@ def _run_phase2_only(
 def _run_brute_force(
     energy: float, p: SystemParams, trials: int, seed: int
 ) -> EnergyReport:
-    # Estimate every band (prior power beta*m), pick the n2 largest
-    # estimated norms, beamform with the estimates.
+    # Estimate every band, pick the n2 largest estimated norms, beamform
+    # with the estimates: along the first axis of _strongest's frame, so the
+    # harvest is |h_1|^2 (isotropic, as in _beamformed_harvest, at zero energy).
     if energy < 0:
         raise ValueError(f"per-band energy must be >= 0, got {energy}")
-    prior = p.beta * p.m
-    b = math.sqrt(energy) * prior / (energy * prior + p.n0 * p.m)
-    e2 = np.full(p.n2, energy)
-    coeff = np.full(p.n2, b)
     harvested = np.empty(trials)
     pos = 0
-    for index, count in _chunks(trials, 2 * p.n * p.m):
-        rng = _rng(seed, index)
-        h = _complex_normal(rng, (count, p.n, p.m), p.beta)
-        z = _complex_normal(rng, (count, p.n, p.m), p.n0)
-        y = math.sqrt(energy) * h + z
-        est_norm = (np.abs(y) ** 2).sum(axis=2)  # ranks same as ||hhat||^2
-        order = np.argsort(-est_norm, axis=1)[:, : p.n2]
-        hsel = np.take_along_axis(h, order[:, :, None], axis=1)
-        ysel = np.take_along_axis(y, order[:, :, None], axis=1)
-        per_band = _beamformed_harvest(hsel, ysel, coeff, e2, p.m)
+    for rng, count in _chunks(trials, p.n + p.n2 * p.m, seed):
+        h = _strongest(rng, count, p.n, p.n2, energy, p)
+        if energy > 0.0:
+            per_band = np.abs(h[:, :, 0]) ** 2
+        else:
+            per_band = (np.abs(h) ** 2).sum(axis=2) / p.m
         harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
         pos += count
     return _report(harvested, energy * p.n, seed)
@@ -329,17 +335,10 @@ def ranked_power_moments(
         raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sqrt_e1 = math.sqrt(e1)
     total = np.zeros(n1)
     total_sq = np.zeros(n1)
-    for index, count in _chunks(trials, 2 * n1 * p.m):
-        rng = _rng(seed, index)
-        h = _complex_normal(rng, (count, n1, p.m), p.beta)
-        z1 = _complex_normal(rng, (count, n1, p.m), p.n0)
-        received = (np.abs(sqrt_e1 * h + z1) ** 2).sum(axis=2)
-        order = np.argsort(-received, axis=1)
-        true_power = (np.abs(h) ** 2).sum(axis=2)
-        ranked = np.take_along_axis(true_power, order, axis=1)
+    for rng, count in _chunks(trials, n1 * (p.m + 1), seed):
+        ranked = (np.abs(_strongest(rng, count, n1, n1, e1, p)) ** 2).sum(axis=2)
         total += ranked.sum(axis=0)
         total_sq += (ranked**2).sum(axis=0)
     means = total / trials
@@ -354,11 +353,12 @@ def ranked_power_moments(
 def tune_brute_force_energy(
     p: SystemParams, seed: int, pilot_trials: int = 1000
 ) -> float:
-    """Per-band pilot energy for the brute-force scheme.
+    """Per-band pilot energy for the brute-force scheme, by simulation.
 
-    The scheme definition leaves the energy open; a golden-section search
-    maximizes the empirical net energy at pilot scale with common random
-    numbers (the same seed for every probe keeps the objective smooth).
+    A golden-section search maximizes the empirical net energy at pilot
+    scale with common random numbers (the same seed for every probe keeps
+    the objective smooth); an oracle for the closed-form optimum of
+    :func:`wetopt.optimizer.solve_brute_force`.
     """
     top = float(np.sum(order_stats.gains_up_to(p.n2, p.n, p.m)))
     hi = p.eta_t_ps * p.beta * top / p.n

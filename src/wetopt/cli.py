@@ -466,7 +466,7 @@ def _benchmark_columns(p: SystemParams, trials: int, seed: int) -> list:
     phase2 = channel_sim.run_benchmark(
         channel_sim.Phase2Only(e2=p2_plan.e2), p, trials, seed
     )
-    bf_energy = channel_sim.tune_brute_force_energy(p, seed)
+    bf_energy, _ = optimizer.solve_brute_force(p)
     brute = channel_sim.run_benchmark(
         channel_sim.BruteForce(energy_per_band=bf_energy), p, trials, seed
     )

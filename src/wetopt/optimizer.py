@@ -50,6 +50,7 @@ __all__ = [
     "optimal_phase2_energy",
     "optimize_training",
     "poly_real_roots",
+    "solve_brute_force",
     "solve_for_n1",
     "solve_high_esnr",
     "solve_low_esnr",
@@ -209,6 +210,19 @@ def _scaled_residual(x: float, c: np.ndarray) -> float:
     return abs(npoly.polyval(1.0 / x, c[::-1]))
 
 
+def _newton_step(x: float, c: np.ndarray) -> float | None:
+    # p(x)/p'(x), or None where p' vanishes; beyond the unit interval it is
+    # x r(u) / (deg r(u) - u r'(u)) for the reversed polynomial r at u = 1/x,
+    # which cannot overflow where x^deg would
+    if abs(x) <= 1.0:
+        num, den = npoly.polyval(x, c), npoly.polyval(x, npoly.polyder(c))
+    else:
+        u, rev = 1.0 / x, c[::-1]
+        r = npoly.polyval(u, rev)
+        num, den = x * r, (c.size - 1) * r - u * npoly.polyval(u, npoly.polyder(rev))
+    return None if den == 0.0 else num / den
+
+
 def poly_real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial given by ascending coefficients.
 
@@ -218,7 +232,8 @@ def poly_real_roots(coeffs) -> np.ndarray:
     :class:`RootFindingError` if polishing stalls above that.  The test
     divides the residual by max(1, |x|)^degree rather than multiplying
     the tolerance, which overflows for large roots of high-degree
-    polynomials.  Near-coincident roots are merged.
+    polynomials; for the same reason a Newton step at |x| > 1 is taken
+    from the reversed polynomial at 1/x.  Near-coincident roots are merged.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0:
@@ -235,17 +250,15 @@ def poly_real_roots(coeffs) -> np.ndarray:
     near_real = raw[np.abs(raw.imag) <= 1e-8 * np.maximum(1.0, np.abs(raw.real))]
     if near_real.size == 0:
         return np.array([])
-    dc = npoly.polyder(c)
     polished = []
     for x in np.sort(near_real.real):
         best_x, best_r = x, _scaled_residual(x, c)
         for _ in range(60):
             if best_r <= tol:
                 break
-            d = npoly.polyval(best_x, dc)
-            if d == 0.0:
+            step = _newton_step(best_x, c)
+            if step is None:
                 break
-            step = npoly.polyval(best_x, c) / d
             nxt = best_x - step
             r = _scaled_residual(nxt, c)
             if not np.isfinite(r) or r >= best_r:
@@ -524,3 +537,22 @@ def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     value = p.n2 * (p.eta_t_ps * bm - _penalty_of_power(bm, p))
     plan = TrainingPlan(n1=p.n2, e1=0.0, e2=(e2,) * p.n2)
     return plan, value
+
+
+def solve_brute_force(p: SystemParams) -> tuple[float, float]:
+    """Best per-band pilot energy for training every band, and its net energy.
+
+    Estimating all n bands with energy e, keeping the n2 largest estimates
+    and beamforming on them harvests eta*t*ps*beta*[G - (G - n2)/(x + 1)] on
+    average, with G the sum of the top-n2 gains g(r, n, m) and x = beta*e/n0;
+    the bill is n*e.  The net is concave in x and peaks at
+    x + 1 = sqrt(esnr*(G - n2)/n), clamped at e = 0, where it is the no-CSI
+    value eta*t*ps*beta*n2.  Returns ``(energy_per_band, value)``.
+    """
+    top = math.fsum(order_stats.gains_up_to(p.n2, p.n, p.m))
+    x = math.sqrt(esnr(p) * (top - p.n2) / p.n) - 1.0
+    if x <= 0.0:
+        return 0.0, p.eta_t_ps * p.beta * p.n2
+    energy = x * p.n0 / p.beta
+    value = p.eta_t_ps * p.beta * (top - (top - p.n2) / (x + 1.0)) - p.n * energy
+    return energy, value

@@ -389,14 +389,15 @@ def gain(rank: int, pop: int, dim: int, table: GainTable | None = None) -> float
 def _triangle_gains(
     rank_max: int, pop: int, dim: int
 ) -> dict[tuple[int, int, int], float]:
-    """Quadrature-route gains of ranks 1..rank_max for populations rank_max..pop.
+    """Quadrature-route gains for populations rank_max..pop.
 
     One quadrature over all ``pop`` ranks, then the triangle rule (module
     docstring) one population at a time, down to ``rank_max`` or to the
     first population on the closed-form route, below which every
-    population is on it too.  Only the current population's ``n`` gains
-    are kept while walking, so the result holds ``O(pop * rank_max)``
-    floats.
+    population is on it too.  Every rank of population ``pop`` is kept,
+    since the quadrature computed them all; smaller populations keep ranks
+    1..rank_max.  Only the current population's ``n`` gains are kept while
+    walking, so the result holds ``O(pop * rank_max)`` floats.
     """
     level = _quadrature_gains(pop, pop, dim)
     ranks = np.arange(1.0, pop)
@@ -404,7 +405,8 @@ def _triangle_gains(
     for n in range(pop, rank_max - 1, -1):
         if _route(n, dim) != "quadrature":
             break
-        for r, value in enumerate(level[:rank_max].tolist(), start=1):
+        keep = n if n == pop else rank_max
+        for r, value in enumerate(level[:keep].tolist(), start=1):
             out[(r, n, dim)] = value
         r = ranks[: n - 1]
         level = ((n - r) * level[:-1] + r * level[1:]) / n
@@ -420,10 +422,11 @@ def gains_up_to(
     quadrature route a miss integrates all ``pop`` ranks in one adaptive
     pass (they share every binomial term) and walks the triangle rule
     ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n`` down to
-    population ``rank_max``, memoizing ranks 1..rank_max of every
-    population in between that is on the quadrature route.  So a later
-    query for any of those populations is a memo hit, which is what makes
-    population-wide sweeps cost one quadrature.  Every derived gain is a
+    population ``rank_max``, memoizing every rank of population ``pop`` and
+    ranks 1..rank_max of every smaller population on the quadrature route.
+    So a later query for any of those populations is a memo hit, which is
+    what makes population-wide sweeps, and rank-by-rank :func:`gain`
+    calls, cost one quadrature.  Every derived gain is a
     convex combination of the integrated ones, so its absolute error is
     bounded by the quadrature's.  Existing entries, closed-form ones
     included, are never overwritten.

@@ -18,11 +18,17 @@ from wetopt.channel_sim import (
     run_two_phase,
     tune_brute_force_energy,
 )
-from wetopt.optimizer import optimize_training, solve_phase1_only, solve_phase2_only
+from wetopt.optimizer import (
+    optimize_training,
+    solve_brute_force,
+    solve_phase1_only,
+    solve_phase2_only,
+)
 from wetopt.training_model import (
     SystemParams,
     TrainingPlan,
     average_harvested_energy,
+    esnr,
     expected_selected_power,
 )
 
@@ -31,6 +37,15 @@ def params(**overrides) -> SystemParams:
     base = dict(m=4, n=12, n2=3, ps=0.06, eta=0.8, t=1e-3, beta=1e-6, n0=1e-19)
     base.update(overrides)
     return SystemParams(**base)
+
+
+def brute_force_net(energy: float, p: SystemParams) -> float:
+    """Mean net energy of the brute-force scheme at one per-band energy:
+    eta*t*ps*beta*[G - (G - n2)/(x + 1)] - n*e, x = beta*e/n0, G the top-n2
+    gain sum."""
+    top = float(np.sum(order_stats.gains_up_to(p.n2, p.n, p.m)))
+    x = p.beta * energy / p.n0
+    return p.eta_t_ps * p.beta * (top - (top - p.n2) / (x + 1.0)) - p.n * energy
 
 
 class TestDrawChannels:
@@ -212,3 +227,39 @@ class TestBruteForceTuning:
             np.sum(order_stats.gains_up_to(p.n2, p.n, p.m))
         ) / p.n
         assert 0.0 <= a <= hi
+
+
+VALIDATE_SHAPE = dict(m=10, n=50, n2=16, t=5e-5)
+
+
+class TestBruteForceClosedForm:
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [(dict(), 610), (VALIDATE_SHAPE, 620), (dict(m=1, n=20, n2=2), 630)],
+    )
+    def test_matches_simulation(self, shape, seed):
+        p = params(**shape)
+        energy, value = solve_brute_force(p)
+        assert energy > 0.0
+        assert value == pytest.approx(brute_force_net(energy, p), rel=1e-12)
+        assert value > max(brute_force_net(energy * s, p) for s in (0.99, 1.01))
+        for k, scale in enumerate((0.5, 1.0, 2.0)):
+            e = energy * scale
+            report = run_benchmark(BruteForce(energy_per_band=e), p, 20_000, seed + k)
+            assert abs(report.mean_qnet - brute_force_net(e, p)) <= 3.0 * report.stderr
+
+    def test_clamps_at_zero_energy(self):
+        p = params(t=1e-6)
+        top = float(np.sum(order_stats.gains_up_to(p.n2, p.n, p.m)))
+        unclamped = math.sqrt(esnr(p) * (top - p.n2) / p.n) - 1.0
+        assert unclamped < 0.0
+        energy, value = solve_brute_force(p)
+        assert energy == 0.0
+        assert value == pytest.approx(p.eta_t_ps * p.beta * p.n2, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [dict(), VALIDATE_SHAPE, dict(t=1e-6)])
+    def test_monte_carlo_tuning_agrees(self, shape):
+        p = params(**shape)
+        _, value = solve_brute_force(p)
+        tuned = tune_brute_force_energy(p, seed=9, pilot_trials=400)
+        assert abs(brute_force_net(tuned, p) - value) <= 1e-3 * abs(value)

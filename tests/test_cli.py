@@ -1,9 +1,15 @@
 """Config parsing, CSV contracts, reproducibility, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import wetopt
 from wetopt.cli import ConfigError, main, parse_config
-from wetopt.optimizer import solve_for_n1
+from wetopt.optimizer import solve_brute_force, solve_for_n1
+from wetopt.training_model import SystemParams
 
 ISM_DEFAULTS = """\
 # ISM-band scenario
@@ -255,6 +261,15 @@ class TestOtherExperiments:
             assert col in header
         assert len(lines) == 3
 
+    def test_sweep_t_brute_force_energy_is_closed_form(self, tmp_path):
+        path, out = self._base(tmp_path, "sweep_T", "bf.csv", extra="sweep_grid = 1e-3\n")
+        assert main(["sweep", "--config", path, "--trials", "200"]) == 0
+        row = self._read(out)
+        p = SystemParams(m=3, n=10, n2=2, ps=0.06, eta=0.8, t=1e-3, beta=1e-6, n0=1e-19)
+        energy, _ = solve_brute_force(p)
+        assert energy > 0.0
+        assert float(row["bruteforce_e_j"]) == pytest.approx(energy, rel=1e-10)
+
     def test_sweep_n_siso_columns(self, tmp_path):
         path, out = self._base(
             tmp_path, "sweep_N_siso", "sn.csv", extra="sweep_grid = 10, 20, 40\n"
@@ -269,3 +284,19 @@ class TestOtherExperiments:
         assert ideal == sorted(ideal)
         for r in rows:
             assert float(r["bound_j"]) >= float(r["qnet_twophase_j"]) * (1 - 1e-12)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # start-up cost is mostly imports; the simulator's draws need only
+    # numpy's Generator, so importing the CLI must not pull in scipy.stats
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wetopt.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, wetopt.cli; sys.exit('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr or "scipy.stats was imported"

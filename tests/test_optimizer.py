@@ -364,6 +364,45 @@ class TestStationaryPolynomial:
             terms = self._terms(x, gains, branch2, p)
             assert abs(math.fsum(terms)) <= 1e-10 * np.abs(terms).sum()
 
+    def test_newton_step_beyond_overflow(self, monkeypatch):
+        # t=1e-1, branch2=100: degree 202 with roots near x = -193 and 191,
+        # where x^202 passes 1e308; one step from 1e-7 off lands on each
+        p = ism_link(m=4, n=self.N1, n2=100, t=1e-1)
+        gains = order_stats.gains_up_to(100, self.N1, 4)
+        seen = []
+        real_roots = optimizer.poly_real_roots
+
+        def capturing_roots(coeffs):
+            seen.append(np.array(coeffs, dtype=float))
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(optimizer, "poly_real_roots", capturing_roots)
+        optimizer._stationary_snrs(gains, 100, self.N1, p)
+        (poly,) = seen
+        roots = real_roots(poly)
+        large = roots[np.abs(roots) > 100.0]
+        assert large.size == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in large:
+                start = x * (1.0 + 1e-7)
+                landed = start - optimizer._newton_step(start, poly)
+                assert landed == pytest.approx(x, rel=1e-10)
+
+    def test_polishes_large_root_without_overflow(self, monkeypatch):
+        # x^201 (x + 193): companion roots nudged 1e-7 off miss the
+        # acceptance test, and polishing -193 steps where x^202 overflows
+        poly = np.zeros(203)
+        poly[201:] = 193.0, 1.0
+        real_polyroots = npoly.polyroots
+        monkeypatch.setattr(npoly, "polyroots", lambda c: real_polyroots(c) * (1.0 + 1e-7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = poly_real_roots(poly)
+        assert roots.size == 2
+        assert roots[0] == pytest.approx(-193.0, rel=1e-10)
+        assert roots[1] == 0.0
+
     def test_assembly_call_count(self, monkeypatch):
         p = ism_link(m=4, n=self.N1, n2=100, t=5e-5)
         gains = order_stats.gains_up_to(64, self.N1, 4)

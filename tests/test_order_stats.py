@@ -236,6 +236,22 @@ class TestTriangle:
         optimize_training(p)
         assert len(calls) == 1
 
+    def test_gain_ranks_share_one_quadrature(self, monkeypatch):
+        # gain() walks ranks one at a time (as cli.emit_gtable does); the
+        # first miss keeps every rank of the population it integrated
+        calls = []
+        real_quad_vec = order_stats.quad_vec
+
+        def counting_quad_vec(*args, **kwargs):
+            calls.append(1)
+            return real_quad_vec(*args, **kwargs)
+
+        monkeypatch.setattr(order_stats, "quad_vec", counting_quad_vec)
+        table = GainTable()
+        values = [gain(r, 50, 4, table) for r in range(1, 4)]
+        assert len(calls) == 1
+        assert values == gains_up_to(3, 50, 4, GainTable()).tolist()
+
     def test_keeps_closed_form_and_existing_entries(self):
         table = GainTable()
         closed = gains_up_to(4, 20, 4, table)
