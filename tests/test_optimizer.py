@@ -337,11 +337,9 @@ class TestStationaryPolynomial:
         g = m / above
         return np.concatenate(([1.0, -d0 / (x + 1.0) ** 2], b / (x + g) ** 2))
 
-    @pytest.mark.parametrize("t", [5e-5, 1e-1])
-    @pytest.mark.parametrize("branch2", [0, 1, 16, 64, 100])
-    def test_matches_rational_form(self, monkeypatch, branch2, t):
-        p = ism_link(m=4, n=self.N1, n2=100, t=t)
-        gains = order_stats.gains_up_to(100, self.N1, 4)
+    @staticmethod
+    def _captured(monkeypatch, gains, branch2: int, p: SystemParams):
+        # (the piece polynomial handed to poly_real_roots, its positive roots)
         seen = []
         real_roots = optimizer.poly_real_roots
 
@@ -349,9 +347,20 @@ class TestStationaryPolynomial:
             seen.append(np.array(coeffs, dtype=float))
             return real_roots(coeffs)
 
-        monkeypatch.setattr(optimizer, "poly_real_roots", capturing_roots)
-        roots = optimizer._stationary_snrs(gains, branch2, self.N1, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "poly_real_roots", capturing_roots)
+            roots = optimizer._stationary_snrs(
+                gains, branch2, TestStationaryPolynomial.N1, p
+            )
         (poly,) = seen
+        return poly, roots
+
+    @pytest.mark.parametrize("t", [5e-5, 1e-1])
+    @pytest.mark.parametrize("branch2", [0, 1, 16, 64, 100])
+    def test_matches_rational_form(self, monkeypatch, branch2, t):
+        p = ism_link(m=4, n=self.N1, n2=100, t=t)
+        gains = order_stats.gains_up_to(100, self.N1, 4)
+        poly, roots = self._captured(monkeypatch, gains, branch2, p)
         assert poly.size == 2 * branch2 + 3
         # relative to the summed magnitudes: the polynomial has roots
         for x in (0.05, 0.5, 2.0, 9.0, 25.0):
@@ -369,17 +378,8 @@ class TestStationaryPolynomial:
         # where x^202 passes 1e308; one step from 1e-7 off lands on each
         p = ism_link(m=4, n=self.N1, n2=100, t=1e-1)
         gains = order_stats.gains_up_to(100, self.N1, 4)
-        seen = []
-        real_roots = optimizer.poly_real_roots
-
-        def capturing_roots(coeffs):
-            seen.append(np.array(coeffs, dtype=float))
-            return real_roots(coeffs)
-
-        monkeypatch.setattr(optimizer, "poly_real_roots", capturing_roots)
-        optimizer._stationary_snrs(gains, 100, self.N1, p)
-        (poly,) = seen
-        roots = real_roots(poly)
+        poly, _ = self._captured(monkeypatch, gains, 100, p)
+        roots = poly_real_roots(poly)
         large = roots[np.abs(roots) > 100.0]
         assert large.size == 2
         with warnings.catch_warnings():
