@@ -23,7 +23,6 @@ from .asymptotics import (
 )
 from .channel_sim import (
     BruteForce,
-    ChannelRealization,
     EnergyReport,
     NoCsi,
     PerfectCsi,
@@ -31,7 +30,6 @@ from .channel_sim import (
     Phase2Only,
     Scheme,
     TwoPhase,
-    draw_channels,
     ranked_power_moments,
     run_benchmark,
     run_two_phase,

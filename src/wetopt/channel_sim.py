@@ -18,7 +18,6 @@ from .training_model import SystemParams, TrainingPlan, expected_selected_power
 
 __all__ = [
     "BruteForce",
-    "ChannelRealization",
     "EnergyReport",
     "NoCsi",
     "PerfectCsi",
@@ -26,7 +25,6 @@ __all__ = [
     "Phase2Only",
     "Scheme",
     "TwoPhase",
-    "draw_channels",
     "ranked_power_moments",
     "run_benchmark",
     "run_two_phase",
@@ -37,13 +35,6 @@ __all__ = [
 # entries (complex or real); a fixed target keeps chunking (and therefore
 # RNG streams) deterministic for given inputs.
 _CHUNK_TARGET = 1 << 21
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block's channels: array of shape (bands, antennas), complex."""
-
-    h: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,6 @@ Scheme = TwoPhase | PerfectCsi | NoCsi | Phase1Only | Phase2Only | BruteForce
 # --- randomness helpers ----------------------------------------------------
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
-
-
 def _complex_normal(
     rng: np.random.Generator, shape: tuple[int, ...], var: float
 ) -> np.ndarray:
@@ -124,15 +111,9 @@ def _chunks(trials: int, elements_per_trial: int, seed: int):
     index = 0
     while start < trials:
         count = min(size, trials - start)
-        yield _rng(seed, index), count
+        yield np.random.default_rng(np.random.SeedSequence((seed, index))), count
         start += count
         index += 1
-
-
-def draw_channels(p: SystemParams, seed: int, trial: int) -> ChannelRealization:
-    """One block of channels, i.i.d. CN(0, beta) entries; deterministic."""
-    rng = _rng(seed, trial)
-    return ChannelRealization(h=_complex_normal(rng, (p.n, p.m), p.beta))
 
 
 # --- kernels ---------------------------------------------------------------

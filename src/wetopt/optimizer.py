@@ -12,14 +12,13 @@ into three ESNR regimes:
 
 * low:    no band ever clears the threshold; phase 2 is off and the
   optimum is closed form,
-* high:   every band clears the threshold for every e1; stationary
-  points are roots of a single polynomial,
-* medium: bands cross the threshold as e1 grows; the e1 axis splits
-  into intervals with fixed branch patterns, one polynomial each.
+* high:   the channel-hardening floor clears the threshold,
+* medium: bands rise through the threshold as e1 grows.
 
-All stationary-point polynomials are assembled in the dimensionless
-variable x = beta * e1 / n0 (the phase-1 pilot SNR), which keeps their
-coefficients well scaled regardless of the physical unit magnitudes.
+Both split the e1 axis where ranks cross the threshold.  Each piece has
+at most one stationary point, certified and found by a bracketed Newton
+iteration in the phase-1 pilot SNR x = beta * e1 / n0 (``_stationary_snrs``).
+:func:`poly_real_roots` is the tests' root oracle for the same points.
 """
 
 from __future__ import annotations
@@ -62,6 +61,10 @@ __all__ = [
 LOW_ESNR = "low_esnr"
 HIGH_ESNR = "high_esnr"
 MEDIUM_ESNR = "medium_esnr"
+
+# Newton-or-bisection steps per piece before raising; pieces have taken at
+# most ten, bisection alone would take about 52 + log2(bracket / root)
+_ROOT_STEPS = 200
 
 
 class RootFindingError(RuntimeError):
@@ -199,7 +202,7 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
 
 
 # ---------------------------------------------------------------------------
-# polynomial stationary points
+# stationary points, and the polynomial root oracle
 
 
 def _scaled_residual(x: float, c: np.ndarray) -> float:
@@ -280,35 +283,56 @@ def poly_real_roots(coeffs) -> np.ndarray:
 
 def _stationary_snrs(
     gains: np.ndarray, branch2: int, n1: int, p: SystemParams
-) -> np.ndarray:
-    """Positive stationary points of the reduced objective, in x = beta*e1/n0.
+) -> float | None:
+    """Stationary point of the reduced objective on one piece, in x = beta*e1/n0.
 
     ``branch2`` ranks (the strongest) are assumed above the refinement
-    threshold, the rest below.  The objective restricted to that pattern
-    is d0/(x+1) + x - sum b_i/(x+g_i) up to constants.  Its stationarity
-    condition 1 - d0/(x+1)^2 + sum b_i/(x+g_i)^2 = 0 clears to
-    (x+1)^2 (P + S) - d0 P, of degree 2*branch2 + 2, with P = prod (x+g_k)^2
-    and S = sum b_i prod_{k!=i} (x+g_k)^2.  Adding one q_k = (x+g_k)^2 at a
-    time, P_k = P_{k-1} q_k and S_k = S_{k-1} q_k + b_k P_{k-1}: 2*branch2 + 1
-    short convolutions per piece.  Every g_k > 0, and b_k > 0 for every gain
-    above m, so then P and S have positive coefficients and nothing cancels.
+    threshold, the rest below.  With g_i = m/gain_i and b_i = g_i (1-g_i)/n1
+    the piece's objective is d0/(x+1) + x - sum b_i/(x+g_i) up to constants,
+    stationary where h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = 0.
+    Ordered gains have sum_{r<=n1} (gain_r - m)^2 <= n1 m (Jensen), so
+    h'(x) = 2(x+1) [1 - (1/n1) sum g_i (1-g_i)^2/(x+g_i)^3] >= 2(x+1)(1-1/m)
+    on x >= 0, with m >= 2 wherever phase 2 is on: h increases, and its
+    one root, if h(0) < 0, lies in [0, sqrt(d0 + sum_{b_i<0} |b_i|)].
+    Newton steps from the right end that leave the bracket fall back to
+    bisection, and one below half an ulp moves one ulp, until h is 0 or the
+    bracket ends are adjacent floats (then the end with the smaller |h|).
+    Returns None when h(0) >= 0.
     """
-    gamma = esnr(p)
     m = p.m
-    above = gains[:branch2]
-    below = gains[branch2:]
-    d0 = gamma * (math.fsum(above - m) + math.fsum(below / m - 1.0)) / n1
-    b = m * (1.0 - m / above) / (n1 * above)
-    prod, part = np.ones(1), np.zeros(1)  # S is padded to the length of P
-    for g, bk in zip((m / above).tolist(), b.tolist()):
-        q = np.array([g * g, 2.0 * g, 1.0])
-        part = np.convolve(part, q)
-        part[:-2] += bk * prod
-        prod = np.convolve(prod, q)
-    poly = np.convolve(prod + part, [1.0, 2.0, 1.0])
-    poly[:-2] -= d0 * prod
-    roots = poly_real_roots(poly)
-    return roots[roots > 0.0]
+    above, below = gains[:branch2], gains[branch2:]
+    d0 = esnr(p) * (math.fsum(above - m) + math.fsum(below / m - 1.0)) / n1
+    g = m / above
+    b = g * (1.0 - g) / n1
+    curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
+
+    def h(x: float) -> float:
+        return (x + 1.0) ** 2 + float(b @ ((x + 1.0) / (x + g)) ** 2) - d0
+
+    if h(0.0) >= 0.0:
+        return None
+    lo, hi = 0.0, math.sqrt(d0 - float(b[b < 0.0].sum()))
+    x = hi
+    for _ in range(_ROOT_STEPS):
+        hx = h(x)
+        if hx == 0.0:
+            return x
+        if hx < 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - hx / (2.0 * (x + 1.0) * (1.0 - float(curve @ (x + g) ** -3)))
+        if nxt == x:
+            nxt = math.nextafter(x, hi if hx < 0.0 else lo)
+        if not lo < nxt < hi:
+            nxt = lo + 0.5 * (hi - lo)
+            if not lo < nxt < hi:
+                return min(lo, hi, key=lambda e: abs(h(e)))
+        x = nxt
+    raise ArithmeticError(
+        f"stationary point not bracketed to adjacent floats in {_ROOT_STEPS} "
+        f"steps at n1={n1}, branch2={branch2}: [{lo!r}, {hi!r}]"
+    )
 
 
 def _threshold_crossing_snr(g: float, alpha: float, p: SystemParams) -> float | None:
@@ -331,8 +355,8 @@ def _best_over_pieces(
 
     ``breakpoints`` are the e1 values (ascending) where some rank crosses
     the refinement threshold; between consecutive breakpoints the branch
-    pattern is frozen, so each piece contributes its polynomial stationary
-    points plus its endpoints as candidates.  Every candidate is scored
+    pattern is frozen, so each piece contributes its stationary point, if
+    any, plus its endpoints as candidates.  Every candidate is scored
     with the exact piecewise objective.
     """
     alpha = refinement_threshold(p)
@@ -345,11 +369,9 @@ def _best_over_pieces(
         probe = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + x_scale
         powers = _powers(gains, probe, p)
         branch2 = int(np.sum(powers > alpha))
-        xs = _stationary_snrs(gains, branch2, n1, p)
-        for x in xs:
-            e1 = x * x_scale
-            if lo <= e1 <= hi:
-                candidates.append(e1)
+        x = _stationary_snrs(gains, branch2, n1, p)
+        if x is not None and lo <= x * x_scale <= hi:
+            candidates.append(x * x_scale)
         candidates.append(lo)
         if math.isfinite(hi):
             candidates.append(hi)
@@ -376,7 +398,8 @@ def solve_low_esnr(n1: int, p: SystemParams) -> CaseSolution:
     The objective is concave in e1; training pays only when the diversity
     surplus per trained band beats 1/ESNR.
     """
-    return _solve_low(n1, p, _require_case(n1, p, LOW_ESNR))
+    _require_case(n1, p, LOW_ESNR)
+    return solve_for_n1(n1, p)
 
 
 def _phase1_closed_form(n1: int, p: SystemParams) -> tuple[float, float]:
@@ -394,33 +417,15 @@ def _phase1_closed_form(n1: int, p: SystemParams) -> tuple[float, float]:
     return e1, value
 
 
-def _solve_low(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
-    e1, value = _phase1_closed_form(n1, p)
-    return CaseSolution(label, e1, value, (0.0, e1))
-
-
 def solve_high_esnr(n1: int, p: SystemParams) -> CaseSolution:
     """Optimum when the channel-hardening floor clears the threshold.
 
-    Normally every rank stays above the threshold for all e1 and a single
-    polynomial yields all stationary candidates.  Ranks whose noise-free
-    gain sits below average can sink through the threshold as e1 grows
-    (possible when n1 is barely above n2); those crossings split the axis
-    and each piece is solved with the same machinery.
+    Ranks whose noise-free gain sits below average can sink through the
+    threshold as e1 grows (possible when n1 is barely above n2); those
+    crossings split the axis into pieces.
     """
-    return _solve_high(n1, p, _require_case(n1, p, HIGH_ESNR))
-
-
-def _solve_high(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
-    gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    alpha = refinement_threshold(p)
-    crossings = sorted(
-        x * p.n0 / p.beta
-        for g in gains
-        if (x := _threshold_crossing_snr(g, alpha, p)) is not None
-    )
-    e1, value, tried = _best_over_pieces(n1, gains, crossings, p)
-    return CaseSolution(label, e1, value, tried)
+    _require_case(n1, p, HIGH_ESNR)
+    return solve_for_n1(n1, p)
 
 
 def solve_medium_esnr(n1: int, j: int, p: SystemParams) -> CaseSolution:
@@ -432,35 +437,29 @@ def solve_medium_esnr(n1: int, j: int, p: SystemParams) -> CaseSolution:
     label = _require_case(n1, p, MEDIUM_ESNR)
     if label.j != j:
         raise ValueError(f"(n1={n1}) has {label.j} ranks above threshold, not {j}")
-    return _solve_medium(n1, p, label)
-
-
-def _solve_medium(n1: int, p: SystemParams, label: CaseLabel) -> CaseSolution:
-    gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    alpha = refinement_threshold(p)
-    boundaries = [
-        p.n0 * (alpha - p.beta * p.m) / (p.beta * (p.beta * gains[k - 1] - alpha))
-        for k in range(1, label.j + 1)
-    ]
-    if alpha > p.beta * p.m:
-        if not all(a < b for a, b in zip(boundaries, boundaries[1:])):
-            raise ArithmeticError(
-                f"threshold-crossing energies not strictly increasing at n1={n1}: "
-                f"{boundaries}"
-            )
-    breakpoints = [b for b in boundaries if b > 0.0]
-    e1, value, tried = _best_over_pieces(n1, gains, breakpoints, p)
-    return CaseSolution(label, e1, value, tried)
+    return solve_for_n1(n1, p)
 
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     """Best phase-1 energy and value for one fixed number of trained bands."""
     label = classify_esnr_case(n1, p)
     if label.kind == LOW_ESNR:
-        return _solve_low(n1, p, label)
-    if label.kind == HIGH_ESNR:
-        return _solve_high(n1, p, label)
-    return _solve_medium(n1, p, label)
+        e1, value = _phase1_closed_form(n1, p)
+        return CaseSolution(label, e1, value, (0.0, e1))
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    alpha = refinement_threshold(p)
+    crossings = sorted(
+        x * p.n0 / p.beta
+        for g in gains.tolist()
+        if (x := _threshold_crossing_snr(g, alpha, p)) is not None
+    )
+    if not all(a < b for a, b in zip(crossings, crossings[1:])):
+        raise ArithmeticError(
+            f"distinct gains crossed the threshold at equal energies at n1={n1}: "
+            f"{crossings}"
+        )
+    e1, value, tried = _best_over_pieces(n1, gains, crossings, p)
+    return CaseSolution(label, e1, value, tried)
 
 
 # ---------------------------------------------------------------------------

@@ -387,19 +387,19 @@ def gain(rank: int, pop: int, dim: int, table: GainTable | None = None) -> float
 
 
 def _triangle_gains(
-    rank_max: int, pop: int, dim: int
+    rank_max: int, level: np.ndarray, dim: int
 ) -> dict[tuple[int, int, int], float]:
     """Quadrature-route gains for populations rank_max..pop.
 
-    One quadrature over all ``pop`` ranks, then the triangle rule (module
-    docstring) one population at a time, down to ``rank_max`` or to the
-    first population on the closed-form route, below which every
-    population is on it too.  Every rank of population ``pop`` is kept,
-    since the quadrature computed them all; smaller populations keep ranks
-    1..rank_max.  Only the current population's ``n`` gains are kept while
-    walking, so the result holds ``O(pop * rank_max)`` floats.
+    ``level`` holds every rank of population ``pop = len(level)``.  The
+    triangle rule (module docstring) steps down one population at a time,
+    to ``rank_max`` or to the first population on the closed-form route,
+    below which every population is on it too.  Every rank of population
+    ``pop`` is kept; smaller populations keep ranks 1..rank_max.  Only the
+    current population's ``n`` gains are kept while walking, so the result
+    holds ``O(pop * rank_max)`` floats.
     """
-    level = _quadrature_gains(pop, pop, dim)
+    pop = level.size
     ranks = np.arange(1.0, pop)
     out: dict[tuple[int, int, int], float] = {}
     for n in range(pop, rank_max - 1, -1):
@@ -411,6 +411,22 @@ def _triangle_gains(
         r = ranks[: n - 1]
         level = ((n - r) * level[:-1] + r * level[1:]) / n
     return out
+
+
+def _whole_population_above(pop: int, dim: int, table: GainTable) -> np.ndarray | None:
+    """Every rank of the nearest population above ``pop`` held whole, if any.
+
+    A triangle memoizes rank 1 of each population it passes, so the
+    search stops at the first population without one.
+    """
+    top = pop + 1
+    while table.lookup(1, top, dim) is not None:
+        if table.lookup(top, top, dim) is not None:
+            level = [table.lookup(r, top, dim) for r in range(1, top + 1)]
+            if None not in level:
+                return np.array([e.value for e in level])
+        top += 1
+    return None
 
 
 def gains_up_to(
@@ -426,10 +442,11 @@ def gains_up_to(
     ranks 1..rank_max of every smaller population on the quadrature route.
     So a later query for any of those populations is a memo hit, which is
     what makes population-wide sweeps, and rank-by-rank :func:`gain`
-    calls, cost one quadrature.  Every derived gain is a
-    convex combination of the integrated ones, so its absolute error is
-    bounded by the quadrature's.  Existing entries, closed-form ones
-    included, are never overwritten.
+    calls, cost one quadrature; a miss below a population held whole walks
+    down from it instead.  Every derived gain is a convex combination of
+    the integrated ones, so its absolute error is bounded by the
+    quadrature's.  Existing entries, closed-form ones included, are never
+    overwritten.
     """
     _validate_query(rank_max, pop, dim)
     table = table if table is not None else _shared_table
@@ -449,5 +466,8 @@ def gains_up_to(
             {(n, pop, dim): v for n, v in enumerate(values, start=1)}, method
         )
     else:
-        table.store_missing(_triangle_gains(rank_max, pop, dim), method)
+        level = _whole_population_above(pop, dim, table)
+        if level is None:
+            level = _quadrature_gains(pop, pop, dim)
+        table.store_missing(_triangle_gains(rank_max, level, dim), method)
     return np.array([table.lookup(n, pop, dim).value for n in range(1, rank_max + 1)])

@@ -12,7 +12,6 @@ from wetopt.channel_sim import (
     PerfectCsi,
     Phase1Only,
     Phase2Only,
-    draw_channels,
     ranked_power_moments,
     run_benchmark,
     run_two_phase,
@@ -46,48 +45,6 @@ def brute_force_net(energy: float, p: SystemParams) -> float:
     top = float(np.sum(order_stats.gains_up_to(p.n2, p.n, p.m)))
     x = p.beta * energy / p.n0
     return p.eta_t_ps * p.beta * (top - (top - p.n2) / (x + 1.0)) - p.n * energy
-
-
-class TestDrawChannels:
-    def test_deterministic(self):
-        p = params()
-        a = draw_channels(p, seed=3, trial=7)
-        b = draw_channels(p, seed=3, trial=7)
-        assert np.array_equal(a.h, b.h)
-        c = draw_channels(p, seed=3, trial=8)
-        assert not np.array_equal(a.h, c.h)
-
-    def test_power_moment(self):
-        p = params()
-        trials = 4000
-        norms = np.array(
-            [np.sum(np.abs(draw_channels(p, 1, t).h) ** 2, axis=1) for t in range(trials)]
-        )
-        mean = norms.mean()
-        stderr = norms.mean(axis=1).std(ddof=1) / math.sqrt(trials)
-        assert abs(mean - p.beta * p.m) <= 3.0 * stderr
-
-    def test_cross_antenna_independence(self):
-        p = params(m=2)
-        trials = 4000
-        prods = np.array(
-            [
-                (draw_channels(p, 2, t).h[:, 0] * draw_channels(p, 2, t).h[:, 1].conj()).mean()
-                for t in range(trials)
-            ]
-        )
-        stderr = prods.real.std(ddof=1) / math.sqrt(trials)
-        assert abs(prods.real.mean()) <= 3.0 * stderr + 1e-12
-
-    def test_record_statistic_matches_ordered_gain(self):
-        p = params(m=2, n=6)
-        trials = 6000
-        best = np.array(
-            [np.max(np.sum(np.abs(draw_channels(p, 5, t).h) ** 2, axis=1)) for t in range(trials)]
-        )
-        expected = p.beta * order_stats.gain(1, p.n, p.m)
-        stderr = best.std(ddof=1) / math.sqrt(trials)
-        assert abs(best.mean() - expected) <= 3.0 * stderr
 
 
 class TestTwoPhase:

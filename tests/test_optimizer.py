@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from conftest import grid_oracle_best, random_instance
@@ -209,7 +211,7 @@ class TestHighEsnr:
         p = params(n2=1)
         sol = solve_high_esnr(8, p)
         assert sol.label.kind == HIGH_ESNR
-        assert len(sol.candidates) <= 5  # {0} plus up to deg-4 roots
+        assert len(sol.candidates) <= 2  # {0} plus at most one stationary point
 
     def test_matches_dense_grid(self):
         rng = np.random.default_rng(23)
@@ -320,10 +322,30 @@ class TestPolyRealRoots:
             poly_real_roots([0.0, 0.0])
 
 
+def piece_polynomial(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> np.ndarray:
+    """Ascending coefficients of (x+1)^2 (P + S) - d0 P, the piece's
+    stationarity condition cleared of denominators: P = prod (x+g_k)^2 and
+    S = sum b_i prod_{k!=i} (x+g_k)^2, built one q_k = (x+g_k)^2 at a time
+    by P_k = P_{k-1} q_k and S_k = S_{k-1} q_k + b_k P_{k-1}."""
+    m = p.m
+    above, below = gains[:branch2], gains[branch2:]
+    d0 = esnr(p) * (math.fsum(above - m) + math.fsum(below / m - 1.0)) / n1
+    b = m * (1.0 - m / above) / (n1 * above)
+    prod, part = np.ones(1), np.zeros(1)  # S is padded to the length of P
+    for g, bk in zip((m / above).tolist(), b.tolist()):
+        q = np.array([g * g, 2.0 * g, 1.0])
+        part = np.convolve(part, q)
+        part[:-2] += bk * prod
+        prod = np.convolve(prod, q)
+    poly = np.convolve(prod + part, [1.0, 2.0, 1.0])
+    poly[:-2] -= d0 * prod
+    return poly
+
+
 class TestStationaryPolynomial:
-    """The piece polynomial (x+1)^2 (P + S) - d0 P, built by the recurrence
-    over q_k = (x+g_k)^2, against the rational stationarity condition
-    1 - d0/(x+1)^2 + sum b_i/(x+g_i)^2 it clears."""
+    """The scalar stationary point of a piece against the companion roots of
+    its polynomial (x+1)^2 (P + S) - d0 P, and both against the rational
+    stationarity condition 1 - d0/(x+1)^2 + sum b_i/(x+g_i)^2 they solve."""
 
     N1 = 200
 
@@ -337,30 +359,12 @@ class TestStationaryPolynomial:
         g = m / above
         return np.concatenate(([1.0, -d0 / (x + 1.0) ** 2], b / (x + g) ** 2))
 
-    @staticmethod
-    def _captured(monkeypatch, gains, branch2: int, p: SystemParams):
-        # (the piece polynomial handed to poly_real_roots, its positive roots)
-        seen = []
-        real_roots = optimizer.poly_real_roots
-
-        def capturing_roots(coeffs):
-            seen.append(np.array(coeffs, dtype=float))
-            return real_roots(coeffs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "poly_real_roots", capturing_roots)
-            roots = optimizer._stationary_snrs(
-                gains, branch2, TestStationaryPolynomial.N1, p
-            )
-        (poly,) = seen
-        return poly, roots
-
     @pytest.mark.parametrize("t", [5e-5, 1e-1])
     @pytest.mark.parametrize("branch2", [0, 1, 16, 64, 100])
-    def test_matches_rational_form(self, monkeypatch, branch2, t):
+    def test_matches_rational_form(self, branch2, t):
         p = ism_link(m=4, n=self.N1, n2=100, t=t)
         gains = order_stats.gains_up_to(100, self.N1, 4)
-        poly, roots = self._captured(monkeypatch, gains, branch2, p)
+        poly = piece_polynomial(gains, branch2, self.N1, p)
         assert poly.size == 2 * branch2 + 3
         # relative to the summed magnitudes: the polynomial has roots
         for x in (0.05, 0.5, 2.0, 9.0, 25.0):
@@ -368,17 +372,42 @@ class TestStationaryPolynomial:
             clear = (x + 1.0) ** 2 * np.prod((x + p.m / gains[:branch2]) ** 2)
             exact = clear * math.fsum(terms)
             assert abs(npoly.polyval(x, poly) - exact) <= 1e-12 * clear * np.abs(terms).sum()
-        assert roots.size and np.all(roots > 0.0)
-        for x in roots:
-            terms = self._terms(x, gains, branch2, p)
-            assert abs(math.fsum(terms)) <= 1e-10 * np.abs(terms).sum()
+        roots = poly_real_roots(poly)
+        (positive,) = roots[roots > 0.0]
+        x = optimizer._stationary_snrs(gains, branch2, self.N1, p)
+        assert type(x) is float
+        assert x == pytest.approx(positive, rel=1e-9)
+        terms = self._terms(x, gains, branch2, p)
+        assert abs(math.fsum(terms)) <= 1e-10 * np.abs(terms).sum()
 
-    def test_newton_step_beyond_overflow(self, monkeypatch):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n1=st.integers(min_value=1, max_value=60),
+        m=st.integers(min_value=2, max_value=16),
+        data=st.data(),
+    )
+    def test_slope_certificate(self, n1, m, data):
+        # h'(0)/2 = 1 - (1/n1) sum_{r<=branch2} (g_r/m - 1)^2 >= 1 - 1/m for
+        # any branch2 <= n1: the bound that makes each piece's h increasing
+        branch2 = data.draw(st.integers(min_value=0, max_value=min(n1, 64)))
+        gains = order_stats.gains_up_to(n1, n1, m)[:branch2]
+        assert 1.0 - math.fsum((gains / m - 1.0) ** 2) / n1 >= 1.0 - 1.0 / m
+
+    def test_no_root_when_increasing_from_above_zero(self):
+        # a piece whose h(0) >= 0 has no stationary point on x > 0
+        p = ism_link(m=4, n=self.N1, n2=100, t=1e-9)
+        gains = order_stats.gains_up_to(100, self.N1, 4)
+        poly = piece_polynomial(gains, 100, self.N1, p)
+        roots = poly_real_roots(poly)
+        assert not np.any(roots > 0.0)
+        assert optimizer._stationary_snrs(gains, 100, self.N1, p) is None
+
+    def test_newton_step_beyond_overflow(self):
         # t=1e-1, branch2=100: degree 202 with roots near x = -193 and 191,
         # where x^202 passes 1e308; one step from 1e-7 off lands on each
         p = ism_link(m=4, n=self.N1, n2=100, t=1e-1)
         gains = order_stats.gains_up_to(100, self.N1, 4)
-        poly, _ = self._captured(monkeypatch, gains, 100, p)
+        poly = piece_polynomial(gains, 100, self.N1, p)
         roots = poly_real_roots(poly)
         large = roots[np.abs(roots) > 100.0]
         assert large.size == 2
@@ -403,29 +432,27 @@ class TestStationaryPolynomial:
         assert roots[0] == pytest.approx(-193.0, rel=1e-10)
         assert roots[1] == 0.0
 
-    def test_assembly_call_count(self, monkeypatch):
-        p = ism_link(m=4, n=self.N1, n2=100, t=5e-5)
-        gains = order_stats.gains_up_to(64, self.N1, 4)
-        convolves, polymuls = [], []
-        real_convolve, real_polymul = np.convolve, npoly.polymul
+    def test_optimizer_builds_no_polynomial(self, monkeypatch):
+        # a cold solve of the ten-crossing wide design finds every stationary
+        # point without a polynomial: no product, no companion roots
+        calls = []
 
-        def counting_convolve(*args, **kwargs):
-            convolves.append(1)
-            return real_convolve(*args, **kwargs)
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
 
-        def counting_polymul(*args, **kwargs):
-            polymuls.append(1)
-            return real_polymul(*args, **kwargs)
-
-        monkeypatch.setattr(np, "convolve", counting_convolve)
-        monkeypatch.setattr(npoly, "polymul", counting_polymul)
-        optimizer._stationary_snrs(gains, 64, self.N1, p)
-        assert not polymuls
-        assert 0 < len(convolves) <= 2 * 64 + 4
+        monkeypatch.setattr(order_stats, "_shared_table", order_stats.GainTable())
+        monkeypatch.setattr(np, "convolve", counting(np.convolve))
+        monkeypatch.setattr(npoly, "polyroots", counting(npoly.polyroots))
+        monkeypatch.setattr(optimizer, "poly_real_roots", counting(optimizer.poly_real_roots))
+        optimize_training(ism_link(m=4, n=80, n2=64, t=5e-6))
+        assert calls == []
 
 
 class TestWideDesign:
-    """m=4, n=80, n2=64: stationary polynomials up to degree 130."""
+    """m=4, n=80, n2=64: every regime, threshold crossings, up to 64 ranks per piece."""
 
     def test_ten_crossings_vs_dense_grid(self):
         # t=5e-6 is high ESNR with ten threshold crossings over n1 = 64..67
@@ -440,8 +467,8 @@ class TestWideDesign:
         assert sol.qnet_star >= oracle - 1e-9 * abs(oracle)
 
     def test_long_block_no_overflow(self):
-        # t=1e-1 puts stationary points near x=135 on degree-130 polynomials,
-        # where max(1, |x|)^130 times the coefficient norm overflows
+        # t=1e-1 puts stationary points near x=135, where the degree-130
+        # piece polynomials the optimizer once solved overflowed
         p = ism_link(m=4, n=80, n2=64, t=1e-1)
         order_stats.gains_up_to(p.n2, p.n, p.m)
         with warnings.catch_warnings(record=True) as caught:
@@ -486,6 +513,7 @@ class TestOptimizeTraining:
             sol = optimize_training(p)
             oracle = grid_oracle_best(p)
             assert sol.qnet_star >= oracle - 1e-4 * abs(oracle), (kind, p)
+            assert {type(sol.qnet_star), type(sol.plan.e1)} == {float}
             ceiling = p.eta_t_ps * p.beta * float(
                 np.sum(order_stats.gains_up_to(p.n2, p.n, p.m))
             )

@@ -252,6 +252,28 @@ class TestTriangle:
         assert len(calls) == 1
         assert values == gains_up_to(3, 50, 4, GainTable()).tolist()
 
+    def test_smaller_population_walks_down_from_whole_one(self, monkeypatch):
+        # population 49 below a population 50 held whole: its ranks come from
+        # 50's triangle, not from a second quadrature mixed in with it
+        calls = []
+        real_quad_vec = order_stats.quad_vec
+
+        def counting_quad_vec(*args, **kwargs):
+            calls.append(1)
+            return real_quad_vec(*args, **kwargs)
+
+        monkeypatch.setattr(order_stats, "quad_vec", counting_quad_vec)
+        table = GainTable()
+        for pop in (50, 49):
+            for r in range(1, 4):
+                gain(r, pop, 4, table)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        walked = order_stats._triangle_gains(3, order_stats._quadrature_gains(50, 50, 4), 4)
+        assert [table.lookup(r, 49, 4).value for r in range(1, 4)] == [
+            walked[(r, 49, 4)] for r in range(1, 4)
+        ]
+
     def test_keeps_closed_form_and_existing_entries(self):
         table = GainTable()
         closed = gains_up_to(4, 20, 4, table)
