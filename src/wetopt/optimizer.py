@@ -163,10 +163,14 @@ def _reduced_net(gains: np.ndarray, n1: int, e1: float, p: SystemParams) -> floa
     return total - n1 * e1
 
 
-def net_energy_given_phase1(n1: int, e1: float, p: SystemParams) -> float:
-    """Net harvested energy at (n1, e1) with phase-2 energies optimized out."""
+def _check_n1(n1: int, p: SystemParams) -> None:
     if not p.n2 <= n1 <= p.n:
         raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+
+
+def net_energy_given_phase1(n1: int, e1: float, p: SystemParams) -> float:
+    """Net harvested energy at (n1, e1) with phase-2 energies optimized out."""
+    _check_n1(n1, p)
     if e1 < 0:
         raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
@@ -187,10 +191,13 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     on the sorted gain sequence; ties go to the lower-j reading, where
     both neighboring branch formulas coincide).
     """
-    if not p.n2 <= n1 <= p.n:
-        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+    _check_n1(n1, p)
+    return _classify(order_stats.gains_up_to(p.n2, n1, p.m), p)
+
+
+def _classify(gains: np.ndarray, p: SystemParams) -> CaseLabel:
+    # classify_esnr_case on the gains of its n1, already read
     alpha = refinement_threshold(p)
-    gains = order_stats.gains_up_to(p.n2, n1, p.m)
     if alpha >= p.beta * gains[0]:
         return CaseLabel(LOW_ESNR)
     if alpha < p.beta * p.m:
@@ -402,9 +409,10 @@ def solve_low_esnr(n1: int, p: SystemParams) -> CaseSolution:
     return solve_for_n1(n1, p)
 
 
-def _phase1_closed_form(n1: int, p: SystemParams) -> tuple[float, float]:
+def _phase1_closed_form(
+    n1: int, gains: np.ndarray, p: SystemParams
+) -> tuple[float, float]:
     # (e1, value) with phase 2 off: the low-ESNR optimum for this n1
-    gains = order_stats.gains_up_to(p.n2, n1, p.m)
     surplus = math.fsum(gains / p.m - 1.0)
     gamma = esnr(p)
     scale = p.eta_t_ps * p.beta
@@ -442,11 +450,12 @@ def solve_medium_esnr(n1: int, j: int, p: SystemParams) -> CaseSolution:
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     """Best phase-1 energy and value for one fixed number of trained bands."""
-    label = classify_esnr_case(n1, p)
-    if label.kind == LOW_ESNR:
-        e1, value = _phase1_closed_form(n1, p)
-        return CaseSolution(label, e1, value, (0.0, e1))
+    _check_n1(n1, p)
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    label = _classify(gains, p)
+    if label.kind == LOW_ESNR:
+        e1, value = _phase1_closed_form(n1, gains, p)
+        return CaseSolution(label, e1, value, (0.0, e1))
     alpha = refinement_threshold(p)
     crossings = sorted(
         x * p.n0 / p.beta
@@ -517,7 +526,8 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     best_value = -math.inf
     order_stats.gains_up_to(p.n2, p.n, p.m)  # fills every n1's gains at once
     for n1 in range(p.n2, p.n + 1):
-        e1, value = _phase1_closed_form(n1, p)
+        gains = order_stats.gains_up_to(p.n2, n1, p.m)
+        e1, value = _phase1_closed_form(n1, gains, p)
         if value > best_value:
             best_value = value
             best_plan = TrainingPlan(n1=n1, e1=e1, e2=(0.0,) * p.n2)

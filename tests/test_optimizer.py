@@ -522,6 +522,22 @@ class TestOptimizeTraining:
             seen |= {label.kind for label in sol.case_used_per_n1.values()}
         assert seen == {LOW_ESNR, HIGH_ESNR, MEDIUM_ESNR}
 
+    def test_reads_each_n1_gains_once(self, small_params, monkeypatch):
+        # classification and solve share one read of each n1's gains: a warm
+        # solve makes one gains_up_to call per n1, after the one fill
+        p = small_params
+        optimize_training(p)
+        pops = []
+        real = order_stats.gains_up_to
+
+        def counting(rank_max, pop, dim, table=None):
+            pops.append(pop)
+            return real(rank_max, pop, dim, table)
+
+        monkeypatch.setattr(order_stats, "gains_up_to", counting)
+        optimize_training(p)
+        assert pops == [p.n, *range(p.n2, p.n + 1)]
+
     def test_candidate_log_covers_range(self, small_params):
         sol = optimize_training(small_params)
         assert [n1 for n1, _ in sol.candidate_log] == list(

@@ -1,13 +1,16 @@
 """Ordered-gain computations: the three routes must agree and obey the
 exact structural identities (sum rule, rank monotonicity, bounds)."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
+from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
 from wetopt import order_stats
 from wetopt.order_stats import (
@@ -25,6 +28,57 @@ from wetopt.order_stats import (
 # Analytic rank-1 gain for two draws of dimension 2: integrating the
 # survival 1 - (1 - e^-v (1+v))^2 term by term gives 4 - 5/4.
 G1_2_2 = 2.75
+
+
+def count_quadratures(monkeypatch) -> list:
+    """Record every call of the adaptive integrator from here on."""
+    calls = []
+    real = order_stats._quadrature_gains
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(order_stats, "_quadrature_gains", counting)
+    return calls
+
+
+def exact_tails(dim: int, v: float) -> tuple[float, float]:
+    """Erlang(dim, 1) CDF and survival at v from the Poisson sums, to 60 digits.
+
+    ``Q = e^-v sum_{k<dim} v^k/k!`` and ``P = e^-v sum_{k>=dim} v^k/k!``,
+    summed in decimal arithmetic (exact input, no cancellation), the
+    second until its terms are past their peak and below 1e-60 of the sum.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emin, ctx.Emax = -(10**7), 10**7
+        x = Decimal(v)
+        term, below = Decimal(1), Decimal(0)
+        for k in range(1, dim + 1):
+            below += term
+            term = term * x / k
+        above, k = Decimal(0), dim
+        while k <= x or term > above * Decimal("1e-60"):
+            above += term
+            k += 1
+            term = term * x / k
+        scale = (-x).exp()
+        return float(above * scale), float(below * scale)
+
+
+def scipy_survivals(v: float, rank_max: int, pop: int, dim: int) -> np.ndarray:
+    """The survival integrand as scipy's special functions give it (oracle)."""
+    k = np.arange(0, pop + 1)
+    logb = (
+        gammaln(pop + 1)
+        - gammaln(k + 1)
+        - gammaln(pop - k + 1)
+        + xlogy(pop - k, gammainc(dim, v))
+        + xlogy(k, gammaincc(dim, v))
+    )
+    suffix = np.cumsum(np.exp(logb)[::-1])[::-1]
+    return np.minimum(suffix[1 : rank_max + 1], 1.0)
 
 
 class TestErlangCdf:
@@ -58,6 +112,32 @@ class TestErlangCdf:
             erlang_cdf(1.0, 0)
         with pytest.raises(ValueError):
             erlang_cdf(1.0, 2, 0.0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(min_value=1, max_value=4096),
+        log10_v=st.floats(min_value=-300.0, max_value=4.0),
+        log_ratio=st.floats(min_value=-0.8, max_value=0.8),
+        near_dim=st.booleans(),
+    )
+    def test_tails_match_scipy_and_exact_sums(self, dim, log10_v, log_ratio, near_dim):
+        # v log-uniform on [1e-300, 1e4], or within a factor 2.2 of dim,
+        # where neither tail is near 0 or 1.  Each tail is within 1e-12 of
+        # the 60-digit Poisson sum, and within 1e-12 of scipy unless scipy
+        # is the further of the two from that sum (at shapes in the
+        # thousands, scipy's far tails are off by up to ~1e-11)
+        v = dim * math.exp(log_ratio) if near_dim else 10.0**log10_v
+        logp, logq = order_stats._erlang_log_tails(np.array([v]), dim)
+        tiny = np.finfo(float).tiny
+        for ours, ref, exact in zip(
+            np.exp([logp[0], logq[0]]),
+            (gammainc(dim, v), gammaincc(dim, v)),
+            exact_tails(dim, v),
+        ):
+            assert abs(ours - exact) <= 1e-12 * exact + tiny
+            assert abs(ours - ref) <= 1e-12 * ref + tiny or abs(ours - exact) < abs(
+                ref - exact
+            )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -149,16 +229,32 @@ class TestQuadrature:
         assert value > 256.0
 
     def test_reports_non_convergence(self, monkeypatch):
-        class FakeInfo:
-            success = False
-            intervals = np.zeros((7, 2))
-
-        def fake_quad_vec(*args, **kwargs):
-            return np.array([1.0]), np.array([1.0]), FakeInfo()
-
-        monkeypatch.setattr(order_stats, "quad_vec", fake_quad_vec)
-        with pytest.raises(QuadratureError):
+        # a budget of one interval: the first G10K21 estimate misses the
+        # tolerance, and the integrator must say so rather than return it
+        monkeypatch.setattr(order_stats, "_QUAD_LIMIT", 1)
+        with pytest.raises(QuadratureError, match="1 subintervals used"):
             gain_quadrature(1, 40, 2)
+
+    @pytest.mark.parametrize(
+        "rank_max, pop, dim",
+        [(120, 120, 10), (80, 80, 4), (866, 866, 10), (64, 866, 64),
+         (2000, 2000, 2), (1, 10000, 1), (1, 2000, 256)],
+    )
+    def test_matches_quad_vec(self, rank_max, pop, dim):
+        # the numpy integrator against scipy's quad_vec on the scipy-built
+        # integrand, at the tolerances the package uses
+        expected, _err, info = quad_vec(
+            lambda v: scipy_survivals(v, rank_max, pop, dim),
+            0.0,
+            order_stats._upper_cutoff(pop, dim),
+            epsabs=order_stats._QUAD_EPSABS,
+            epsrel=order_stats._QUAD_EPSREL,
+            limit=order_stats._QUAD_LIMIT,
+            full_output=True,
+        )
+        assert info.success
+        gains = order_stats._quadrature_gains(rank_max, pop, dim)
+        np.testing.assert_allclose(gains, expected, rtol=1e-11, atol=0.0)
 
 
 class TestDispatcher:
@@ -223,14 +319,7 @@ class TestTriangle:
         from wetopt.optimizer import optimize_training
         from wetopt.training_model import SystemParams
 
-        calls = []
-        real_quad_vec = order_stats.quad_vec
-
-        def counting_quad_vec(*args, **kwargs):
-            calls.append(1)
-            return real_quad_vec(*args, **kwargs)
-
-        monkeypatch.setattr(order_stats, "quad_vec", counting_quad_vec)
+        calls = count_quadratures(monkeypatch)
         monkeypatch.setattr(order_stats, "_shared_table", GainTable())
         p = SystemParams(m=10, n=120, n2=16, ps=0.06, eta=0.8, t=1e-5, beta=1e-6, n0=1e-19)
         optimize_training(p)
@@ -239,14 +328,7 @@ class TestTriangle:
     def test_gain_ranks_share_one_quadrature(self, monkeypatch):
         # gain() walks ranks one at a time (as cli.emit_gtable does); the
         # first miss keeps every rank of the population it integrated
-        calls = []
-        real_quad_vec = order_stats.quad_vec
-
-        def counting_quad_vec(*args, **kwargs):
-            calls.append(1)
-            return real_quad_vec(*args, **kwargs)
-
-        monkeypatch.setattr(order_stats, "quad_vec", counting_quad_vec)
+        calls = count_quadratures(monkeypatch)
         table = GainTable()
         values = [gain(r, 50, 4, table) for r in range(1, 4)]
         assert len(calls) == 1
@@ -255,14 +337,7 @@ class TestTriangle:
     def test_smaller_population_walks_down_from_whole_one(self, monkeypatch):
         # population 49 below a population 50 held whole: its ranks come from
         # 50's triangle, not from a second quadrature mixed in with it
-        calls = []
-        real_quad_vec = order_stats.quad_vec
-
-        def counting_quad_vec(*args, **kwargs):
-            calls.append(1)
-            return real_quad_vec(*args, **kwargs)
-
-        monkeypatch.setattr(order_stats, "quad_vec", counting_quad_vec)
+        calls = count_quadratures(monkeypatch)
         table = GainTable()
         for pop in (50, 49):
             for r in range(1, 4):
