@@ -50,7 +50,6 @@ from .optimizer import (
     solve_phase2_only,
 )
 from .order_stats import (
-    GainTable,
     erlang_cdf,
     gain,
     gain_closed_form,

@@ -307,16 +307,15 @@ def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> No
 
 def emit_gtable(cfg: ExperimentConfig) -> int:
     """Ordered-gain table over the configured (rank, n1, m) grids."""
-    table = order_stats.shared_table()
     rows = []
     for m in cfg.gtable_m:
         for n1 in cfg.gtable_n1:
+            closed = order_stats.closed_form_domain(n1, m)
+            method = "closed_form" if closed else "quadrature"
             for rank in cfg.gtable_ranks:
                 if rank > n1:
                     continue
-                value = order_stats.gain(rank, n1, m, table)
-                method = table.lookup(rank, n1, m).method
-                rows.append([rank, n1, m, value, method])
+                rows.append([rank, n1, m, order_stats.gain(rank, n1, m), method])
     _write_csv(cfg, ["rank", "n1", "m", "value", "method"], rows)
     return 0
 

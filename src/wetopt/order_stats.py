@@ -15,11 +15,20 @@ Three mutually checking evaluation routes are provided:
   survival function (any size),
 * ``gain_monte_carlo``   direct simulation (independent oracle).
 
-``gain`` dispatches between the closed form and the gain triangle below
-and memoizes results in a :class:`GainTable`; ``gain_quadrature`` serves
-as the triangle's oracle.
+``gains_up_to`` and ``gain`` serve every production caller from one memo
+keyed by ``(N, M)``: each entry is a read-only array of the gains of
+ranks ``1..k`` of population ``N``, held whole when ``k == N``.  In the
+closed-form domain (:func:`closed_form_domain`) an entry holds the exact
+gains; elsewhere it comes from the gain triangle below, and
+``gain_quadrature`` serves as the triangle's oracle.  Every entry on the
+quadrature route derives from exactly one integrated population: a miss
+walks down from the nearest population held whole above it (through
+populations the memo holds), switches to the stored array of each
+population held whole that it passes, and never rewrites an entry that
+already holds the ranks asked for.  A fill holds one module-level lock; a
+hit reads one array without it.
 
-``gains_up_to`` on the quadrature route builds a whole gain triangle at
+On the quadrature route ``gains_up_to`` builds a whole gain triangle at
 once.  One adaptive pass integrates every rank of the largest population
 ``N``; the triangle rule for i.i.d. order statistics (Arnold, Balakrishnan
 & Nagaraja, *A First Course in Order Statistics*, ch. 5), in descending
@@ -59,15 +68,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GainTable",
     "QuadratureError",
+    "closed_form_domain",
     "erlang_cdf",
     "gain",
     "gain_closed_form",
@@ -75,7 +83,6 @@ __all__ = [
     "gain_quadrature",
     "gains_up_to",
     "ordered_cdf",
-    "shared_table",
 ]
 
 # The alternating closed-form sums are evaluated exactly (rationals), so the
@@ -368,7 +375,6 @@ def gain_quadrature(rank: int, pop: int, dim: int) -> float:
     return float(_quadrature_gains(rank, pop, dim)[rank - 1])
 
 
-@lru_cache(maxsize=512)
 def _closed_gain_fractions(pop: int, dim: int) -> tuple[Fraction, ...]:
     """All ranks of the exact gains for one (pop, dim), as rationals.
 
@@ -476,166 +482,124 @@ def gain_monte_carlo(
     return mean, stderr
 
 
-@dataclass(frozen=True)
-class GainEntry:
-    value: float
-    method: str  # closed_form | quadrature | monte_carlo
+# (pop, dim) -> read-only gains of ranks 1..k of that population, k <= pop;
+# "held whole" when k == pop.  Entries are replaced, never mutated, so a
+# reader needs no lock; fills hold _fill_lock.
+_memo: dict[tuple[int, int], np.ndarray] = {}
+_fill_lock = threading.Lock()
 
 
-class GainTable:
-    """Thread-safe memo of computed gains, serializable to CSV rows."""
+def closed_form_domain(pop: int, dim: int) -> bool:
+    """True where :func:`gains_up_to` takes the exact closed form.
 
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, int, int], GainEntry] = {}
-        self._lock = threading.Lock()
-
-    def lookup(self, rank: int, pop: int, dim: int) -> GainEntry | None:
-        with self._lock:
-            return self._entries.get((rank, pop, dim))
-
-    def store(self, rank: int, pop: int, dim: int, value: float, method: str) -> None:
-        with self._lock:
-            self._entries[(rank, pop, dim)] = GainEntry(value, method)
-
-    def store_missing(
-        self, values: dict[tuple[int, int, int], float], method: str
-    ) -> None:
-        """Store each ``(rank, pop, dim) -> value`` whose key is still absent."""
-        with self._lock:
-            for key, value in values.items():
-                self._entries.setdefault(key, GainEntry(value, method))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def rows(self) -> list[tuple[int, int, int, float, str]]:
-        """(rank, pop, dim, value, method) rows sorted by key."""
-        with self._lock:
-            items = sorted(self._entries.items())
-        return [(k[0], k[1], k[2], e.value, e.method) for k, e in items]
-
-
-_shared_table = GainTable()
-
-
-def shared_table() -> GainTable:
-    """Process-wide gain memo used by :func:`gain` and :func:`gains_up_to`."""
-    return _shared_table
-
-
-def _route(pop: int, dim: int) -> str:
+    That is ``dim == 1`` (harmonic tails) or ``pop == 1`` at any size, and
+    populations up to ``CLOSED_FORM_MAX_POP`` at dimensions up to
+    ``CLOSED_FORM_MAX_DIM``; everywhere else the gains come from the
+    quadrature and its triangle.
+    """
     if dim == 1 or pop == 1:
-        return "closed_form"
-    if pop <= CLOSED_FORM_MAX_POP and dim <= CLOSED_FORM_MAX_DIM:
-        return "closed_form"
-    return "quadrature"
+        return True
+    return pop <= CLOSED_FORM_MAX_POP and dim <= CLOSED_FORM_MAX_DIM
 
 
-def gain(rank: int, pop: int, dim: int, table: GainTable | None = None) -> float:
-    """Rank-n expected ordered squared norm, via the cheapest exact route.
+def _hold(pop: int, dim: int, values) -> np.ndarray:
+    held = np.array(values, dtype=float)
+    held.flags.writeable = False
+    _memo[(pop, dim)] = held
+    return held
 
-    Routes to the closed form where it is affordable (including the exact
-    harmonic tails for dim == 1 at any population) and to quadrature
-    elsewhere; results are memoized in ``table`` (the shared table by
-    default).  A quadrature-route miss is served by :func:`gains_up_to`,
-    so the memo holds the gain triangle's values only.
+
+def _walk_down(rank_max: int, level: np.ndarray, dim: int) -> None:
+    """Memoize ranks 1..rank_max of each population below ``level``'s.
+
+    ``level`` holds every rank of population ``len(level)``.  The triangle
+    rule (module docstring) steps down one population at a time, to
+    ``rank_max`` or to the first population in the closed-form domain.  On
+    reaching a population held whole the walk continues from its array, so
+    every population keeps the one source it first had; a population that
+    already holds ``rank_max`` ranks is left as it is.  Each population
+    stores a copy of its first ``rank_max`` gains, so the memo grows by
+    ``O(pop * rank_max)`` floats.
     """
-    _validate_query(rank, pop, dim)
-    table = table if table is not None else _shared_table
-    hit = table.lookup(rank, pop, dim)
-    if hit is not None:
-        return hit.value
-    method = _route(pop, dim)
-    if method != "closed_form":
-        return float(gains_up_to(rank, pop, dim, table)[rank - 1])
-    value = gain_closed_form(rank, pop, dim)
-    table.store(rank, pop, dim, value, method)
-    return value
-
-
-def _triangle_gains(
-    rank_max: int, level: np.ndarray, dim: int
-) -> dict[tuple[int, int, int], float]:
-    """Quadrature-route gains for populations rank_max..pop.
-
-    ``level`` holds every rank of population ``pop = len(level)``.  The
-    triangle rule (module docstring) steps down one population at a time,
-    to ``rank_max`` or to the first population on the closed-form route,
-    below which every population is on it too.  Every rank of population
-    ``pop`` is kept; smaller populations keep ranks 1..rank_max.  Only the
-    current population's ``n`` gains are kept while walking, so the result
-    holds ``O(pop * rank_max)`` floats.
-    """
-    pop = level.size
-    ranks = np.arange(1.0, pop)
-    out: dict[tuple[int, int, int], float] = {}
-    for n in range(pop, rank_max - 1, -1):
-        if _route(n, dim) != "quadrature":
-            break
-        keep = n if n == pop else rank_max
-        for r, value in enumerate(level[:keep].tolist(), start=1):
-            out[(r, n, dim)] = value
+    ranks = np.arange(1.0, level.size)
+    for n in range(level.size, rank_max, -1):
+        if closed_form_domain(n - 1, dim):
+            return
         r = ranks[: n - 1]
         level = ((n - r) * level[:-1] + r * level[1:]) / n
-    return out
+        held = _memo.get((n - 1, dim))
+        if held is not None and held.size == n - 1:
+            level = held
+        elif held is None or held.size < rank_max:
+            _hold(n - 1, dim, level[:rank_max])
 
 
-def _whole_population_above(pop: int, dim: int, table: GainTable) -> np.ndarray | None:
-    """Every rank of the nearest population above ``pop`` held whole, if any.
-
-    A triangle memoizes rank 1 of each population it passes, so the
-    search stops at the first population without one.
-    """
-    top = pop + 1
-    while table.lookup(1, top, dim) is not None:
-        if table.lookup(top, top, dim) is not None:
-            level = [table.lookup(r, top, dim) for r in range(1, top + 1)]
-            if None not in level:
-                return np.array([e.value for e in level])
-        top += 1
-    return None
-
-
-def gains_up_to(
-    rank_max: int, pop: int, dim: int, table: GainTable | None = None
-) -> np.ndarray:
-    """Gains for ranks 1..rank_max as one array.
-
-    Equivalent to ``[gain(n, pop, dim) for n in 1..rank_max]``.  On the
-    quadrature route a miss integrates all ``pop`` ranks in one adaptive
-    pass (they share every binomial term) and walks the triangle rule
-    ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n`` down to
-    population ``rank_max``, memoizing every rank of population ``pop`` and
-    ranks 1..rank_max of every smaller population on the quadrature route.
-    So a later query for any of those populations is a memo hit, which is
-    what makes population-wide sweeps, and rank-by-rank :func:`gain`
-    calls, cost one quadrature; a miss below a population held whole walks
-    down from it instead.  Every derived gain is a convex combination of
-    the integrated ones, so its absolute error is bounded by the
-    quadrature's.  Existing entries, closed-form ones included, are never
-    overwritten.
-    """
-    _validate_query(rank_max, pop, dim)
-    table = table if table is not None else _shared_table
-    cached = [table.lookup(n, pop, dim) for n in range(1, rank_max + 1)]
-    if all(e is not None for e in cached):
-        return np.array([e.value for e in cached])
-    method = _route(pop, dim)
-    if method == "closed_form":
+def _fill(rank_max: int, pop: int, dim: int) -> None:
+    # a miss: population pop is absent or holds fewer than rank_max ranks
+    held = _memo.get((pop, dim))
+    if held is not None and held.size >= rank_max:
+        return  # filled by another thread meanwhile
+    if closed_form_domain(pop, dim):
         if dim == 1:
-            values = [_harmonic_tail(n, pop) for n in range(1, rank_max + 1)]
+            done = [] if held is None else held.tolist()
+            tails = [_harmonic_tail(n, pop) for n in range(len(done) + 1, rank_max + 1)]
+            _hold(pop, dim, done + tails)
         elif pop == 1:
-            values = [float(dim)]
+            _hold(pop, dim, [float(dim)])
         else:
-            exact = _closed_gain_fractions(pop, dim)
-            values = [float(exact[n]) for n in range(rank_max)]
-        table.store_missing(
-            {(n, pop, dim): v for n, v in enumerate(values, start=1)}, method
-        )
-    else:
-        level = _whole_population_above(pop, dim, table)
-        if level is None:
-            level = _quadrature_gains(pop, pop, dim)
-        table.store_missing(_triangle_gains(rank_max, level, dim), method)
-    return np.array([table.lookup(n, pop, dim).value for n in range(1, rank_max + 1)])
+            _hold(pop, dim, [float(g) for g in _closed_gain_fractions(pop, dim)])
+        return
+    top = pop + 1
+    while (level := _memo.get((top, dim))) is not None and level.size < top:
+        top += 1
+    if level is None:
+        level = _hold(pop, dim, _quadrature_gains(pop, pop, dim))
+    _walk_down(rank_max, level, dim)
+
+
+def gains_up_to(rank_max: int, pop: int, dim: int) -> np.ndarray:
+    """Gains for ranks 1..rank_max as one read-only array.
+
+    A memo hit is one read of the ``(pop, dim)`` array and a slice.  On a
+    miss, a population in the closed-form domain stores the exact gains
+    of every rank (``dim == 1``: the harmonic tails of ranks 1..rank_max,
+    extended by a later miss).  On the quadrature route the miss scans up
+    from ``pop + 1`` through the populations the memo holds and walks the
+    triangle rule ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n``
+    down from the first one it holds whole; if there is none, one adaptive
+    pass integrates all ``pop`` ranks (they share every binomial term) and
+    the walk starts there.  The walk memoizes ranks 1..rank_max of every
+    smaller population on the quadrature route, down to population
+    ``rank_max``, and switches to the stored array of each population held
+    whole that it passes.  So every population's gains derive from one
+    integrated population, a value once returned never changes, and
+    population-wide sweeps, like rank-by-rank :func:`gain` calls, cost one
+    quadrature.  Every derived gain is a convex combination of the
+    integrated ones, so its absolute error is bounded by the quadrature's.
+    A fill holds one module-level lock, so concurrent callers never
+    interleave writes; a hit takes no lock.
+    """
+    return _held_gains(rank_max, pop, dim)
+
+
+def gain(rank: int, pop: int, dim: int) -> float:
+    """Rank-n expected ordered squared norm.
+
+    ``gains_up_to(rank, pop, dim)[rank - 1]`` as a float, served from the
+    same ``(pop, dim)`` memo, so it takes the closed form
+    in its domain (including the exact harmonic tails for ``dim == 1`` at
+    any population) and the quadrature triangle elsewhere.
+    """
+    return float(_held_gains(rank, pop, dim)[rank - 1])
+
+
+def _held_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
+    # both public readers share this body, so neither counts as a call of
+    # the other where callers wrap them
+    _validate_query(rank_max, pop, dim)
+    held = _memo.get((pop, dim))
+    if held is None or held.size < rank_max:
+        with _fill_lock:
+            _fill(rank_max, pop, dim)
+        held = _memo[(pop, dim)]
+    return held[:rank_max]

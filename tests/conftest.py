@@ -24,6 +24,14 @@ def ism_params(m: int, t: float) -> SystemParams:
 
 
 @pytest.fixture
+def empty_memo(monkeypatch) -> dict:
+    """An empty gain memo for one test; the process-wide one returns after."""
+    memo: dict = {}
+    monkeypatch.setattr(order_stats, "_memo", memo)
+    return memo
+
+
+@pytest.fixture
 def small_params() -> SystemParams:
     return SystemParams(
         m=4, n=12, n2=3, ps=0.06, eta=0.8, t=1e-3, beta=1e-6, n0=1e-19

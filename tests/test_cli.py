@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import wetopt
+from wetopt import order_stats
 from wetopt.cli import ConfigError, main, parse_config
 from wetopt.optimizer import solve_brute_force, solve_for_n1
 from wetopt.training_model import SystemParams
@@ -173,6 +174,12 @@ class TestGtable:
         assert slopes == sorted(slopes, reverse=True)
         # rank never exceeds population: no rank-3 rows at n1 = 3 were lost
         assert all(int(r["rank"]) <= int(r["n1"]) for r in rows)
+        # each row is the memo's gain, tagged with its population's domain
+        for r in rows:
+            rank, n1, m = int(r["rank"]), int(r["n1"]), int(r["m"])
+            closed = order_stats.closed_form_domain(n1, m)
+            assert r["method"] == ("closed_form" if closed else "quadrature")
+            assert r["value"] == "%.11e" % order_stats.gains_up_to(rank, n1, m)[rank - 1]
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -432,6 +433,7 @@ class TestStationaryPolynomial:
         assert roots[0] == pytest.approx(-193.0, rel=1e-10)
         assert roots[1] == 0.0
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_optimizer_builds_no_polynomial(self, monkeypatch):
         # a cold solve of the ten-crossing wide design finds every stationary
         # point without a polynomial: no product, no companion roots
@@ -443,7 +445,6 @@ class TestStationaryPolynomial:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(order_stats, "_shared_table", order_stats.GainTable())
         monkeypatch.setattr(np, "convolve", counting(np.convolve))
         monkeypatch.setattr(npoly, "polyroots", counting(npoly.polyroots))
         monkeypatch.setattr(optimizer, "poly_real_roots", counting(optimizer.poly_real_roots))
@@ -530,9 +531,9 @@ class TestOptimizeTraining:
         pops = []
         real = order_stats.gains_up_to
 
-        def counting(rank_max, pop, dim, table=None):
+        def counting(rank_max, pop, dim):
             pops.append(pop)
-            return real(rank_max, pop, dim, table)
+            return real(rank_max, pop, dim)
 
         monkeypatch.setattr(order_stats, "gains_up_to", counting)
         optimize_training(p)
@@ -543,6 +544,28 @@ class TestOptimizeTraining:
         assert [n1 for n1, _ in sol.candidate_log] == list(
             range(small_params.n2, small_params.n + 1)
         )
+
+
+class TestMonotoneInResources:
+    """A longer block or a stronger channel never lowers the optimum.
+
+    For any fixed design the gross harvest rises in ``t`` and the selected
+    power ``(beta^2 e1 g + beta n0 m) / (beta e1 + n0)`` rises in ``beta``,
+    while the pilot bill stays put; so the maximum over designs rises too.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["low", "medium", "high"]),
+        field=st.sampled_from(["t", "beta"]),
+        factor=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+    )
+    def test_qnet_star_never_falls(self, seed, kind, field, factor):
+        p = random_instance(np.random.default_rng(seed), kind)
+        base = optimize_training(p).qnet_star
+        grown = replace(p, **{field: getattr(p, field) * factor})
+        assert optimize_training(grown).qnet_star >= base - 1e-12 * abs(base)
 
 
 class TestRestrictedSchemes:

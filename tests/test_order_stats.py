@@ -3,7 +3,10 @@ exact structural identities (sum rule, rank monotonicity, bounds)."""
 
 import decimal
 import math
+import sys
+import threading
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
 from wetopt import order_stats
 from wetopt.order_stats import (
-    GainTable,
     QuadratureError,
+    closed_form_domain,
     erlang_cdf,
     gain,
     gain_closed_form,
@@ -41,6 +44,27 @@ def count_quadratures(monkeypatch) -> list:
 
     monkeypatch.setattr(order_stats, "_quadrature_gains", counting)
     return calls
+
+
+def on_empty_memo(fn, *args):
+    """``fn(*args)`` served from a memo of its own, dropped afterwards."""
+    with mock.patch.object(order_stats, "_memo", {}):
+        return fn(*args)
+
+
+def walk_triangle(level: np.ndarray) -> dict[int, np.ndarray]:
+    """Every rank of each population from ``len(level)`` down to 1.
+
+    The triangle rule ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n``
+    in the operation order of ``order_stats``, so a memo entry derived from
+    ``level`` matches it bit for bit.
+    """
+    walked = {level.size: level}
+    for n in range(level.size, 1, -1):
+        r = np.arange(1.0, n)
+        level = ((n - r) * level[:-1] + r * level[1:]) / n
+        walked[n - 1] = level
+    return walked
 
 
 def exact_tails(dim: int, v: float) -> tuple[float, float]:
@@ -258,39 +282,48 @@ class TestQuadrature:
 
 
 class TestDispatcher:
-    def test_routes_and_agreement(self):
-        table = GainTable()
-        value = gain(1, 10, 2, table)
-        assert table.lookup(1, 10, 2).method == "closed_form"
+    def test_routes_and_agreement(self, empty_memo):
+        value = gain(1, 10, 2)
+        assert empty_memo[(10, 2)][0] == value
+        assert closed_form_domain(10, 2)
         assert value == pytest.approx(gain_quadrature(1, 10, 2), rel=1e-6)
 
-    def test_large_population_uses_quadrature(self):
-        table = GainTable()
-        gain(1, 866, 4, table)
-        assert table.lookup(1, 866, 4).method == "quadrature"
+    def test_large_population_uses_quadrature(self, empty_memo):
+        value = gain(1, 866, 4)
+        assert empty_memo[(866, 4)][0] == value
+        assert not closed_form_domain(866, 4)
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_single_draw_exact(self):
         for m in (1, 5, 200):
-            assert gain(1, 1, m, GainTable()) == float(m)
+            assert gain(1, 1, m) == float(m)
 
-    def test_memoization(self):
-        table = GainTable()
-        first = gain(2, 9, 3, table)
-        assert len(table) == 1
-        assert gain(2, 9, 3, table) == first
-        assert len(table) == 1
+    def test_memoization(self, empty_memo):
+        first = gain(2, 9, 3)
+        assert len(empty_memo) == 1
+        assert gain(2, 9, 3) == first
+        assert len(empty_memo) == 1
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_bulk_matches_scalar(self):
-        table = GainTable()
-        bulk = gains_up_to(4, 40, 6, table)
+        bulk = gains_up_to(4, 40, 6)
         for n in range(1, 5):
             assert bulk[n - 1] == pytest.approx(gain_quadrature(n, 40, 6), rel=1e-9)
 
-    def test_table_rows(self):
-        table = GainTable()
-        gains_up_to(2, 3, 1, table)
-        rows = table.rows()
-        assert rows[0][:3] == (1, 3, 1)
+    @pytest.mark.usefixtures("empty_memo")
+    def test_table_rows(self, tmp_path):
+        from wetopt.cli import main
+
+        out, conf = tmp_path / "g.csv", tmp_path / "g.conf"
+        conf.write_text(
+            "experiment = gtable\nm = 1\nn = 3\nn2 = 1\neta = 0.8\nt_s = 1e-3\n"
+            "ps_w = 0.06\nbeta = 1e-6\nn0_j = 1e-19\n"
+            f"gtable_ranks = 1, 2\ngtable_n1 = 3\ngtable_m = 1\nout = {out}\n"
+        )
+        assert main(["gtable", "--config", str(conf)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = [l.split(",") for l in lines[1:]]
+        assert rows[0][:3] == ["1", "3", "1"]
         assert rows[0][4] == "closed_form"
 
 
@@ -302,79 +335,187 @@ class TestTriangle:
         "pop, dim, rank_max, samples",
         [(120, 10, 16, None), (80, 4, 64, None), (866, 64, 64, 9)],
     )
-    def test_matches_direct_quadrature(self, pop, dim, rank_max, samples):
-        table = GainTable()
-        gains_up_to(rank_max, pop, dim, table)
+    def test_matches_direct_quadrature(self, pop, dim, rank_max, samples, empty_memo):
+        gains_up_to(rank_max, pop, dim)
         pops = range(rank_max, pop + 1)
         if samples:
             pops = np.unique(np.linspace(rank_max, pop, samples).astype(int))
         for n in pops:
             n = int(n)
-            tri = np.array([table.lookup(r, n, dim).value for r in range(1, rank_max + 1)])
+            tri = empty_memo[(n, dim)][:rank_max]
             direct = order_stats._quadrature_gains(rank_max, n, dim)
             np.testing.assert_allclose(tri, direct, rtol=1e-11, atol=0.0)
-            assert table.lookup(1, n, dim).method == "quadrature"
+            assert not closed_form_domain(n, dim)
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_optimizer_integrates_once(self, monkeypatch):
         from wetopt.optimizer import optimize_training
         from wetopt.training_model import SystemParams
 
         calls = count_quadratures(monkeypatch)
-        monkeypatch.setattr(order_stats, "_shared_table", GainTable())
         p = SystemParams(m=10, n=120, n2=16, ps=0.06, eta=0.8, t=1e-5, beta=1e-6, n0=1e-19)
         optimize_training(p)
         assert len(calls) == 1
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_gain_ranks_share_one_quadrature(self, monkeypatch):
         # gain() walks ranks one at a time (as cli.emit_gtable does); the
         # first miss keeps every rank of the population it integrated
         calls = count_quadratures(monkeypatch)
-        table = GainTable()
-        values = [gain(r, 50, 4, table) for r in range(1, 4)]
+        values = [gain(r, 50, 4) for r in range(1, 4)]
         assert len(calls) == 1
-        assert values == gains_up_to(3, 50, 4, GainTable()).tolist()
+        assert values == on_empty_memo(gains_up_to, 3, 50, 4).tolist()
 
-    def test_smaller_population_walks_down_from_whole_one(self, monkeypatch):
+    def test_smaller_population_walks_down_from_whole_one(self, monkeypatch, empty_memo):
         # population 49 below a population 50 held whole: its ranks come from
         # 50's triangle, not from a second quadrature mixed in with it
         calls = count_quadratures(monkeypatch)
-        table = GainTable()
         for pop in (50, 49):
             for r in range(1, 4):
-                gain(r, pop, 4, table)
+                gain(r, pop, 4)
         assert len(calls) == 1
         monkeypatch.undo()
-        walked = order_stats._triangle_gains(3, order_stats._quadrature_gains(50, 50, 4), 4)
-        assert [table.lookup(r, 49, 4).value for r in range(1, 4)] == [
-            walked[(r, 49, 4)] for r in range(1, 4)
-        ]
+        walked = walk_triangle(order_stats._quadrature_gains(50, 50, 4))
+        assert empty_memo[(49, 4)][:3].tolist() == walked[49][:3].tolist()
 
-    def test_keeps_closed_form_and_existing_entries(self):
-        table = GainTable()
-        closed = gains_up_to(4, 20, 4, table)
-        direct = gain(1, 50, 4, table)
-        gains_up_to(4, 60, 4, table)
+    def test_keeps_closed_form_and_existing_entries(self, empty_memo):
+        closed = gains_up_to(4, 20, 4)
+        direct = gain(1, 50, 4)
+        gains_up_to(4, 60, 4)
+        assert closed_form_domain(20, 4)
         for r in range(1, 5):
-            entry = table.lookup(r, 20, 4)
-            assert entry.method == "closed_form"
-            assert entry.value == closed[r - 1]
-        assert table.lookup(1, 50, 4).value == direct
+            assert empty_memo[(20, 4)][r - 1] == closed[r - 1]
+        assert empty_memo[(50, 4)][0] == direct
         # below the closed-form cap the triangle stops writing
-        assert table.lookup(1, 30, 4) is None
-        assert table.lookup(4, 31, 4).method == "quadrature"
-        assert gains_up_to(4, 30, 4, table)[0] == gain_closed_form(1, 30, 4)
+        assert (30, 4) not in empty_memo
+        assert empty_memo[(31, 4)].size >= 4 and not closed_form_domain(31, 4)
+        assert gains_up_to(4, 30, 4)[0] == gain_closed_form(1, 30, 4)
 
-    def test_gain_miss_served_by_triangle(self):
+    def test_gain_miss_served_by_triangle(self, empty_memo):
         # a quadrature-route miss in gain() walks the triangle from its own
         # population: the same bits as gains_up_to there, and every smaller
         # population on the quadrature route is memoized along the way
-        table = GainTable()
-        value = gain(1, 50, 4, table)
-        assert value == gains_up_to(1, 50, 4, GainTable())[0]
-        assert table.lookup(1, 40, 4).method == "quadrature"
-        assert gains_up_to(4, 60, 4, table)[0] == gains_up_to(4, 60, 4, GainTable())[0]
-        assert table.lookup(1, 50, 4).value == value
+        value = gain(1, 50, 4)
+        assert value == on_empty_memo(gains_up_to, 1, 50, 4)[0]
+        assert (40, 4) in empty_memo and not closed_form_domain(40, 4)
+        assert gains_up_to(4, 60, 4)[0] == on_empty_memo(gains_up_to, 4, 60, 4)[0]
+        assert empty_memo[(50, 4)][0] == value
         assert value == pytest.approx(gain_quadrature(1, 50, 4), rel=1e-12)
+
+    def test_one_source_per_population(self, monkeypatch, empty_memo):
+        # rank 1 of populations 31..49 comes from gain(1, 50, 4); ranks 2..4
+        # asked for later by gains_up_to(4, 60, 4) must come from 50's
+        # triangle too, not from 60's, so no returned value ever changes
+        calls = count_quadratures(monkeypatch)
+        gain(1, 50, 4)
+        gains_up_to(4, 60, 4)
+        assert [args[1] for args in calls] == [50, 60]
+        monkeypatch.undo()
+        for top, pops in ((50, range(31, 50)), (60, range(51, 60))):
+            walked = walk_triangle(order_stats._quadrature_gains(top, top, 4))
+            for n in pops:
+                assert empty_memo[(n, 4)][:4].tolist() == walked[n][:4].tolist(), n
+
+    def test_concurrent_misses_integrate_once(self, monkeypatch, empty_memo):
+        # threads missing on the same populations at once: the fill lock lets
+        # one of them integrate and walk while the others wait, then read
+        calls = count_quadratures(monkeypatch)
+        workers = 8
+        start = threading.Barrier(workers)
+        results: list = [None] * workers
+
+        def work(i):
+            start.wait(timeout=30)
+            results[i] = (gains_up_to(4, 60, 4).tolist(), gain(1 + i % 4, 45, 4))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert None not in results
+        assert len(calls) == 1
+        for i, (top, value) in enumerate(results):
+            assert top == results[0][0]
+            assert value == empty_memo[(45, 4)][i % 4]
+
+
+class TestMemoProperty:
+    """Random query orders against one memo: stable bits, one source each."""
+
+    DIM = 4
+
+    def whole_above(self, memo: dict, pop: int) -> int | None:
+        # the population a miss walks down from: the first held whole when
+        # stepping up from pop + 1 through the populations the memo holds
+        top = pop + 1
+        while (top, self.DIM) in memo:
+            if memo[(top, self.DIM)].size == top:
+                return top
+            top += 1
+        return None
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        queries=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=25, max_value=70).flatmap(
+                    lambda pop: st.tuples(st.just(pop), st.integers(1, pop))
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_stable_bits_and_one_source(self, queries):
+        dim = self.DIM
+        memo: dict = {}
+        integrated: list[tuple[int, np.ndarray]] = []
+        real = order_stats._quadrature_gains
+
+        def recording(rank_max, pop, dim):
+            gains = real(rank_max, pop, dim)
+            integrated.append((pop, gains.copy()))
+            return gains
+
+        returned: dict[tuple[int, int], float] = {}
+        expected_quadratures = 0
+        with mock.patch.object(order_stats, "_memo", memo), mock.patch.object(
+            order_stats, "_quadrature_gains", recording
+        ):
+            for bulk, (pop, rank) in queries:
+                held = memo.get((pop, dim))
+                miss = held is None or held.size < rank
+                if miss and not closed_form_domain(pop, dim):
+                    expected_quadratures += self.whole_above(memo, pop) is None
+                if bulk:
+                    pairs = enumerate(gains_up_to(rank, pop, dim).tolist(), start=1)
+                else:
+                    pairs = [(rank, gain(rank, pop, dim))]
+                for r, value in pairs:
+                    assert returned.setdefault((r, pop), value) == value, (r, pop)
+            # every value returned once is returned again after all the fills
+            for (r, pop), value in returned.items():
+                assert gain(r, pop, dim) == value, (r, pop)
+        assert len(integrated) == expected_quadratures
+        walks = [(top, walk_triangle(level)) for top, level in integrated]
+        for (n, _), held in memo.items():
+            if closed_form_domain(n, dim):
+                exact = order_stats._closed_gain_fractions(n, dim)
+                assert held.tolist() == [float(g) for g in exact]
+            else:
+                assert any(
+                    walked[n][: held.size].tolist() == held.tolist()
+                    for top, walked in walks
+                    if top >= n
+                ), n
 
 
 class TestMonteCarlo:
@@ -411,32 +552,37 @@ class TestStructuralProperties:
                 total = float(np.sum(order_stats._quadrature_gains(pop, pop, m)))
                 assert total == pytest.approx(pop * m, rel=1e-8)
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_monotone_in_rank(self):
-        vals = gains_up_to(6, 6, 3, GainTable())
+        vals = gains_up_to(6, 6, 3)
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_monotone_in_population_and_dimension(self):
-        pops = [gain(1, pop, 2, GainTable()) for pop in (1, 2, 4, 8, 16)]
+        pops = [gain(1, pop, 2) for pop in (1, 2, 4, 8, 16)]
         assert all(a < b for a, b in zip(pops, pops[1:]))
-        dims = [gain(1, 5, m, GainTable()) for m in (1, 2, 4, 8)]
+        dims = [gain(1, 5, m) for m in (1, 2, 4, 8)]
         assert all(a < b for a, b in zip(dims, dims[1:]))
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_record_gain_bound(self):
         # every rank is bounded by the dimension times the scalar record gain
         for pop, m in [(6, 3), (10, 2), (4, 4)]:
-            cap = m * gain(1, pop, 1, GainTable())
-            vals = gains_up_to(pop, pop, m, GainTable())
+            cap = m * gain(1, pop, 1)
+            vals = gains_up_to(pop, pop, m)
             assert np.all(vals <= cap + 1e-12)
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_channel_hardening_ratio(self):
         # at very large dimension the record gain collapses to the mean
-        ratio = gain(1, 16, 4096, GainTable()) / 4096.0
+        ratio = gain(1, 16, 4096) / 4096.0
         assert 1.0 <= ratio <= 1.1
 
+    @pytest.mark.usefixtures("empty_memo")
     def test_triple_agreement(self):
         for pop in (1, 2, 3, 5, 8):
             for m in (1, 2, 4):
-                quad_vals = gains_up_to(pop, pop, m, GainTable())
+                quad_vals = gains_up_to(pop, pop, m)
                 for rank in (1, pop):
                     closed = gain_closed_form(rank, pop, m)
                     assert closed == pytest.approx(quad_vals[rank - 1], rel=1e-6)
