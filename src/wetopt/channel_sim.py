@@ -4,6 +4,13 @@ Every analytic expression in :mod:`wetopt.training_model` has an
 empirical counterpart here.  Trials are processed in fixed-size chunks
 whose randomness derives only from ``(seed, chunk index)``, so reports
 are bit-identical across runs and independent of evaluation order.
+
+No draw has an axis of length m.  A band's harvest depends on its
+channel only through a few scalars, and those are drawn from their exact
+laws: the channel's coordinate along the band's pilot observation and
+its power off it (:func:`_strongest`), and the phase-2 noise split along
+the channel (:func:`_phase2_harvest`).  A trial costs the same at every
+antenna count.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import order_stats
-from .training_model import SystemParams, TrainingPlan, expected_selected_power
+from .training_model import SystemParams, TrainingPlan
 
 __all__ = [
     "BruteForce",
@@ -122,46 +129,63 @@ def _chunks(trials: int, elements_per_trial: int, seed: int):
 def _strongest(
     rng: np.random.Generator, count: int, probed: int, kept: int, e: float,
     p: SystemParams,
-) -> np.ndarray:
-    """Channels of the ``kept`` strongest of ``probed`` bands, strongest first.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel statistics of the ``kept`` strongest of ``probed`` bands,
+    strongest first.
 
     A band's pilot observation y = sqrt(e) h + z is CN(0, s^2 I) with
     s^2 = beta*e + n0, so ||y||^2 is Gamma(m, s^2) and independent of the
-    direction of y, and h | y is CN((sqrt(e) beta / s^2) y, (beta n0 / s^2) I).
-    Every harvest is invariant under a common rotation of h and y, so each
-    kept y lies on the first axis and only h, shape (count, kept, m), is
-    returned: per trial ``probed`` Gammas and ``kept * m`` complex normals.
+    direction of y, and h | y is CN((sqrt(e) beta / s^2) y, sigma^2 I) with
+    sigma^2 = beta n0 / s^2.  Every harvest is invariant under a common
+    rotation of h and y, so y lies on the first axis, and h enters only
+    through two statistics per kept band, each of shape (count, kept):
+
+    * ``h1 = mu + CN(0, sigma^2)``, the coordinate of h along y, with
+      mu = (sqrt(e) beta / s^2) ||y||;
+    * ``rest ~ Gamma(m - 1, sigma^2)``, the power of h off that axis, so
+      ||h||^2 = |h1|^2 + rest.
+
+    Per trial: ``probed`` Gamma pilot energies and ``2 * kept`` draws,
+    whatever m is.  The draw order is h1, rest, pilot energies.
     """
     s2 = p.beta * e + p.n0
-    h = _complex_normal(rng, (count, kept, p.m), p.beta * p.n0 / s2)
+    var = p.beta * p.n0 / s2
+    h1 = _complex_normal(rng, (count, kept), var)
+    rest = rng.gamma(p.m - 1, var, (count, kept))
     energy = rng.gamma(p.m, s2, (count, probed))
     top = np.partition(energy, probed - kept, axis=1)[:, probed - kept :]
     top = np.sort(top, axis=1)[:, ::-1]
-    h[:, :, 0] += (math.sqrt(e) * p.beta / s2) * np.sqrt(top)
-    return h
+    h1 += (math.sqrt(e) * p.beta / s2) * np.sqrt(top)
+    return h1, rest
 
 
-def _beamformed_harvest(
-    hsel: np.ndarray, y2: np.ndarray, coeff: np.ndarray, e2: np.ndarray, m: int
+def _phase2_harvest(
+    rng: np.random.Generator, power: np.ndarray, e2: np.ndarray, p: SystemParams
 ) -> np.ndarray:
     """Per-trial, per-band harvested channel power with estimated beams.
 
-    Bands whose pilot energy is zero have a zero estimate and fall back to
+    ``power`` is ||h||^2 per trial and band, ``e2`` the phase-2 pilot
+    energy per band.  The LMMSE estimate of h from y2 = sqrt(e2) h + z2 is
+    a positive multiple of y2, so the beam is y2 / ||y2|| and the LMMSE
+    scale cancels.  Split z2 along h: z_par ~ CN(0, n0) and
+    ||z_perp||^2 ~ Gamma(m - 1, n0).  With a = sqrt(e2) ||h|| + z_par,
+
+        |h^H y2|^2 / ||y2||^2 = ||h||^2 |a|^2 / (|a|^2 + ||z_perp||^2).
+
+    Bands whose pilot energy is zero have no estimate and fall back to
     isotropic transmission (expected power ||h||^2 / m), which keeps the
-    all-zero plan identical to the no-CSI scheme.
+    all-zero plan identical to the no-CSI scheme.  The noise is drawn
+    last, and only when some band is trained, so a plan without phase 2
+    sees the same channels as one with it.  At m = 1, ||z_perp||^2 is
+    exactly 0 and both branches harvest ||h||^2 exactly.
     """
-    out = np.empty(hsel.shape[:2])
     active = e2 > 0.0
-    if np.any(active):
-        hhat = coeff[None, :, None] * y2
-        inner = np.abs((hsel.conj() * hhat).sum(axis=2)) ** 2
-        power = np.abs(hhat) ** 2
-        denom = power.sum(axis=2)
-        out[:, active] = inner[:, active] / denom[:, active]
-    if not np.all(active):
-        iso = (np.abs(hsel) ** 2).sum(axis=2) / m
-        out[:, ~active] = iso[:, ~active]
-    return out
+    if not np.any(active):
+        return power / p.m
+    z_par = _complex_normal(rng, power.shape, p.n0)
+    z_perp = rng.gamma(p.m - 1, p.n0, power.shape)
+    a2 = np.abs(np.sqrt(e2) * np.sqrt(power) + z_par) ** 2
+    return np.where(active, power * (a2 / (a2 + z_perp)), power / p.m)
 
 
 def _report(per_trial: np.ndarray, cost: float, seed: int) -> EnergyReport:
@@ -187,25 +211,22 @@ def run_two_phase(
 
     Per trial: matched-filter observations on the n1 probed bands rank the
     bands by received energy; the top n2 are observed again with the
-    per-rank pilot energies; scalar LMMSE estimates (prior power taken
-    from the rank's analytic expected power) steer the transmit beams.
+    per-rank pilot energies, and each band's transmit beam follows its
+    phase-2 observation (the direction of its LMMSE estimate; the scalar
+    LMMSE scale cancels in the harvest).  Each kept band is drawn as the
+    per-band statistics of :func:`_strongest` and :func:`_phase2_harvest`:
+    ``n1 + 4 * n2`` draws per trial at any antenna count.
     """
     plan.validate_against(p)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n1, m, n2 = plan.n1, p.m, p.n2
+    n1, n2 = plan.n1, p.n2
     e2 = np.asarray(plan.e2)
-    powers = np.array(
-        [expected_selected_power(r, n1, plan.e1, p) for r in range(1, n2 + 1)]
-    )
-    coeff = np.sqrt(e2) * powers / (e2 * powers + p.n0 * m)
     harvested = np.empty(trials)
     pos = 0
-    for rng, count in _chunks(trials, n1 + 2 * n2 * m, seed):
-        hsel = _strongest(rng, count, n1, n2, plan.e1, p)
-        z2 = _complex_normal(rng, (count, n2, m), p.n0)
-        y2 = np.sqrt(e2)[None, :, None] * hsel + z2
-        per_band = _beamformed_harvest(hsel, y2, coeff, e2, m)
+    for rng, count in _chunks(trials, n1 + 4 * n2, seed):
+        h1, rest = _strongest(rng, count, n1, n2, plan.e1, p)
+        per_band = _phase2_harvest(rng, np.abs(h1) ** 2 + rest, e2, p)
         harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
         pos += count
     return _report(harvested, plan.cost, seed)
@@ -244,15 +265,11 @@ def _run_phase2_only(
     e2 = np.asarray(e2, dtype=float)
     if np.any(e2 < 0):
         raise ValueError("phase-2 energies must be >= 0")
-    prior = p.beta * p.m
-    coeff = np.sqrt(e2) * prior / (e2 * prior + p.n0 * p.m)
     harvested = np.empty(trials)
     pos = 0
-    for rng, count in _chunks(trials, 2 * p.n2 * p.m, seed):
-        h = _complex_normal(rng, (count, p.n2, p.m), p.beta)
-        z2 = _complex_normal(rng, (count, p.n2, p.m), p.n0)
-        y2 = np.sqrt(e2)[None, :, None] * h + z2
-        per_band = _beamformed_harvest(h, y2, coeff, e2, p.m)
+    for rng, count in _chunks(trials, 3 * p.n2, seed):
+        power = rng.gamma(p.m, p.beta, (count, p.n2))
+        per_band = _phase2_harvest(rng, power, e2, p)
         harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
         pos += count
     return _report(harvested, float(e2.sum()), seed)
@@ -263,17 +280,17 @@ def _run_brute_force(
 ) -> EnergyReport:
     # Estimate every band, pick the n2 largest estimated norms, beamform
     # with the estimates: along the first axis of _strongest's frame, so the
-    # harvest is |h_1|^2 (isotropic, as in _beamformed_harvest, at zero energy).
+    # harvest is |h1|^2 (isotropic, as in _phase2_harvest, at zero energy).
     if energy < 0:
         raise ValueError(f"per-band energy must be >= 0, got {energy}")
     harvested = np.empty(trials)
     pos = 0
-    for rng, count in _chunks(trials, p.n + p.n2 * p.m, seed):
-        h = _strongest(rng, count, p.n, p.n2, energy, p)
+    for rng, count in _chunks(trials, p.n + 2 * p.n2, seed):
+        h1, rest = _strongest(rng, count, p.n, p.n2, energy, p)
         if energy > 0.0:
-            per_band = np.abs(h[:, :, 0]) ** 2
+            per_band = np.abs(h1) ** 2
         else:
-            per_band = (np.abs(h) ** 2).sum(axis=2) / p.m
+            per_band = (np.abs(h1) ** 2 + rest) / p.m
         harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
         pos += count
     return _report(harvested, energy * p.n, seed)
@@ -318,8 +335,9 @@ def ranked_power_moments(
         raise ValueError(f"trials must be >= 1, got {trials}")
     total = np.zeros(n1)
     total_sq = np.zeros(n1)
-    for rng, count in _chunks(trials, n1 * (p.m + 1), seed):
-        ranked = (np.abs(_strongest(rng, count, n1, n1, e1, p)) ** 2).sum(axis=2)
+    for rng, count in _chunks(trials, 3 * n1, seed):
+        h1, rest = _strongest(rng, count, n1, n1, e1, p)
+        ranked = np.abs(h1) ** 2 + rest
         total += ranked.sum(axis=0)
         total_sq += (ranked**2).sum(axis=0)
     means = total / trials

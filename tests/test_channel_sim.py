@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wetopt import order_stats
+from conftest import random_instance
+from wetopt import asymptotics, channel_sim, order_stats
 from wetopt.channel_sim import (
     BruteForce,
     NoCsi,
     PerfectCsi,
     Phase1Only,
     Phase2Only,
+    TwoPhase,
     ranked_power_moments,
     run_benchmark,
     run_two_phase,
@@ -220,3 +224,150 @@ class TestBruteForceClosedForm:
         _, value = solve_brute_force(p)
         tuned = tune_brute_force_energy(p, seed=9, pilot_trials=400)
         assert abs(brute_force_net(tuned, p) - value) <= 1e-3 * abs(value)
+
+
+def complex_normal(rng, shape, var):
+    return math.sqrt(var / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+
+
+def full_vector_harvest(rng, h, e2, prior, p):
+    """Per-band harvest from whole m-antenna channels ``h`` (trials, n2, m):
+    draw z2, form the LMMSE estimate of h from y2 = sqrt(e2) h + z2 under
+    the per-band prior power ``prior``, and beamform along it; untrained
+    bands transmit isotropically (||h||^2 / m)."""
+    z2 = complex_normal(rng, h.shape, p.n0)
+    coeff = np.sqrt(e2) * prior / (e2 * prior + p.n0 * p.m)
+    hhat = coeff[None, :, None] * (np.sqrt(e2)[None, :, None] * h + z2)
+    out = (np.abs(h) ** 2).sum(axis=2) / p.m
+    trained = e2 > 0.0
+    inner = np.abs((h.conj() * hhat).sum(axis=2)[:, trained]) ** 2
+    out[:, trained] = inner / (np.abs(hhat[:, trained]) ** 2).sum(axis=2)
+    return out
+
+
+def full_vector_two_phase(rng, trials, n1, e1, e2, p):
+    """The kept bands' posterior channels as whole m-vectors, their pilot
+    observations on the first axis, ranked by Gamma pilot energies."""
+    s2 = p.beta * e1 + p.n0
+    h = complex_normal(rng, (trials, p.n2, p.m), p.beta * p.n0 / s2)
+    energy = rng.gamma(p.m, s2, (trials, n1))
+    top = np.sort(energy, axis=1)[:, ::-1][:, : p.n2]
+    h[:, :, 0] += (math.sqrt(e1) * p.beta / s2) * np.sqrt(top)
+    prior = np.array(
+        [expected_selected_power(r, n1, e1, p) for r in range(1, p.n2 + 1)]
+    )
+    return full_vector_harvest(rng, h, e2, prior, p)
+
+
+def full_vector_phase2_only(rng, trials, e2, p):
+    h = complex_normal(rng, (trials, p.n2, p.m), p.beta)
+    return full_vector_harvest(rng, h, e2, np.full(p.n2, p.beta * p.m), p)
+
+
+def captured_harvests(monkeypatch, run) -> np.ndarray:
+    """Per-band harvests (trials, n2) that ``run()`` draws through
+    ``channel_sim._phase2_harvest``."""
+    chunks = []
+    harvest = channel_sim._phase2_harvest
+
+    def recording(*args):
+        out = harvest(*args)
+        chunks.append(out)
+        return out
+
+    monkeypatch.setattr(channel_sim, "_phase2_harvest", recording)
+    run()
+    return np.concatenate(chunks)
+
+
+class TestPhase2Law:
+    """The per-band statistics draw the same harvest law as whole m-vector
+    channels with an LMMSE beam, on two trained bands and one untrained."""
+
+    E2 = np.array([2e-12, 1e-12, 0.0])
+    TRIALS = 40_000
+
+    @staticmethod
+    def assert_same_moments(a, b):
+        for moment in (1, 2):
+            x, y = a**moment, b**moment
+            se = np.hypot(x.std(axis=0, ddof=1), y.std(axis=0, ddof=1))
+            z = np.abs(x.mean(axis=0) - y.mean(axis=0)) / (se / math.sqrt(len(x)))
+            assert np.all(z <= 3.0), (moment, z)
+
+    def test_two_phase(self, monkeypatch):
+        p = params(m=3)
+        plan = TrainingPlan(n1=6, e1=5e-13, e2=tuple(self.E2))
+        new = captured_harvests(
+            monkeypatch, lambda: run_two_phase(plan, p, self.TRIALS, seed=701)
+        )
+        oracle = full_vector_two_phase(
+            np.random.default_rng(702), self.TRIALS, plan.n1, plan.e1, self.E2, p
+        )
+        self.assert_same_moments(new, oracle)
+
+    def test_phase2_only(self, monkeypatch):
+        p = params(m=3)
+        scheme = Phase2Only(e2=tuple(self.E2))
+        new = captured_harvests(
+            monkeypatch, lambda: run_benchmark(scheme, p, self.TRIALS, seed=703)
+        )
+        oracle = full_vector_phase2_only(
+            np.random.default_rng(704), self.TRIALS, self.E2, p
+        )
+        self.assert_same_moments(new, oracle)
+
+
+class TestLargeArray:
+    def test_monte_carlo_reaches_the_limit(self, monkeypatch):
+        # the paper's many-antenna regime: the simulation costs the same at
+        # m = 4096 as at m = 4, since no draw has an antenna axis
+        p = params(m=4096)
+        limit = asymptotics.large_antenna_limit(p)
+        shapes = []
+        draw = channel_sim._complex_normal
+
+        def recording(rng, shape, var):
+            shapes.append(shape)
+            return draw(rng, shape, var)
+
+        monkeypatch.setattr(channel_sim, "_complex_normal", recording)
+        report = run_two_phase(limit.plan, p, 20_000, seed=71)
+        qbar = average_harvested_energy(limit.plan, p)
+        assert abs(report.mean_qbar - qbar) <= 3.0 * report.stderr
+        assert 0.99 <= report.mean_qnet / limit.qnet_limit <= 1.0
+        assert shapes and all(p.m not in shape for shape in shapes)
+
+
+class TestReportProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["low", "medium", "high"]),
+        scheme_kind=st.sampled_from(
+            ["two_phase", "perfect", "no_csi", "phase1", "phase2", "brute"]
+        ),
+        trials=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+    )
+    def test_accounting_and_rerun(self, seed, kind, scheme_kind, trials, data):
+        p = random_instance(np.random.default_rng(seed), kind)
+        unit = p.n0 / p.beta  # pilot energy at unit SNR
+        snr = st.floats(min_value=1e-3, max_value=1e3)
+        energy = st.one_of(st.just(0.0), snr.map(lambda x: x * unit))
+        n1 = data.draw(st.integers(min_value=p.n2, max_value=p.n))
+        e1 = data.draw(energy)
+        e2 = tuple(data.draw(st.lists(energy, min_size=p.n2, max_size=p.n2)))
+        scheme = {
+            "two_phase": lambda: TwoPhase(TrainingPlan(n1=n1, e1=e1, e2=e2)),
+            "perfect": PerfectCsi,
+            "no_csi": NoCsi,
+            "phase1": lambda: Phase1Only(n1=n1, e1=e1),
+            "phase2": lambda: Phase2Only(e2=e2),
+            "brute": lambda: BruteForce(energy_per_band=e1),
+        }[scheme_kind]()
+        report = run_benchmark(scheme, p, trials, seed)
+        assert report.mean_qnet == report.mean_qbar - report.training_cost
+        assert run_benchmark(scheme, p, trials, seed) == report
