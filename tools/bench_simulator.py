@@ -25,6 +25,8 @@ import time
 
 TRIALS = 10_000
 SEED = 1
+ROUNDS = 2  # fresh interpreters per tree, alternating trees
+REPEATS = 3  # timed runs per case in each interpreter
 SCALING_M = (10, 100, 1000)
 BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -58,7 +60,7 @@ def _cases():
     return cases
 
 
-def child(repeats: int) -> None:
+def child() -> None:
     """Time every case in this interpreter; print one JSON object."""
     import numpy as np
     import wetopt
@@ -67,7 +69,7 @@ def child(repeats: int) -> None:
     for name, run in _cases():
         run()  # warm-up: lazy imports, memo fills, allocator
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             run()
             best = min(best, time.perf_counter() - start)
@@ -75,11 +77,10 @@ def child(repeats: int) -> None:
     print(json.dumps(out))
 
 
-def _run_tree(src: str, cpu: int, repeats: int) -> dict:
+def _run_tree(src: str, cpu: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.update({name: "1" for name in BLAS_ENV})
     command = [sys.executable, os.path.abspath(__file__), "--child"]
-    command += ["--repeats", str(repeats)]
     # the child is pinned before it starts, so numpy's threads inherit the CPU
     proc = subprocess.run(
         command, env=env, capture_output=True, text=True, check=True,
@@ -99,12 +100,10 @@ def main(argv=None) -> int:
         help="a column label and the src directory holding its wetopt",
     )
     parser.add_argument("--out", default="BENCH_simulator.json")
-    parser.add_argument("--rounds", type=int, default=2, help="interpreters per tree")
-    parser.add_argument("--repeats", type=int, default=3, help="timed runs per round")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.repeats)
+        child()
         return 0
     if not args.tree:
         parser.error("give at least one --tree LABEL=SRC")
@@ -114,10 +113,10 @@ def main(argv=None) -> int:
     cpu = max(os.sched_getaffinity(0))
     best: dict[str, dict[str, float]] = {}
     numpy_version = None
-    for round_ in range(args.rounds):
+    for round_ in range(ROUNDS):
         order = trees if round_ % 2 == 0 else trees[::-1]
         for label, src in order:
-            result = _run_tree(src, cpu, args.repeats)
+            result = _run_tree(src, cpu)
             numpy_version = result["numpy"]
             for name, seconds in result["cases"].items():
                 row = best.setdefault(name, {})
@@ -130,8 +129,8 @@ def main(argv=None) -> int:
         "blas_threads": 1,
         "python": platform.python_version(),
         "numpy": numpy_version,
-        "rounds": args.rounds,
-        "repeats_per_round": args.repeats,
+        "rounds": ROUNDS,
+        "repeats_per_round": REPEATS,
         "columns": labels,
         "rows": [
             {"case": name, **{label: round(row[label], 4) for label in labels}}
