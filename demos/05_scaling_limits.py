@@ -27,7 +27,7 @@ for m in (10, 100, 1000, 10000):
     rep = run_two_phase(sol.plan, p, trials, seed=50 + m)
     sim = rep.mean_qnet / limit.qnet_limit
     sim_se = rep.stderr / limit.qnet_limit
-    share = sol.plan.e1 * sol.plan.n1 / sum(sol.plan.e2)
+    share = sol.plan.e1 * sol.plan.n1 / sol.plan.cost
     print(
         f"  {m:5d} | {sol.qnet_star / limit.qnet_limit:24.4f} "
         f"| {sim:13.4f} +/- {sim_se:.1e} | {share:.3f}"

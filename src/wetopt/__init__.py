@@ -59,13 +59,11 @@ from .order_stats import (
     ordered_cdf,
 )
 from .training_model import (
-    LmmseStats,
     SystemParams,
     TrainingPlan,
     average_harvested_energy,
     esnr,
     expected_selected_power,
-    lmmse_stats,
     net_harvested_energy,
     refinement_threshold,
 )

@@ -99,7 +99,7 @@ def perfect_csi_average(p: SystemParams, n_bands: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Upper bound on the optimized net energy, with its provenance.
+    """Upper bound on the optimized net energy.
 
     ``bound`` is the exact optimum of the relaxed problem (single-antenna
     diversity bound swept over n1 with exact harmonic sums);
@@ -109,8 +109,6 @@ class BoundReport:
     """
 
     bound: float
-    regime: str
-    inputs_echo: SystemParams
     lambert_bound: float
     n1_star: int
     trivial_branch: bool
@@ -148,8 +146,6 @@ def saturation_bound(p: SystemParams) -> BoundReport:
     lam = scale * (1.0 + (math.sqrt(w) - 1.0 / math.sqrt(w)) ** 2) if w > 0 else scale
     return BoundReport(
         bound=float(values[best]),
-        regime="large_n",
-        inputs_echo=p,
         lambert_bound=lam,
         n1_star=p.n2 + best,
         trivial_branch=bool(np.all(surplus < cost)),

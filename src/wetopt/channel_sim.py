@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import order_stats
-from .training_model import SystemParams, TrainingPlan
+from .training_model import SystemParams, TrainingPlan, check_n1
 
 __all__ = [
     "BruteForce",
@@ -114,13 +114,9 @@ def _complex_normal(
 def _chunks(trials: int, elements_per_trial: int, seed: int):
     """Yields (generator, trial count) per chunk; chunk i draws from (seed, i)."""
     size = max(1, min(trials, _CHUNK_TARGET // max(1, elements_per_trial)))
-    start = 0
-    index = 0
-    while start < trials:
-        count = min(size, trials - start)
-        yield np.random.default_rng(np.random.SeedSequence((seed, index))), count
-        start += count
-        index += 1
+    for index, start in enumerate(range(0, trials, size)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+        yield rng, min(size, trials - start)
 
 
 # --- kernels ---------------------------------------------------------------
@@ -188,8 +184,16 @@ def _phase2_harvest(
     return np.where(active, power * (a2 / (a2 + z_perp)), power / p.m)
 
 
-def _report(per_trial: np.ndarray, cost: float, seed: int) -> EnergyReport:
-    trials = per_trial.size
+def _simulate(
+    harvest, elements_per_trial: int, trials: int, seed: int, cost: float
+) -> EnergyReport:
+    """Report on ``trials`` trials; ``harvest(rng, count)`` gives the energy
+    harvested in each of one chunk's ``count`` trials, drawn from ``rng``."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    per_trial = np.concatenate(
+        [harvest(rng, count) for rng, count in _chunks(trials, elements_per_trial, seed)]
+    )
     mean_qbar = float(per_trial.mean())
     stderr = (
         float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -218,61 +222,51 @@ def run_two_phase(
     ``n1 + 4 * n2`` draws per trial at any antenna count.
     """
     plan.validate_against(p)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     n1, n2 = plan.n1, p.n2
     e2 = np.asarray(plan.e2)
-    harvested = np.empty(trials)
-    pos = 0
-    for rng, count in _chunks(trials, n1 + 4 * n2, seed):
+
+    def harvest(rng, count):
         h1, rest = _strongest(rng, count, n1, n2, plan.e1, p)
         per_band = _phase2_harvest(rng, np.abs(h1) ** 2 + rest, e2, p)
-        harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
-        pos += count
-    return _report(harvested, plan.cost, seed)
+        return p.eta_t_ps * per_band.sum(axis=1)
+
+    return _simulate(harvest, n1 + 4 * n2, trials, seed, plan.cost)
 
 
 def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
     # Beamforming on the true channel harvests exactly ||h||^2 per band,
     # so only the band norms matter; they are Gamma(m, beta) draws.
-    harvested = np.empty(trials)
-    pos = 0
-    for rng, count in _chunks(trials, p.n, seed):
+    def harvest(rng, count):
         norms = rng.gamma(p.m, p.beta, (count, p.n))
         top = np.partition(norms, p.n - p.n2, axis=1)[:, p.n - p.n2 :]
-        harvested[pos : pos + count] = p.eta_t_ps * top.sum(axis=1)
-        pos += count
-    return _report(harvested, 0.0, seed)
+        return p.eta_t_ps * top.sum(axis=1)
+
+    return _simulate(harvest, p.n, trials, seed, 0.0)
 
 
 def _run_no_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
-    harvested = np.empty(trials)
-    pos = 0
-    for rng, count in _chunks(trials, p.n2, seed):
+    def harvest(rng, count):
         norms = rng.gamma(p.m, p.beta, (count, p.n2))
-        harvested[pos : pos + count] = p.eta_t_ps * norms.sum(axis=1) / p.m
-        pos += count
-    return _report(harvested, 0.0, seed)
+        return p.eta_t_ps * norms.sum(axis=1) / p.m
+
+    return _simulate(harvest, p.n2, trials, seed, 0.0)
 
 
 def _run_phase2_only(
     e2: tuple[float, ...], p: SystemParams, trials: int, seed: int
 ) -> EnergyReport:
     # Bands are exchangeable, so a fixed selection stands in for a random
-    # one and the reported spread reflects channel randomness only.
-    if len(e2) != p.n2:
-        raise ValueError(f"need {p.n2} phase-2 energies, got {len(e2)}")
+    # one and the reported spread reflects channel randomness only.  The
+    # energies must pass as those of a plan that probes no extra band.
+    TrainingPlan(n1=p.n2, e1=0.0, e2=e2).validate_against(p)
     e2 = np.asarray(e2, dtype=float)
-    if np.any(e2 < 0):
-        raise ValueError("phase-2 energies must be >= 0")
-    harvested = np.empty(trials)
-    pos = 0
-    for rng, count in _chunks(trials, 3 * p.n2, seed):
+
+    def harvest(rng, count):
         power = rng.gamma(p.m, p.beta, (count, p.n2))
         per_band = _phase2_harvest(rng, power, e2, p)
-        harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
-        pos += count
-    return _report(harvested, float(e2.sum()), seed)
+        return p.eta_t_ps * per_band.sum(axis=1)
+
+    return _simulate(harvest, 3 * p.n2, trials, seed, float(e2.sum()))
 
 
 def _run_brute_force(
@@ -283,25 +277,22 @@ def _run_brute_force(
     # harvest is |h1|^2 (isotropic, as in _phase2_harvest, at zero energy).
     if energy < 0:
         raise ValueError(f"per-band energy must be >= 0, got {energy}")
-    harvested = np.empty(trials)
-    pos = 0
-    for rng, count in _chunks(trials, p.n + 2 * p.n2, seed):
+
+    def harvest(rng, count):
         h1, rest = _strongest(rng, count, p.n, p.n2, energy, p)
         if energy > 0.0:
             per_band = np.abs(h1) ** 2
         else:
             per_band = (np.abs(h1) ** 2 + rest) / p.m
-        harvested[pos : pos + count] = p.eta_t_ps * per_band.sum(axis=1)
-        pos += count
-    return _report(harvested, energy * p.n, seed)
+        return p.eta_t_ps * per_band.sum(axis=1)
+
+    return _simulate(harvest, p.n + 2 * p.n2, trials, seed, energy * p.n)
 
 
 def run_benchmark(
     scheme: Scheme, p: SystemParams, trials: int, seed: int
 ) -> EnergyReport:
     """Simulate one scheme; see the scheme dataclasses for parameters."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(scheme, TwoPhase):
         return run_two_phase(scheme.plan, p, trials, seed)
     if isinstance(scheme, PerfectCsi):
@@ -327,8 +318,7 @@ def ranked_power_moments(
     each rank; returns ``(means, stderrs)`` over all n1 ranks.  Direct
     validation of the analytic per-rank expected powers.
     """
-    if not p.n2 <= n1 <= p.n:
-        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+    check_n1(n1, p)
     if e1 < 0:
         raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
     if trials < 1:

@@ -8,17 +8,18 @@ followed by an argmax over n1.
 The reduced objective in e1 is a sum of linear fractional terms minus a
 linear cost.  Its shape depends on where the per-rank expected powers sit
 relative to the refinement threshold, which splits the parameter space
-into three ESNR regimes:
+into three ESNR regimes, labels of the one problem :func:`solve_for_n1` solves:
 
 * low:    no band ever clears the threshold; phase 2 is off and the
   optimum is closed form,
 * high:   the channel-hardening floor clears the threshold,
 * medium: bands rise through the threshold as e1 grows.
 
-Both split the e1 axis where ranks cross the threshold.  Each piece has
-at most one stationary point, certified and found by a bracketed Newton
-iteration in the phase-1 pilot SNR x = beta * e1 / n0 (``_stationary_snrs``).
-:func:`poly_real_roots` is the tests' root oracle for the same points.
+The last two split the e1 axis where ranks cross the threshold.  Each
+piece has at most one stationary point, certified and found by a
+bracketed Newton iteration in the phase-1 pilot SNR x = beta * e1 / n0
+(``_stationary_snrs``); :func:`poly_real_roots` is the tests' root
+oracle for the same points.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from . import order_stats
 from .training_model import (
     SystemParams,
     TrainingPlan,
+    check_n1,
     esnr,
     expected_selected_power,
     refinement_threshold,
+    selected_powers,
 )
 
 __all__ = [
@@ -51,9 +54,6 @@ __all__ = [
     "poly_real_roots",
     "solve_brute_force",
     "solve_for_n1",
-    "solve_high_esnr",
-    "solve_low_esnr",
-    "solve_medium_esnr",
     "solve_phase1_only",
     "solve_phase2_only",
 ]
@@ -151,26 +151,17 @@ def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
     return _penalty_of_power(expected_selected_power(rank, n1, e1, p), p)
 
 
-def _powers(gains: np.ndarray, e1: float, p: SystemParams) -> np.ndarray:
-    return (p.beta**2 * e1 * gains + p.beta * p.n0 * p.m) / (p.beta * e1 + p.n0)
-
-
 def _reduced_net(gains: np.ndarray, n1: int, e1: float, p: SystemParams) -> float:
-    powers = _powers(gains, e1, p)
+    powers = selected_powers(gains, e1, p)
     total = math.fsum(
         p.eta_t_ps * rn - _penalty_of_power(rn, p) for rn in powers
     )
     return total - n1 * e1
 
 
-def _check_n1(n1: int, p: SystemParams) -> None:
-    if not p.n2 <= n1 <= p.n:
-        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
-
-
 def net_energy_given_phase1(n1: int, e1: float, p: SystemParams) -> float:
     """Net harvested energy at (n1, e1) with phase-2 energies optimized out."""
-    _check_n1(n1, p)
+    check_n1(n1, p)
     if e1 < 0:
         raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
@@ -191,7 +182,7 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     on the sorted gain sequence; ties go to the lower-j reading, where
     both neighboring branch formulas coincide).
     """
-    _check_n1(n1, p)
+    check_n1(n1, p)
     return _classify(order_stats.gains_up_to(p.n2, n1, p.m), p)
 
 
@@ -237,13 +228,13 @@ def poly_real_roots(coeffs) -> np.ndarray:
     """All real roots of a polynomial given by ascending coefficients.
 
     Roots come from the companion-matrix eigenvalues and are then polished
-    by Newton iteration until the residual falls below
-    1e-10 * ||coeffs|| * max(1, |x|)^degree; raises
-    :class:`RootFindingError` if polishing stalls above that.  The test
-    divides the residual by max(1, |x|)^degree rather than multiplying
-    the tolerance, which overflows for large roots of high-degree
-    polynomials; for the same reason a Newton step at |x| > 1 is taken
-    from the reversed polynomial at 1/x.  Near-coincident roots are merged.
+    by Newton iteration until |p(x)| <= 1e-12 * sum |c_i| |x|^i, the
+    rounding scale of evaluating p at x; raises :class:`RootFindingError`
+    if polishing stalls above that.  Both sides are divided by
+    max(1, |x|)^degree, since x^degree overflows for large roots of
+    high-degree polynomials; for the same reason a Newton step at |x| > 1
+    is taken from the reversed polynomial at 1/x.  Near-coincident roots
+    are merged.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0:
@@ -255,7 +246,11 @@ def poly_real_roots(coeffs) -> np.ndarray:
     deg = c.size - 1
     if deg == 0:
         return np.array([])
-    tol = 1e-10 * float(np.linalg.norm(c))
+    mags = np.abs(c)
+
+    def tol(x: float) -> float:
+        return 1e-12 * _scaled_residual(abs(x), mags)
+
     raw = npoly.polyroots(c)
     near_real = raw[np.abs(raw.imag) <= 1e-8 * np.maximum(1.0, np.abs(raw.real))]
     if near_real.size == 0:
@@ -264,7 +259,7 @@ def poly_real_roots(coeffs) -> np.ndarray:
     for x in np.sort(near_real.real):
         best_x, best_r = x, _scaled_residual(x, c)
         for _ in range(60):
-            if best_r <= tol:
+            if best_r <= tol(best_x):
                 break
             step = _newton_step(best_x, c)
             if step is None:
@@ -274,10 +269,10 @@ def poly_real_roots(coeffs) -> np.ndarray:
             if not np.isfinite(r) or r >= best_r:
                 break
             best_x, best_r = nxt, r
-        if best_r > tol:
+        if best_r > tol(best_x):
             raise RootFindingError(
                 f"Newton polishing stalled at x={best_x!r} (residual {best_r:.3e} "
-                f"> tolerance {tol:.3e}, both per max(1, |x|)^{deg})",
+                f"> tolerance {tol(best_x):.3e}, both per max(1, |x|)^{deg})",
                 c,
             )
         polished.append(best_x)
@@ -374,7 +369,7 @@ def _best_over_pieces(
         if hi <= lo:
             continue
         probe = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + x_scale
-        powers = _powers(gains, probe, p)
+        powers = selected_powers(gains, probe, p)
         branch2 = int(np.sum(powers > alpha))
         x = _stationary_snrs(gains, branch2, n1, p)
         if x is not None and lo <= x * x_scale <= hi:
@@ -389,24 +384,7 @@ def _best_over_pieces(
 
 
 # ---------------------------------------------------------------------------
-# the three regime solvers
-
-
-def _require_case(n1: int, p: SystemParams, kind: str) -> CaseLabel:
-    label = classify_esnr_case(n1, p)
-    if label.kind != kind:
-        raise ValueError(f"(n1={n1}) classifies as {label.kind}, not {kind}")
-    return label
-
-
-def solve_low_esnr(n1: int, p: SystemParams) -> CaseSolution:
-    """Closed-form optimum when phase 2 is never worthwhile.
-
-    The objective is concave in e1; training pays only when the diversity
-    surplus per trained band beats 1/ESNR.
-    """
-    _require_case(n1, p, LOW_ESNR)
-    return solve_for_n1(n1, p)
+# the per-n1 solver
 
 
 def _phase1_closed_form(
@@ -425,32 +403,16 @@ def _phase1_closed_form(
     return e1, value
 
 
-def solve_high_esnr(n1: int, p: SystemParams) -> CaseSolution:
-    """Optimum when the channel-hardening floor clears the threshold.
-
-    Ranks whose noise-free gain sits below average can sink through the
-    threshold as e1 grows (possible when n1 is barely above n2); those
-    crossings split the axis into pieces.
-    """
-    _require_case(n1, p, HIGH_ESNR)
-    return solve_for_n1(n1, p)
-
-
-def solve_medium_esnr(n1: int, j: int, p: SystemParams) -> CaseSolution:
-    """Optimum when the threshold cuts through the ranked gain sequence.
-
-    Ranks 1..j can rise through the threshold as e1 grows; the crossing
-    energies split the axis into j+1 intervals solved independently.
-    """
-    label = _require_case(n1, p, MEDIUM_ESNR)
-    if label.j != j:
-        raise ValueError(f"(n1={n1}) has {label.j} ranks above threshold, not {j}")
-    return solve_for_n1(n1, p)
-
-
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
-    """Best phase-1 energy and value for one fixed number of trained bands."""
-    _check_n1(n1, p)
+    """Best phase-1 energy and value for one fixed number of trained bands.
+
+    Low ESNR: the objective is concave in e1 and the optimum closed form.
+    High ESNR: weak ranks may sink through the threshold as e1 grows (when
+    n1 is barely above n2).  Medium ESNR: ranks 1..j rise through it, which
+    splits the e1 axis into j+1 intervals.  Crossings cut pieces, each
+    solved exactly by :func:`_best_over_pieces`.
+    """
+    check_n1(n1, p)
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
     label = _classify(gains, p)
     if label.kind == LOW_ESNR:

@@ -4,9 +4,9 @@ The protocol: the receiver sends pilots on ``n1`` sub-bands (energy ``e1``
 each); the transmitter ranks the bands by received pilot energy, reports
 the strongest ``n2``, and those are trained again (per-rank energies
 ``e2``) to support transmit beamforming.  This module provides the exact
-expected channel powers of the ranked bands, the linear MMSE estimator
-statistics, and the average / net harvested-energy expressions that the
-optimizer and the simulator both rely on.
+expected channel powers of the ranked bands and the average / net
+harvested-energy expressions that the optimizer and the simulator both
+rely on.
 
 Units are strict SI throughout: energies in joules, powers in watts,
 times in seconds.  Channel entries have variance ``beta`` (dimensionless
@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from . import order_stats
 
 __all__ = [
-    "LmmseStats",
     "SystemParams",
     "TrainingPlan",
     "average_harvested_energy",
+    "check_n1",
     "esnr",
     "expected_selected_power",
-    "lmmse_stats",
     "net_harvested_energy",
     "refinement_threshold",
+    "selected_powers",
 ]
 
 
@@ -98,10 +98,7 @@ class TrainingPlan:
         object.__setattr__(self, "e2", tuple(float(x) for x in self.e2))
 
     def validate_against(self, p: SystemParams) -> None:
-        if not p.n2 <= self.n1 <= p.n:
-            raise ValueError(
-                f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {self.n1}"
-            )
+        check_n1(self.n1, p)
         if len(self.e2) != p.n2:
             raise ValueError(
                 f"need one phase-2 energy per active band ({p.n2}), got {len(self.e2)}"
@@ -111,6 +108,18 @@ class TrainingPlan:
     def cost(self) -> float:
         """Total pilot energy spent by the receiver, joules."""
         return self.e1 * self.n1 + math.fsum(self.e2)
+
+
+def check_n1(n1: int, p: SystemParams) -> None:
+    """Raise unless n1 probed bands can feed the n2 active ones: n2 <= n1 <= n."""
+    if not p.n2 <= n1 <= p.n:
+        raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
+
+
+def selected_powers(gains, e1: float, p: SystemParams):
+    """(beta^2 e1 g + beta n0 m) / (beta e1 + n0) for noise-free gains g, a
+    float or an array: expected selected powers, unchecked (a hot path)."""
+    return (p.beta**2 * e1 * gains + p.beta * p.n0 * p.m) / (p.beta * e1 + p.n0)
 
 
 def expected_selected_power(rank: int, n1: int, e1: float, p: SystemParams) -> float:
@@ -124,43 +133,7 @@ def expected_selected_power(rank: int, n1: int, e1: float, p: SystemParams) -> f
         raise ValueError(f"rank must be in [1, {n1}], got {rank}")
     if e1 < 0:
         raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
-    g = order_stats.gain(rank, n1, p.m)
-    return (p.beta**2 * e1 * g + p.beta * p.n0 * p.m) / (p.beta * e1 + p.n0)
-
-
-def _selected_powers(plan: TrainingPlan, p: SystemParams) -> list[float]:
-    gains = order_stats.gains_up_to(p.n2, plan.n1, p.m)
-    return [
-        (p.beta**2 * plan.e1 * g + p.beta * p.n0 * p.m) / (p.beta * plan.e1 + p.n0)
-        for g in gains
-    ]
-
-
-@dataclass(frozen=True)
-class LmmseStats:
-    """Scalar linear-MMSE estimator statistics for one ranked band.
-
-    ``coeff`` scales the phase-2 observation into the channel estimate;
-    ``mse`` and ``est_power`` split the prior power exactly
-    (``mse + est_power == prior power``, the orthogonality identity).
-    """
-
-    coeff: float
-    mse: float
-    est_power: float
-
-
-def lmmse_stats(selected_power: float, e2: float, p: SystemParams) -> LmmseStats:
-    """LMMSE statistics for a band with prior power ``selected_power``."""
-    if selected_power <= 0:
-        raise ValueError(f"prior channel power must be positive, got {selected_power}")
-    if e2 < 0:
-        raise ValueError(f"phase-2 energy must be >= 0, got {e2}")
-    denom = e2 * selected_power + p.n0 * p.m
-    coeff = math.sqrt(e2) * selected_power / denom
-    mse = p.n0 * p.m * selected_power / denom
-    est_power = e2 * selected_power**2 / denom
-    return LmmseStats(coeff=coeff, mse=mse, est_power=est_power)
+    return selected_powers(order_stats.gain(rank, n1, p.m), e1, p)
 
 
 def average_harvested_energy(plan: TrainingPlan, p: SystemParams) -> float:
@@ -172,9 +145,9 @@ def average_harvested_energy(plan: TrainingPlan, p: SystemParams) -> float:
     and as the phase-2 pilot energy grows.
     """
     plan.validate_against(p)
+    gains = order_stats.gains_up_to(p.n2, plan.n1, p.m)
     terms = []
-    for rank, rn in enumerate(_selected_powers(plan, p), start=1):
-        e2 = plan.e2[rank - 1]
+    for e2, rn in zip(plan.e2, selected_powers(gains, plan.e1, p)):
         loss = (p.m - 1) * p.n0 / (e2 * rn + p.n0 * p.m)
         terms.append(rn * (1.0 - loss))
     return p.eta_t_ps * math.fsum(terms)

@@ -154,7 +154,3 @@ class TestSaturationBound:
         report = saturation_bound(p)
         assert not report.trivial_branch
         assert report.lambert_bound == pytest.approx(report.bound, rel=0.05)
-
-    def test_echoes_inputs(self):
-        p = params()
-        assert saturation_bound(p).inputs_echo == p

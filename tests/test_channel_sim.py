@@ -155,6 +155,32 @@ class TestBenchmarks:
         with pytest.raises(TypeError):
             run_benchmark(object(), params(), 10, 0)
 
+    @pytest.mark.parametrize(
+        "e2",
+        [(1e-12,) * 2, (1e-12, -1e-12, 0.0), (1e-12, math.nan, 0.0), (math.inf, 0.0, 0.0)],
+        ids=["short", "negative", "nan", "inf"],
+    )
+    def test_phase2_only_rejects_bad_energies(self, e2):
+        # as a plan's: one finite, non-negative energy per active band
+        with pytest.raises(ValueError):
+            run_benchmark(Phase2Only(e2=e2), params(), 10, 0)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            TwoPhase(TrainingPlan(n1=5, e1=1e-13, e2=(1e-12,) * 3)),
+            PerfectCsi(),
+            NoCsi(),
+            Phase1Only(n1=5, e1=1e-13),
+            Phase2Only(e2=(1e-12,) * 3),
+            BruteForce(energy_per_band=1e-13),
+        ],
+        ids=lambda scheme: type(scheme).__name__,
+    )
+    def test_rejects_zero_trials(self, scheme):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+            run_benchmark(scheme, params(), 0, 0)
+
 
 class TestRankedPowerMoments:
     def test_matches_analytic_selected_powers(self):

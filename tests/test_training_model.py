@@ -1,4 +1,4 @@
-"""Closed-form expected powers, LMMSE statistics, and energy accounting."""
+"""Closed-form expected powers and energy accounting."""
 
 import math
 
@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wetopt import order_stats
+from wetopt import channel_sim, optimizer, order_stats
 from wetopt.training_model import (
     SystemParams,
     TrainingPlan,
     average_harvested_energy,
     esnr,
     expected_selected_power,
-    lmmse_stats,
     net_harvested_energy,
     refinement_threshold,
 )
@@ -126,29 +125,33 @@ class TestExpectedSelectedPower:
             expected_selected_power(4, 3, 0.0, params())
 
 
-class TestLmmse:
-    def test_no_observation(self):
-        p = params()
-        stats = lmmse_stats(2e-6, 0.0, p)
-        assert stats.coeff == 0.0
-        assert stats.mse == pytest.approx(2e-6)
-        assert stats.est_power == 0.0
+class TestTrainedBandRange:
+    """One n2 <= n1 <= n check behind every entry point that takes an n1."""
 
-    def test_perfect_estimation_limit(self):
-        p = params()
-        stats = lmmse_stats(2e-6, 1e3, p)
-        assert stats.mse <= 1e-12 * 2e-6  # vanishes relative to the prior
-        assert stats.est_power == pytest.approx(2e-6, rel=1e-12)
+    ENTRY_POINTS = {
+        "solve_for_n1": lambda n1, p: optimizer.solve_for_n1(n1, p),
+        "classify_esnr_case": lambda n1, p: optimizer.classify_esnr_case(n1, p),
+        "net_energy_given_phase1": lambda n1, p: optimizer.net_energy_given_phase1(
+            n1, 1e-13, p
+        ),
+        "ranked_power_moments": lambda n1, p: channel_sim.ranked_power_moments(
+            n1, 1e-13, p, 10, 0
+        ),
+        "validate_against": lambda n1, p: TrainingPlan(
+            n1=n1, e1=1e-13, e2=(0.0,) * p.n2
+        ).validate_against(p),
+    }
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        rn=st.floats(min_value=1e-9, max_value=1e-3),
-        e2=st.floats(min_value=0.0, max_value=1e-6),
-    )
-    def test_orthogonality_decomposition(self, rn, e2):
-        stats = lmmse_stats(rn, e2, params())
-        assert stats.mse + stats.est_power == pytest.approx(rn, rel=1e-12)
-        assert stats.mse >= 0.0 and stats.est_power >= 0.0
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_outside_range(self, entry):
+        p = params()
+        call = self.ENTRY_POINTS[entry]
+        for n1 in (p.n2 - 1, p.n + 1):
+            message = rf"^trained bands must satisfy 3 <= n1 <= 12, got {n1}$"
+            with pytest.raises(ValueError, match=message):
+                call(n1, p)
+        call(p.n2, p)
+        call(p.n, p)
 
 
 class TestHarvestedEnergy:
