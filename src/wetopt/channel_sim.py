@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import order_stats
-from .training_model import SystemParams, TrainingPlan, check_n1
+from .training_model import SystemParams, TrainingPlan, check_e1, check_n1
 
 __all__ = [
     "BruteForce",
@@ -319,8 +319,7 @@ def ranked_power_moments(
     validation of the analytic per-rank expected powers.
     """
     check_n1(n1, p)
-    if e1 < 0:
-        raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
+    check_e1(e1)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     total = np.zeros(n1)

@@ -8,24 +8,32 @@ followed by an argmax over n1.
 The reduced objective in e1 is a sum of linear fractional terms minus a
 linear cost.  Its shape depends on where the per-rank expected powers sit
 relative to the refinement threshold, which splits the parameter space
-into three ESNR regimes, labels of the one problem :func:`solve_for_n1` solves:
+into three ESNR regimes, labels of one problem:
 
 * low:    no band ever clears the threshold; phase 2 is off and the
   optimum is closed form,
-* high:   the channel-hardening floor clears the threshold,
-* medium: bands rise through the threshold as e1 grows.
+* high:   the channel-hardening floor clears the threshold; weak ranks
+  may sink through it as e1 grows (when n1 is barely above n2),
+* medium: ranks 1..j rise through the threshold as e1 grows.
 
 The last two split the e1 axis where ranks cross the threshold.  Each
 piece has at most one stationary point, certified and found by a
-bracketed Newton iteration in the phase-1 pilot SNR x = beta * e1 / n0
-(``_stationary_snrs``); :func:`poly_real_roots` is the tests' root
-oracle for the same points.
+bracketed Newton iteration in the phase-1 pilot SNR x = beta * e1 / n0;
+the pieces' ends and stationary points are scored with the exact
+piecewise objective.  :func:`poly_real_roots` is the tests' root oracle.
+
+The n1 sweep runs in lockstep on the gains of every n1 stacked into one
+(n1 count, n2) array: labels, crossings, the Newton iterations of every
+(n1, piece) and the scores of every candidate are numpy passes over
+blocks of rows, of at most ``_BLOCK_TARGET`` elements per (rows x n2)
+array.  :func:`solve_for_n1` runs the same code on one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -34,6 +42,7 @@ from . import order_stats
 from .training_model import (
     SystemParams,
     TrainingPlan,
+    check_e1,
     check_n1,
     esnr,
     expected_selected_power,
@@ -65,6 +74,10 @@ MEDIUM_ESNR = "medium_esnr"
 # Newton-or-bisection steps per piece before raising; pieces have taken at
 # most ten, bisection alone would take about 52 + log2(bracket / root)
 _ROOT_STEPS = 200
+
+# elements per (rows x n2) array of one lockstep block: a block of n1 rows
+# has at most n2 + 1 pieces and 2 n2 + 2 candidates per row
+_BLOCK_TARGET = 1 << 18
 
 
 class RootFindingError(RuntimeError):
@@ -125,21 +138,22 @@ def optimal_phase2_energy(rank: int, n1: int, e1: float, p: SystemParams) -> flo
     band's expected power falls, and bands below the refinement threshold
     get nothing.  With one antenna the water level is zero.
     """
-    if p.m == 1:
-        return 0.0
-    rn = expected_selected_power(rank, n1, e1, p)
+    return float(_phase2_energies(np.array([expected_selected_power(rank, n1, e1, p)]), p)[0])
+
+
+def _phase2_energies(rn: np.ndarray, p: SystemParams) -> np.ndarray:
+    # optimal_phase2_energy for each prior power in rn
     level = math.sqrt(p.eta_t_ps * (p.m - 1) * p.n0)
-    return max(level - p.n0 * p.m / rn, 0.0)
+    return np.maximum(level - p.n0 * p.m / rn, 0.0)
 
 
-def _penalty_of_power(rn: float, p: SystemParams) -> float:
-    # Minimum of (beamforming loss + e2) over e2 >= 0 for prior power rn.
-    if p.m == 1:
-        return 0.0
-    alpha = refinement_threshold(p)
-    if rn <= alpha:
-        return (p.m - 1) / p.m * p.eta_t_ps * rn
-    return 2.0 * math.sqrt((p.m - 1) * p.n0 * p.eta_t_ps) - p.n0 * p.m / rn
+def _penalty(rn: np.ndarray, p: SystemParams) -> np.ndarray:
+    # Minimum of (beamforming loss + e2) over e2 >= 0 for each prior power
+    # in rn; zero with one antenna, where the threshold is +inf
+    pen = (p.m - 1) / p.m * p.eta_t_ps * rn
+    above = rn > refinement_threshold(p)
+    pen[above] = 2.0 * math.sqrt((p.m - 1) * p.n0 * p.eta_t_ps) - p.n0 * p.m / rn[above]
+    return pen
 
 
 def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
@@ -148,28 +162,31 @@ def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
     Piecewise in the band's expected power and continuous at the
     refinement threshold.
     """
-    return _penalty_of_power(expected_selected_power(rank, n1, e1, p), p)
+    return float(_penalty(np.array([expected_selected_power(rank, n1, e1, p)]), p)[0])
 
 
-def _reduced_net(gains: np.ndarray, n1: int, e1: float, p: SystemParams) -> float:
-    powers = selected_powers(gains, e1, p)
-    total = math.fsum(
-        p.eta_t_ps * rn - _penalty_of_power(rn, p) for rn in powers
-    )
-    return total - n1 * e1
+def _gross(rn: np.ndarray, p: SystemParams):
+    # reduced objective before the phase-1 bill, over rn's last axis (ranks)
+    return (p.eta_t_ps * rn - _penalty(rn, p)).sum(axis=-1)
 
 
 def net_energy_given_phase1(n1: int, e1: float, p: SystemParams) -> float:
     """Net harvested energy at (n1, e1) with phase-2 energies optimized out."""
     check_n1(n1, p)
-    if e1 < 0:
-        raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
+    check_e1(e1)
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    return _reduced_net(gains, n1, e1, p)
+    return float(_gross(selected_powers(gains, e1, p), p)) - n1 * e1
 
 
-# ---------------------------------------------------------------------------
-# case classification
+def _phase1_closed_form(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
+    # (e1, value) per row of gains with phase 2 off, the low-ESNR optimum; a
+    # surplus below n1/gamma does not pay (e1 = 0) and is raised to it for sqrt
+    surplus, gamma = np.sum(gains / p.m - 1.0, axis=1), esnr(p)
+    floor = n1 / gamma
+    s = np.maximum(surplus, floor)
+    root = math.sqrt(p.eta_t_ps * p.n0) * (np.sqrt(s / n1) - 1.0 / math.sqrt(gamma))
+    value = p.eta_t_ps * p.beta * (p.n2 + (np.sqrt(s) - np.sqrt(floor)) ** 2)
+    return np.where(surplus < floor, 0.0, root), value
 
 
 def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
@@ -178,25 +195,25 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     Compares the refinement threshold with the noise-free expected powers
     beta*g_n.  Threshold at or above the strongest rank: low.  Below the
     channel-hardening floor beta*m: high.  Otherwise medium, with j the
-    count of ranks strictly above the threshold (located by binary search
-    on the sorted gain sequence; ties go to the lower-j reading, where
-    both neighboring branch formulas coincide).
+    count of ranks strictly above the threshold.
     """
     check_n1(n1, p)
-    return _classify(order_stats.gains_up_to(p.n2, n1, p.m), p)
+    return _label(int(_case_codes(order_stats.gains_up_to(p.n2, n1, p.m)[None, :], p)[0]))
 
 
-def _classify(gains: np.ndarray, p: SystemParams) -> CaseLabel:
-    # classify_esnr_case on the gains of its n1, already read
+def _case_codes(gains: np.ndarray, p: SystemParams) -> np.ndarray:
+    # classify_esnr_case per row of stacked gains: -1 low, 0 high, j medium
     alpha = refinement_threshold(p)
-    if alpha >= p.beta * gains[0]:
+    medium = 0 if alpha < p.beta * p.m else np.sum(p.beta * gains > alpha, axis=1)
+    return np.where(alpha >= p.beta * gains[:, 0], -1, medium)
+
+
+@lru_cache(maxsize=None)
+def _label(code: int) -> CaseLabel:
+    # CaseLabel of a code; the labels are immutable and few
+    if code < 0:
         return CaseLabel(LOW_ESNR)
-    if alpha < p.beta * p.m:
-        return CaseLabel(HIGH_ESNR)
-    # gains are sorted decreasing; count entries with beta*g > alpha
-    ascending = np.ascontiguousarray((p.beta * gains)[::-1])
-    j = p.n2 - int(np.searchsorted(ascending, alpha, side="right"))
-    return CaseLabel(MEDIUM_ESNR, j=max(j, 1))
+    return CaseLabel(MEDIUM_ESNR, j=code) if code else CaseLabel(HIGH_ESNR)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +300,20 @@ def poly_real_roots(coeffs) -> np.ndarray:
     return np.array(merged)
 
 
-def _stationary_snrs(
-    gains: np.ndarray, branch2: int, n1: int, p: SystemParams
-) -> float | None:
-    """Stationary point of the reduced objective on one piece, in x = beta*e1/n0.
+def _stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> float | None:
+    """:func:`_stationary_rows` on one piece: its x = beta*e1/n0, or None."""
+    x = float(_stationary_rows(gains[None, :], np.array([branch2]), np.array([n1]), p)[0])
+    return None if math.isnan(x) else x
 
-    ``branch2`` ranks (the strongest) are assumed above the refinement
-    threshold, the rest below.  With g_i = m/gain_i and b_i = g_i (1-g_i)/n1
-    the piece's objective is d0/(x+1) + x - sum b_i/(x+g_i) up to constants,
-    stationary where h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = 0.
+
+def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
+    """Stationary point of the reduced objective on pieces, in x = beta*e1/n0.
+
+    On row i the strongest ``branch2[i]`` ranks of ``gains[i]`` are assumed
+    above the refinement threshold, the rest below.  With g_i = m/gain_i
+    and b_i = g_i (1-g_i)/n1 the piece's objective is
+    d0/(x+1) + x - sum b_i/(x+g_i) up to constants, stationary where
+    h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = 0.
     Ordered gains have sum_{r<=n1} (gain_r - m)^2 <= n1 m (Jensen), so
     h'(x) = 2(x+1) [1 - (1/n1) sum g_i (1-g_i)^2/(x+g_i)^3] >= 2(x+1)(1-1/m)
     on x >= 0, with m >= 2 wherever phase 2 is on: h increases, and its
@@ -299,108 +321,119 @@ def _stationary_snrs(
     Newton steps from the right end that leave the bracket fall back to
     bisection, and one below half an ulp moves one ulp, until h is 0 or the
     bracket ends are adjacent floats (then the end with the smaller |h|).
-    Returns None when h(0) >= 0.
+    All rows step in lockstep and leave once certified; a row's arithmetic
+    does not depend on the others.  NaN where h(0) >= 0.
     """
-    m = p.m
-    above, below = gains[:branch2], gains[branch2:]
-    d0 = esnr(p) * (math.fsum(above - m) + math.fsum(below / m - 1.0)) / n1
-    g = m / above
-    b = g * (1.0 - g) / n1
+    above = np.arange(gains.shape[1]) < branch2[:, None]
+    d0 = esnr(p) * np.sum(np.where(above, gains - p.m, gains / p.m - 1.0), axis=1) / n1
+    g = np.where(above, p.m / gains, 1.0)  # below-threshold columns carry b = 0
+    b = np.where(above, g * (1.0 - g), 0.0) / n1[:, None]
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
 
-    def h(x: float) -> float:
-        return (x + 1.0) ** 2 + float(b @ ((x + 1.0) / (x + g)) ** 2) - d0
+    def h(x, g, b, d0):
+        u = (x + 1.0)[:, None] / (x[:, None] + g)
+        return (x + 1.0) ** 2 + np.sum(b * u * u, axis=1) - d0
 
-    if h(0.0) >= 0.0:
-        return None
-    lo, hi = 0.0, math.sqrt(d0 - float(b[b < 0.0].sum()))
+    out = np.full(d0.size, np.nan)
+    live = np.flatnonzero(h(np.zeros(d0.size), g, b, d0) < 0.0)
+    g, b, curve, d0 = g[live], b[live], curve[live], d0[live]
+    lo, hi = np.zeros(live.size), np.sqrt(d0 - np.sum(np.minimum(b, 0.0), axis=1))
     x = hi
     for _ in range(_ROOT_STEPS):
-        hx = h(x)
-        if hx == 0.0:
-            return x
-        if hx < 0.0:
-            lo = x
-        else:
-            hi = x
-        nxt = x - hx / (2.0 * (x + 1.0) * (1.0 - float(curve @ (x + g) ** -3)))
-        if nxt == x:
-            nxt = math.nextafter(x, hi if hx < 0.0 else lo)
-        if not lo < nxt < hi:
-            nxt = lo + 0.5 * (hi - lo)
-            if not lo < nxt < hi:
-                return min(lo, hi, key=lambda e: abs(h(e)))
+        if not live.size:
+            return out
+        hx = h(x, g, b, d0)
+        neg = hx < 0.0
+        lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
+        t = x[:, None] + g
+        nxt = x - hx / (2.0 * (x + 1.0) * (1.0 - np.sum(curve / (t * t * t), axis=1)))
+        nxt = np.where(nxt == x, np.nextafter(x, np.where(neg, hi, lo)), nxt)
+        bisect = ~((lo < nxt) & (nxt < hi))
+        nxt = np.where(bisect, lo + 0.5 * (hi - lo), nxt)
+        ends = bisect & ~((lo < nxt) & (nxt < hi)) & (hx != 0.0)
+        done = ends | (hx == 0.0)
+        if done.any():
+            out[live[hx == 0.0]] = x[hx == 0.0]
+            i = np.flatnonzero(ends)
+            nearer = np.abs(h(hi[i], g[i], b[i], d0[i])) < np.abs(h(lo[i], g[i], b[i], d0[i]))
+            out[live[i]] = np.where(nearer, hi[i], lo[i])
+            keep = ~done
+            live, nxt, lo, hi = live[keep], nxt[keep], lo[keep], hi[keep]
+            g, b, curve, d0 = g[keep], b[keep], curve[keep], d0[keep]
         x = nxt
+    if not live.size:
+        return out
     raise ArithmeticError(
         f"stationary point not bracketed to adjacent floats in {_ROOT_STEPS} "
-        f"steps at n1={n1}, branch2={branch2}: [{lo!r}, {hi!r}]"
+        f"steps at n1={n1[live[0]]}, branch2={branch2[live[0]]}: "
+        f"[{float(lo[0])!r}, {float(hi[0])!r}]"
     )
 
 
-def _threshold_crossing_snr(g: float, alpha: float, p: SystemParams) -> float | None:
-    """x at which rank gain ``g`` has expected power exactly alpha, if any.
+def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
+    """(case codes, e1, value, candidates) for each row of stacked gains,
+    one n1 per row: the best phase-1 energy, its value and the e1 tried.
 
-    In x the expected power is beta*(x*g + m)/(x + 1); it moves
-    monotonically from beta*m toward beta*g, so a positive crossing exists
-    only when alpha lies strictly between the two.
+    Low rows take the phase-1 closed form.  In x a rank's expected power
+    beta*(x*g + m)/(x + 1) moves monotonically from beta*m toward beta*g,
+    so it crosses alpha once if alpha lies strictly between the two.  A
+    row's K crossings cut its e1 axis into pieces (0, c1), ..., (cK, inf);
+    two at one energy raise.  On piece k the strongest branch2 ranks sit
+    above the threshold: n2 - k in high (the k weakest have sunk), k in
+    medium (ranks 1..k have risen), or j where alpha = beta*m and nothing
+    crosses.  Each piece's ends and inside stationary point are scored;
+    the smallest e1 of equal value wins.
     """
-    bg, bm = p.beta * g, p.beta * p.m
-    if bg == alpha or (alpha - bm) * (bg - alpha) <= 0.0:
-        return None
-    return (alpha - bm) / (p.beta * (g - alpha / p.beta))
+    codes = _case_codes(gains, p)
+    e1, value = _phase1_closed_form(gains, n1, p)
+    candidates = [(0.0, e) for e in e1.tolist()]
+    low, (rows, n2) = codes < 0, gains.shape
+    alpha, bm = refinement_threshold(p), p.beta * p.m
+    crosses = ((bm < alpha) & (alpha < p.beta * gains)) | ((p.beta * gains < alpha) & (alpha < bm))
+    x = np.full(gains.shape, np.inf)
+    np.divide(alpha - bm, p.beta * (gains - alpha / p.beta), out=x, where=crosses & ~low[:, None])
+    cut = np.sort(x * p.n0 / p.beta, axis=1)
+    tied = np.isfinite(cut[:, 1:]) & (cut[:, 1:] == cut[:, :-1])
+    if tied.any():
+        r = int(np.argmax(tied.any(axis=1)))
+        raise ArithmeticError(
+            f"distinct gains crossed the threshold at equal energies at n1={n1[r]}: "
+            f"{cut[r][np.isfinite(cut[r])].tolist()}"
+        )
+    count = np.sum(np.isfinite(cut), axis=1)
+    lo = np.concatenate([np.zeros((rows, 1)), cut], axis=1)
+    hi = np.concatenate([cut, np.full((rows, 1), np.inf)], axis=1)
+    row, k = np.nonzero(~low[:, None] & (lo < hi))  # pieces past cK have lo = hi = inf
+    branch2 = np.where(codes[row] == 0, n2 - k, k + codes[row] - count[row])
+    e_stat = _stationary_rows(gains[row], branch2, n1[row], p) * (p.n0 / p.beta)
+    inside = (lo[row, k] <= e_stat) & (e_stat <= hi[row, k])
+    stationary = np.full(lo.shape, np.inf)
+    stationary[row[inside], k[inside]] = e_stat[inside]
+    tried = np.concatenate([np.where(low[:, None], np.inf, lo), stationary], axis=1)
+    tried.sort(axis=1)
+    keep = np.isfinite(tried)
+    keep[:, 1:] &= tried[:, 1:] != tried[:, :-1]
+    at, tried = np.nonzero(keep)[0], tried[keep]
+    score = _gross(selected_powers(gains[at], tried[:, None], p), p) - n1[at] * tried
+    sizes = np.bincount(at, minlength=rows)[~low]
+    starts = np.cumsum(sizes) - sizes
+    first = np.lexsort((-score, at))[starts]  # stable: the smallest e1 of a tie
+    e1[~low], value[~low] = tried[first], score[first]
+    flat = tried.tolist()
+    for r, s, n in zip(np.flatnonzero(~low).tolist(), starts.tolist(), sizes.tolist()):
+        candidates[r] = tuple(flat[s : s + n])
+    return codes, e1, value, candidates
 
 
-def _best_over_pieces(
-    n1: int, gains: np.ndarray, breakpoints: list[float], p: SystemParams
-) -> tuple[float, float, tuple[float, ...]]:
-    """Maximize the reduced objective piecewise; returns (e1, value, tried).
-
-    ``breakpoints`` are the e1 values (ascending) where some rank crosses
-    the refinement threshold; between consecutive breakpoints the branch
-    pattern is frozen, so each piece contributes its stationary point, if
-    any, plus its endpoints as candidates.  Every candidate is scored
-    with the exact piecewise objective.
-    """
-    alpha = refinement_threshold(p)
-    x_scale = p.n0 / p.beta
-    edges = [0.0] + breakpoints + [math.inf]
-    candidates: list[float] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        probe = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + x_scale
-        powers = selected_powers(gains, probe, p)
-        branch2 = int(np.sum(powers > alpha))
-        x = _stationary_snrs(gains, branch2, n1, p)
-        if x is not None and lo <= x * x_scale <= hi:
-            candidates.append(x * x_scale)
-        candidates.append(lo)
-        if math.isfinite(hi):
-            candidates.append(hi)
-    tried = sorted(set(candidates))
-    values = [_reduced_net(gains, n1, e1, p) for e1 in tried]
-    best = int(np.argmax(values))
-    return tried[best], values[best], tuple(tried)
+def _stacked_gains(p: SystemParams) -> tuple[list[int], np.ndarray]:
+    # every n1, ascending, and its gains as one row, after one fill of all
+    order_stats.gains_up_to(p.n2, p.n, p.m)
+    n1s = list(range(p.n2, p.n + 1))
+    return n1s, np.array([order_stats.gains_up_to(p.n2, n1, p.m) for n1 in n1s])
 
 
 # ---------------------------------------------------------------------------
-# the per-n1 solver
-
-
-def _phase1_closed_form(
-    n1: int, gains: np.ndarray, p: SystemParams
-) -> tuple[float, float]:
-    # (e1, value) with phase 2 off: the low-ESNR optimum for this n1
-    surplus = math.fsum(gains / p.m - 1.0)
-    gamma = esnr(p)
-    scale = p.eta_t_ps * p.beta
-    if surplus < n1 / gamma:
-        return 0.0, scale * p.n2
-    e1 = math.sqrt(p.eta_t_ps * p.n0) * (
-        math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
-    )
-    value = scale * (p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2)
-    return e1, value
+# the per-n1 solver and the outer search
 
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
@@ -410,68 +443,37 @@ def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     High ESNR: weak ranks may sink through the threshold as e1 grows (when
     n1 is barely above n2).  Medium ESNR: ranks 1..j rise through it, which
     splits the e1 axis into j+1 intervals.  Crossings cut pieces, each
-    solved exactly by :func:`_best_over_pieces`.
+    solved exactly; this is the lockstep sweep's code on one row.
     """
     check_n1(n1, p)
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    label = _classify(gains, p)
-    if label.kind == LOW_ESNR:
-        e1, value = _phase1_closed_form(n1, gains, p)
-        return CaseSolution(label, e1, value, (0.0, e1))
-    alpha = refinement_threshold(p)
-    crossings = sorted(
-        x * p.n0 / p.beta
-        for g in gains.tolist()
-        if (x := _threshold_crossing_snr(g, alpha, p)) is not None
-    )
-    if not all(a < b for a, b in zip(crossings, crossings[1:])):
-        raise ArithmeticError(
-            f"distinct gains crossed the threshold at equal energies at n1={n1}: "
-            f"{crossings}"
-        )
-    e1, value, tried = _best_over_pieces(n1, gains, crossings, p)
-    return CaseSolution(label, e1, value, tried)
-
-
-# ---------------------------------------------------------------------------
-# outer search
+    codes, e1, value, candidates = _solve_rows(gains[None, :], np.array([n1]), p)
+    return CaseSolution(_label(int(codes[0])), float(e1[0]), float(value[0]), candidates[0])
 
 
 def optimize_training(p: SystemParams) -> Solution:
     """Globally optimal training design.
 
-    Sweeps n1 over its full range, solves each regime exactly, and keeps
-    the best; ties in value go to the smaller n1 (fewer trained bands at
-    equal net energy).  The returned plan re-derives the per-rank phase-2
-    energies from the winning (n1, e1).
+    Sweeps n1 over its full range in lockstep blocks of rows, solves each
+    regime exactly, and keeps the best; ties in value go to the smaller n1
+    (fewer trained bands at equal net energy).  The returned plan
+    re-derives the per-rank phase-2 energies from the winning (n1, e1).
     """
-    best: CaseSolution | None = None
-    best_n1 = -1
-    cases: dict[int, CaseLabel] = {}
-    log: list[tuple[int, tuple[float, ...]]] = []
-    # one quadrature fills the gains of every n1 below (the gain triangle)
-    order_stats.gains_up_to(p.n2, p.n, p.m)
-    for n1 in range(p.n2, p.n + 1):
-        try:
-            sol = solve_for_n1(n1, p)
-        except Exception as exc:
-            raise RuntimeError(f"sub-solver failed at n1={n1}: {exc}") from exc
-        cases[n1] = sol.label
-        log.append((n1, sol.candidates))
-        if best is None or sol.value > best.value:
-            best, best_n1 = sol, n1
-    assert best is not None
-    e2 = tuple(
-        optimal_phase2_energy(rank, best_n1, best.e1, p)
-        for rank in range(1, p.n2 + 1)
-    )
-    plan = TrainingPlan(n1=best_n1, e1=best.e1, e2=e2)
-    return Solution(
-        plan=plan,
-        qnet_star=best.value,
-        case_used_per_n1=cases,
-        candidate_log=log,
-    )
+    n1s, gains = _stacked_gains(p)
+    step = max(1, _BLOCK_TARGET // (p.n2 * (p.n2 + 1)))
+    best_n1, best_e1, best_value = -1, 0.0, -math.inf
+    cases, log = {}, []
+    for start in range(0, len(n1s), step):
+        block = n1s[start : start + step]
+        codes, e1, value, candidates = _solve_rows(gains[start : start + step], np.array(block), p)
+        i = int(np.argmax(value))
+        if value[i] > best_value:
+            best_n1, best_e1, best_value = block[i], float(e1[i]), float(value[i])
+        cases.update(zip(block, map(_label, codes.tolist())))
+        log.extend(zip(block, candidates))
+    rn = selected_powers(gains[best_n1 - p.n2], best_e1, p)
+    e2 = tuple(_phase2_energies(rn, p).tolist())
+    return Solution(TrainingPlan(best_n1, best_e1, e2), best_value, cases, log)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +484,13 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     """Best design with phase 2 disabled (diversity gain only).
 
     With all e2 pinned at zero the objective matches the low-ESNR closed
-    form for every regime, so the same formula is swept over n1.
+    form for every regime, so the same formula is swept over n1, as one
+    array expression over the stacked gains.
     """
-    best_plan: TrainingPlan | None = None
-    best_value = -math.inf
-    order_stats.gains_up_to(p.n2, p.n, p.m)  # fills every n1's gains at once
-    for n1 in range(p.n2, p.n + 1):
-        gains = order_stats.gains_up_to(p.n2, n1, p.m)
-        e1, value = _phase1_closed_form(n1, gains, p)
-        if value > best_value:
-            best_value = value
-            best_plan = TrainingPlan(n1=n1, e1=e1, e2=(0.0,) * p.n2)
-    assert best_plan is not None
-    return best_plan, best_value
+    n1s, gains = _stacked_gains(p)
+    e1, value = _phase1_closed_form(gains, np.array(n1s), p)
+    i = int(np.argmax(value))
+    return TrainingPlan(n1=n1s[i], e1=float(e1[i]), e2=(0.0,) * p.n2), float(value[i])
 
 
 def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
@@ -504,10 +500,9 @@ def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     energy is shared by all selected bands.
     """
     bm = p.beta * p.m
-    e2 = optimal_phase2_energy(1, p.n2, 0.0, p) if p.m > 1 else 0.0
-    value = p.n2 * (p.eta_t_ps * bm - _penalty_of_power(bm, p))
-    plan = TrainingPlan(n1=p.n2, e1=0.0, e2=(e2,) * p.n2)
-    return plan, value
+    e2 = optimal_phase2_energy(1, p.n2, 0.0, p)
+    value = p.n2 * (p.eta_t_ps * bm - float(_penalty(np.array([bm]), p)[0]))
+    return TrainingPlan(n1=p.n2, e1=0.0, e2=(e2,) * p.n2), value
 
 
 def solve_brute_force(p: SystemParams) -> tuple[float, float]:

@@ -26,6 +26,7 @@ __all__ = [
     "SystemParams",
     "TrainingPlan",
     "average_harvested_energy",
+    "check_e1",
     "check_n1",
     "esnr",
     "expected_selected_power",
@@ -91,8 +92,7 @@ class TrainingPlan:
     e2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.e1) and self.e1 >= 0):
-            raise ValueError(f"phase-1 energy must be finite and >= 0, got {self.e1}")
+        check_e1(self.e1)
         if not all(math.isfinite(x) and x >= 0 for x in self.e2):
             raise ValueError("phase-2 energies must be finite and >= 0")
         object.__setattr__(self, "e2", tuple(float(x) for x in self.e2))
@@ -116,6 +116,12 @@ def check_n1(n1: int, p: SystemParams) -> None:
         raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
 
 
+def check_e1(e1: float) -> None:
+    """Raise unless the phase-1 pilot energy is finite and >= 0."""
+    if not (math.isfinite(e1) and e1 >= 0):
+        raise ValueError(f"phase-1 energy must be finite and >= 0, got {e1}")
+
+
 def selected_powers(gains, e1: float, p: SystemParams):
     """(beta^2 e1 g + beta n0 m) / (beta e1 + n0) for noise-free gains g, a
     float or an array: expected selected powers, unchecked (a hot path)."""
@@ -131,8 +137,7 @@ def expected_selected_power(rank: int, n1: int, e1: float, p: SystemParams) -> f
     """
     if not 1 <= rank <= n1:
         raise ValueError(f"rank must be in [1, {n1}], got {rank}")
-    if e1 < 0:
-        raise ValueError(f"phase-1 energy must be >= 0, got {e1}")
+    check_e1(e1)
     return selected_powers(order_stats.gain(rank, n1, p.m), e1, p)
 
 

@@ -625,6 +625,127 @@ class TestAgainstGridOracle:
         assert optimize_training(p).qnet_star >= oracle - 1e-4 * abs(oracle)
 
 
+def rows_inside_optimize(p: SystemParams):
+    """``optimize_training(p)`` and the per-n1 rows of its lockstep blocks,
+    ``{n1: (label, e1, value, candidates)}``, with the block count."""
+    rows: dict = {}
+    blocks = []
+    real = optimizer._solve_rows
+
+    def recording(gains, n1, q):
+        codes, e1, value, candidates = out = real(gains, n1, q)
+        blocks.append(n1.tolist())
+        for i, n in enumerate(n1.tolist()):
+            label = optimizer._label(int(codes[i]))
+            rows[n] = (label, float(e1[i]), float(value[i]), candidates[i])
+        return out
+
+    optimizer._solve_rows = recording  # not monkeypatch: Hypothesis reruns the body
+    try:
+        sol = optimize_training(p)
+    finally:
+        optimizer._solve_rows = real
+    return sol, rows, len(blocks)
+
+
+def assert_row_is_solve_for_n1(row, n1: int, p: SystemParams) -> None:
+    one = solve_for_n1(n1, p)
+    assert (one.label, one.e1, one.value, one.candidates) == row, n1
+    assert {type(one.e1), type(one.value)} == {float}
+    assert all(type(e) is float for e in one.candidates)
+
+
+class TestLockstepSweep:
+    """The sweep solves every n1 in blocks of rows; ``solve_for_n1`` is the
+    same code on one row and must reproduce each row bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    def test_solve_for_n1_is_its_row(self, p):
+        sol, rows, _ = rows_inside_optimize(p)
+        assert sorted(rows) == list(range(p.n2, p.n + 1))
+        for n1, row in rows.items():
+            assert_row_is_solve_for_n1(row, n1, p)
+        assert sol.case_used_per_n1 == {n1: row[0] for n1, row in rows.items()}
+        assert sol.candidate_log == [(n1, rows[n1][3]) for n1 in sorted(rows)]
+        best = max(rows.values(), key=lambda row: row[2])
+        assert (sol.qnet_star, sol.plan.e1) == (best[2], best[1])
+        # ties go to the smaller n1
+        assert sol.plan.n1 == min(n1 for n1, row in rows.items() if row[2] == best[2])
+
+    def test_wide_medium_spans_blocks(self):
+        # m=4, n=400, n2=200 at t=5e-7: medium at every n1, up to 124
+        # crossings, six n1 rows per block
+        p = ism_link(m=4, n=400, n2=200, t=5e-7)
+        sol, rows, blocks = rows_inside_optimize(p)
+        assert blocks == math.ceil(201 / (optimizer._BLOCK_TARGET // (200 * 201))) > 1
+        assert {label.kind for label, *_ in rows.values()} == {MEDIUM_ESNR}
+        assert max(len(row[3]) for row in rows.values()) > 100
+        for n1 in (200, 201, 205, 206, 299, 333, 399, 400):
+            assert_row_is_solve_for_n1(rows[n1], n1, p)
+        assert sol.qnet_star == max(row[2] for row in rows.values())
+
+    def test_tie_across_blocks_goes_to_smallest_n1(self):
+        # a block too short for training to pay: every n1 nets the no-CSI
+        # value exactly, in each of the 34 blocks
+        p = ism_link(m=4, n=400, n2=200, t=1e-9)
+        sol, rows, blocks = rows_inside_optimize(p)
+        assert blocks > 1
+        assert {row[1:3] for row in rows.values()} == {(0.0, p.eta_t_ps * p.beta * p.n2)}
+        assert (sol.plan.n1, sol.plan.e1) == (200, 0.0)
+
+    def test_equal_crossings_raise_naming_n1(self, monkeypatch):
+        # two ranks with one gain cross the threshold at one energy
+        p = TestMediumEsnr()._medium_instance()
+        real = order_stats.gains_up_to
+
+        def tied(rank_max, pop, dim):
+            gains = real(rank_max, pop, dim).copy()
+            gains[1] = gains[0]
+            return gains
+
+        monkeypatch.setattr(order_stats, "gains_up_to", tied)
+        with pytest.raises(ArithmeticError, match=r"equal energies at n1=12: \["):
+            solve_for_n1(12, p)
+        # nothing crosses at n1 = 3 (low ESNR); the sweep names the first
+        # n1 that fails
+        assert solve_for_n1(3, p).label.kind == LOW_ESNR
+        with pytest.raises(ArithmeticError, match=r"equal energies at n1=4: \["):
+            optimize_training(p)
+
+    def test_newton_step_cap_raises_naming_n1(self, monkeypatch):
+        # high ESNR: n1 = 3 has no stationary point, n1 = 4 the first one
+        p = params()
+        assert solve_for_n1(3, p).candidates == (0.0,)
+        monkeypatch.setattr(optimizer, "_ROOT_STEPS", 1)
+        message = r"not bracketed to adjacent floats in 1 steps at n1={}, branch2=3: \["
+        with pytest.raises(ArithmeticError, match=message.format(12)):
+            solve_for_n1(12, p)
+        with pytest.raises(ArithmeticError, match=message.format(4)):
+            optimize_training(p)
+
+    def test_phase1_only_matches_scalar_sweep(self):
+        # the per-n1 loop of the low-ESNR closed form, as a reference
+        for p in (ism_link(m=10, n=120, n2=16, t=1e-5), params(), params(m=1)):
+            gamma, scale = esnr(p), p.eta_t_ps * p.beta
+            best = (-math.inf, 0, 0.0)
+            for n1 in range(p.n2, p.n + 1):
+                surplus = math.fsum(order_stats.gains_up_to(p.n2, n1, p.m) / p.m - 1.0)
+                if surplus < n1 / gamma:
+                    value, e1 = scale * p.n2, 0.0
+                else:
+                    e1 = math.sqrt(p.eta_t_ps * p.n0) * (
+                        math.sqrt(surplus / n1) - 1.0 / math.sqrt(gamma)
+                    )
+                    value = scale * (p.n2 + (math.sqrt(surplus) - math.sqrt(n1 / gamma)) ** 2)
+                if value > best[0]:
+                    best = (value, n1, e1)
+            plan, value = solve_phase1_only(p)
+            assert plan.n1 == best[1]
+            assert value == pytest.approx(best[0], rel=1e-13)
+            assert plan.e1 == pytest.approx(best[2], rel=1e-12, abs=1e-300)
+
+
 class TestRestrictedSchemes:
     def test_phase1_only_never_beats_joint(self, small_params):
         _, v1 = solve_phase1_only(small_params)

@@ -154,6 +154,31 @@ class TestTrainedBandRange:
         call(p.n, p)
 
 
+class TestPhase1EnergyCheck:
+    """One finite-and-nonnegative check behind every entry point that takes an e1."""
+
+    ENTRY_POINTS = {
+        "expected_selected_power": lambda e1, p: expected_selected_power(1, 12, e1, p),
+        "net_energy_given_phase1": lambda e1, p: optimizer.net_energy_given_phase1(12, e1, p),
+        "ranked_power_moments": lambda e1, p: channel_sim.ranked_power_moments(
+            12, e1, p, 10, 0
+        ),
+        "TrainingPlan": lambda e1, p: TrainingPlan(n1=12, e1=e1, e2=(0.0,) * p.n2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("e1", [math.nan, math.inf, -math.inf, -1e-13])
+    def test_rejects_bad_energy(self, entry, e1):
+        message = rf"^phase-1 energy must be finite and >= 0, got {e1}$"
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](e1, params())
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_accepts_zero_and_positive(self, entry):
+        for e1 in (0.0, 1e-13):
+            self.ENTRY_POINTS[entry](e1, params())
+
+
 class TestHarvestedEnergy:
     def test_single_antenna_ignores_phase2(self):
         p = params(m=1)
