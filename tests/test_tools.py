@@ -21,7 +21,8 @@ def load(name: str):
 
 @pytest.mark.usefixtures("empty_memo")  # a cold case empties the memo it sees
 @pytest.mark.parametrize("script", ["bench_optimizer", "bench_simulator"])
-def test_every_case_runs(script):
+def test_every_case_runs(script, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))  # the scripts import benchlib beside them
     cases = load(script)._cases()
     assert cases
     for name, run, *_ in cases:

@@ -5,12 +5,11 @@ Usage::
     python tools/bench_optimizer.py --tree parent=../parent/src --tree change=src \
         --out BENCH_optimizer.json
 
-Each tree is timed in fresh interpreters that import ``wetopt`` from that
-tree, pinned to one CPU with one BLAS thread.  Rounds alternate between
-the trees, and each case reports the best of all its repeats.  A warm case
-runs once untimed first, so the gain memo is full; a cold case empties
-the memo before every run, so it pays the gain quadrature as a first call
-does.  The cases are the four ``design-sweep-wide`` block lengths, the
+Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
+to one CPU with one BLAS thread, rounds alternating the trees), and each
+case reports the best of all its repeats.  A warm case runs once untimed
+first, so the gain memo is full; a cold case empties the memo before
+every run, so it pays the gain quadrature as a first call does.  The cases are the four ``design-sweep-wide`` block lengths, the
 ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
 ``n=5000`` cold and warm, a wide medium/high design (``m=4, n=200,
 n2=100``) and the acceptance c09 shape (``m=1, n=2000, n2=1``).  Each
@@ -20,17 +19,14 @@ times, so a speed-up that moved an answer shows.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 
+import benchlib
+
 ROUNDS = 2  # fresh interpreters per tree, alternating trees
 REPEATS = 3  # timed runs per case in each interpreter
-BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _cases():
@@ -39,7 +35,7 @@ def _cases():
 
     link = dict(ps=0.06, eta=0.8, beta=1e-6, n0=1e-19)
 
-    def solve(cold=False, **shape):
+    def case(name, cold=False, **shape):
         p = SystemParams(**shape, **link)
 
         def run():
@@ -47,20 +43,19 @@ def _cases():
                 order_stats._memo.clear()
             return optimizer.optimize_training(p)
 
-        return run
+        return name, run, cold
 
-    cases = [
-        (f"design-sweep-wide t={t:g} (m=4, n=80, n2=64)", solve(m=4, n=80, n2=64, t=t), False)
+    wide = [
+        case(f"design-sweep-wide t={t:g} (m=4, n=80, n2=64)", m=4, n=80, n2=64, t=t)
         for t in (1e-7, 3e-7, 5e-6, 1e-1)
     ]
-    cases += [
-        ("ISM n=866 warm", solve(m=10, n=866, n2=16, t=5e-5), False),
-        ("m=10, n=5000, n2=16 cold", solve(True, m=10, n=5000, n2=16, t=5e-5), True),
-        ("m=10, n=5000, n2=16 warm", solve(m=10, n=5000, n2=16, t=5e-5), False),
-        ("m=4, n=200, n2=100 warm", solve(m=4, n=200, n2=100, t=5e-5), False),
-        ("c09 shape m=1, n=2000, n2=1 warm", solve(m=1, n=2000, n2=1, t=0.05), False),
+    return wide + [
+        case("ISM n=866 warm", m=10, n=866, n2=16, t=5e-5),
+        case("m=10, n=5000, n2=16 cold", True, m=10, n=5000, n2=16, t=5e-5),
+        case("m=10, n=5000, n2=16 warm", m=10, n=5000, n2=16, t=5e-5),
+        case("m=4, n=200, n2=100 warm", m=4, n=200, n2=100, t=5e-5),
+        case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
     ]
-    return cases
 
 
 def child() -> None:
@@ -82,82 +77,41 @@ def child() -> None:
     print(json.dumps(out))
 
 
-def _run_tree(src: str, cpu: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.update({name: "1" for name in BLAS_ENV})
-    command = [sys.executable, os.path.abspath(__file__), "--child"]
-    # the child is pinned before it starts, so numpy's threads inherit the CPU
-    proc = subprocess.run(
-        command, env=env, capture_output=True, text=True, check=True,
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-    )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    expected = os.path.join(os.path.abspath(src), "wetopt", "__init__.py")
-    if os.path.realpath(result["wetopt_file"]) != os.path.realpath(expected):
-        raise RuntimeError(f"imported {result['wetopt_file']}, not the tree at {src}")
-    return result
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tree", action="append", default=[], metavar="LABEL=SRC",
-        help="a column label and the src directory holding its wetopt",
-    )
-    parser.add_argument("--out", default="BENCH_optimizer.json")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_optimizer.json")
     if args.child:
         child()
         return 0
-    if not args.tree:
-        parser.error("give at least one --tree LABEL=SRC")
-    trees = [spec.split("=", 1) for spec in args.tree]
-    if any(len(t) != 2 for t in trees):
-        parser.error("--tree takes LABEL=SRC")
-    cpu = max(os.sched_getaffinity(0))
     best: dict[str, dict[str, float]] = {}
     answers: dict[str, dict[str, dict]] = {}
     numpy_version = None
-    for round_ in range(ROUNDS):
-        order = trees if round_ % 2 == 0 else trees[::-1]
-        for label, src in order:
-            result = _run_tree(src, cpu)
-            numpy_version = result["numpy"]
-            for name, case in result["cases"].items():
-                row = best.setdefault(name, {})
-                row[label] = min(row.get(label, float("inf")), case["seconds"])
-                answers.setdefault(name, {})[label] = case["answer"]
+    for label, result in benchlib.alternate(__file__, trees, ROUNDS):
+        numpy_version = result["numpy"]
+        for name, case in result["cases"].items():
+            row = best.setdefault(name, {})
+            row[label] = min(row.get(label, float("inf")), case["seconds"])
+            answers.setdefault(name, {})[label] = case["answer"]
     labels = [label for label, _ in trees]
     first = labels[0]
-    report = {
-        "what": "best wall time in seconds of one optimize_training call",
-        "nproc": os.cpu_count(),
-        "pinned_cpus": 1,
-        "blas_threads": 1,
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "rounds": ROUNDS,
-        "repeats_per_round": REPEATS,
-        "columns": labels,
-        "rows": [
-            {"case": name, **{label: round(row[label], 4) for label in labels}}
-            for name, row in best.items()
-        ],
-        "answers": [
-            {
-                "case": name,
-                **answers[name],
-                "same_n1": len({a["n1"] for a in answers[name].values()}) == 1,
-                f"max_rel_qnet_vs_{first}": max(
-                    abs(a["qnet_star"] - answers[name][first]["qnet_star"])
-                    / abs(answers[name][first]["qnet_star"])
-                    for a in answers[name].values()
-                ),
-            }
-            for name in best
-        ],
-    }
+    what = "best wall time in seconds of one optimize_training call"
+    report = benchlib.report(what, numpy_version, ROUNDS, REPEATS, labels)
+    report["rows"] = [
+        {"case": name, **{label: round(row[label], 4) for label in labels}}
+        for name, row in best.items()
+    ]
+    report["answers"] = [
+        {
+            "case": name,
+            **answers[name],
+            "same_n1": len({a["n1"] for a in answers[name].values()}) == 1,
+            f"max_rel_qnet_vs_{first}": max(
+                abs(a["qnet_star"] - answers[name][first]["qnet_star"])
+                / abs(answers[name][first]["qnet_star"])
+                for a in answers[name].values()
+            ),
+        }
+        for name in best
+    ]
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -5,9 +5,9 @@ Usage::
     python tools/bench_simulator.py --tree parent=../parent/src --tree change=src \
         --out BENCH_simulator.json
 
-Each tree is timed in fresh interpreters that import ``wetopt`` from that
-tree, pinned to one CPU with one BLAS thread.  Rounds alternate between
-the trees, and each case reports the best of all its repeats.  The cases
+Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
+to one CPU with one BLAS thread, rounds alternating the trees), and each
+case reports the best of all its repeats.  The cases
 are the ROADMAP baseline's simulator rows at ISM (``m=10, n=866, n2=16``,
 ``t=5e-5``, 1e4 trials) and ``run_two_phase`` on one small system at
 growing antenna counts, which shows whether a trial's cost grows with m.
@@ -15,20 +15,17 @@ growing antenna counts, which shows whether a trial's cost grows with m.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
+
+import benchlib
 
 TRIALS = 10_000
 SEED = 1
 ROUNDS = 2  # fresh interpreters per tree, alternating trees
 REPEATS = 3  # timed runs per case in each interpreter
 SCALING_M = (10, 100, 1000)
-BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _cases():
@@ -77,66 +74,25 @@ def child() -> None:
     print(json.dumps(out))
 
 
-def _run_tree(src: str, cpu: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    env.update({name: "1" for name in BLAS_ENV})
-    command = [sys.executable, os.path.abspath(__file__), "--child"]
-    # the child is pinned before it starts, so numpy's threads inherit the CPU
-    proc = subprocess.run(
-        command, env=env, capture_output=True, text=True, check=True,
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-    )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    expected = os.path.join(os.path.abspath(src), "wetopt", "__init__.py")
-    if os.path.realpath(result["wetopt_file"]) != os.path.realpath(expected):
-        raise RuntimeError(f"imported {result['wetopt_file']}, not the tree at {src}")
-    return result
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tree", action="append", default=[], metavar="LABEL=SRC",
-        help="a column label and the src directory holding its wetopt",
-    )
-    parser.add_argument("--out", default="BENCH_simulator.json")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_simulator.json")
     if args.child:
         child()
         return 0
-    if not args.tree:
-        parser.error("give at least one --tree LABEL=SRC")
-    trees = [spec.split("=", 1) for spec in args.tree]
-    if any(len(t) != 2 for t in trees):
-        parser.error("--tree takes LABEL=SRC")
-    cpu = max(os.sched_getaffinity(0))
     best: dict[str, dict[str, float]] = {}
     numpy_version = None
-    for round_ in range(ROUNDS):
-        order = trees if round_ % 2 == 0 else trees[::-1]
-        for label, src in order:
-            result = _run_tree(src, cpu)
-            numpy_version = result["numpy"]
-            for name, seconds in result["cases"].items():
-                row = best.setdefault(name, {})
-                row[label] = min(row.get(label, float("inf")), seconds)
+    for label, result in benchlib.alternate(__file__, trees, ROUNDS):
+        numpy_version = result["numpy"]
+        for name, seconds in result["cases"].items():
+            row = best.setdefault(name, {})
+            row[label] = min(row.get(label, float("inf")), seconds)
     labels = [label for label, _ in trees]
-    report = {
-        "what": "best wall time in seconds of one call, 1e4 trials, seed 1",
-        "nproc": os.cpu_count(),
-        "pinned_cpus": 1,
-        "blas_threads": 1,
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "rounds": ROUNDS,
-        "repeats_per_round": REPEATS,
-        "columns": labels,
-        "rows": [
-            {"case": name, **{label: round(row[label], 4) for label in labels}}
-            for name, row in best.items()
-        ],
-    }
+    what = "best wall time in seconds of one call, 1e4 trials, seed 1"
+    report = benchlib.report(what, numpy_version, ROUNDS, REPEATS, labels)
+    report["rows"] = [
+        {"case": name, **{label: round(row[label], 4) for label in labels}}
+        for name, row in best.items()
+    ]
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
