@@ -23,10 +23,11 @@ the pieces' ends and stationary points are scored with the exact
 piecewise objective.  :func:`poly_real_roots` is the tests' root oracle.
 
 The n1 sweep runs in lockstep on the gains of every n1 stacked into one
-(n1 count, n2) array: labels, crossings, the Newton iterations of every
-(n1, piece) and the scores of every candidate are numpy passes over
-blocks of rows, of at most ``_BLOCK_TARGET`` elements per (rows x n2)
-array.  :func:`solve_for_n1` runs the same code on one row.
+(n1 count, n2) array: labels, crossings, a prefix-sum screen of every
+(n1, piece), the Newton iterations of the pieces that pass it and the
+scores of every candidate are numpy passes over blocks of rows, of at
+most ``_BLOCK_TARGET`` elements per (rows x n2) array.
+:func:`solve_for_n1` runs the same code on one row.
 """
 
 from __future__ import annotations
@@ -170,12 +171,21 @@ def _gross(rn: np.ndarray, p: SystemParams):
     return (p.eta_t_ps * rn - _penalty(rn, p)).sum(axis=-1)
 
 
-def net_energy_given_phase1(n1: int, e1: float, p: SystemParams) -> float:
-    """Net harvested energy at (n1, e1) with phase-2 energies optimized out."""
+def net_energy_given_phase1(n1: int, e1: float | np.ndarray, p: SystemParams) -> float | np.ndarray:
+    """Net harvested energy at (n1, e1) with phase-2 energies optimized out.
+
+    ``e1`` is one energy, which gives a float, or an array of them, which
+    gives an array of the same shape in one pass, each entry the float one
+    energy gives.
+    """
     check_n1(n1, p)
-    check_e1(e1)
+    e = np.asarray(e1, dtype=float)
+    ok = np.isfinite(e) & (e >= 0)
+    if not ok.all():
+        check_e1(float(e[~ok].flat[0]))  # raises, naming the first bad energy
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    return float(_gross(selected_powers(gains, e1, p), p)) - n1 * e1
+    net = _gross(selected_powers(gains, e[..., None], p), p) - n1 * e
+    return float(net) if net.ndim == 0 else net
 
 
 def _phase1_closed_form(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
@@ -322,7 +332,9 @@ def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: 
     bisection, and one below half an ulp moves one ulp, until h is 0 or the
     bracket ends are adjacent floats (then the end with the smaller |h|).
     All rows step in lockstep and leave once certified; a row's arithmetic
-    does not depend on the others.  NaN where h(0) >= 0.
+    does not depend on the others.  NaN where h(0) >= 0.  The sweep sends
+    only the pieces that pass :func:`_piece_h0`'s screen, so the per-rank
+    arrays are built for those alone.
     """
     above = np.arange(gains.shape[1]) < branch2[:, None]
     d0 = esnr(p) * np.sum(np.where(above, gains - p.m, gains / p.m - 1.0), axis=1) / n1
@@ -370,6 +382,30 @@ def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: 
     )
 
 
+def _piece_h0(gains: np.ndarray, row: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
+    """``(h0, slack)`` per piece, the screen of :func:`_stationary_rows`:
+    a piece with ``h0 >= slack`` has no stationary point.
+
+    Piece i is row ``row[i]`` of ``gains`` with its strongest ``branch2[i]``
+    ranks above the threshold.  Its h(0) = 1 + sum b_i/g_i^2 - d0 needs no
+    per-rank array: b_i/g_i^2 = (gain_i/m - 1)/n1, so with the prefix sums
+    A = cumsum(gain - m) over ranks (leading 0) and B = A/m,
+    h(0) = 1 + B[branch2]/n1 - gamma (A[branch2] + B[n2] - B[branch2])/n1.
+    These sums round differently from the per-rank ones; ``slack`` bounds
+    the two roundings from sum(gain + m) over the row, so every piece whose
+    per-rank h(0) is negative has h0 < slack, and the per-rank h(0) stays
+    the test of the pieces that pass.
+    """
+    rows, n2 = gains.shape
+    prefix = np.zeros((rows, n2 + 1))
+    np.cumsum(gains - p.m, axis=1, out=prefix[:, 1:])
+    above, total, n, gamma = prefix[row, branch2], prefix[row, n2], n1[row], esnr(p)
+    h0 = 1.0 + above / (p.m * n) - gamma * (above + (total - above) / p.m) / n
+    scale = total + 2 * n2 * p.m  # sum(gain + m) over the row
+    slack = 16.0 * (n2 + 1) * np.finfo(float).eps * (1.0 + (1.0 + gamma) * scale / n)
+    return h0, slack
+
+
 def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     """(case codes, e1, value, candidates) for each row of stacked gains,
     one n1 per row: the best phase-1 energy, its value and the e1 tried.
@@ -381,13 +417,20 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     two at one energy raise.  On piece k the strongest branch2 ranks sit
     above the threshold: n2 - k in high (the k weakest have sunk), k in
     medium (ranks 1..k have risen), or j where alpha = beta*m and nothing
-    crosses.  Each piece's ends and inside stationary point are scored;
-    the smallest e1 of equal value wins.
+    crosses.  Before any per-rank array is built, :func:`_piece_h0`
+    reads each piece's h(0) from prefix sums over ranks; only pieces with
+    h(0) below its rounding slack, those that may hold a stationary point,
+    go to :func:`_stationary_rows`, and the others get NaN as they would
+    there.  A block of low rows returns after the closed form.  Each
+    piece's ends and inside stationary point are scored; the smallest e1
+    of equal value wins.
     """
     codes = _case_codes(gains, p)
     e1, value = _phase1_closed_form(gains, n1, p)
     candidates = [(0.0, e) for e in e1.tolist()]
     low, (rows, n2) = codes < 0, gains.shape
+    if low.all():
+        return codes, e1, value, candidates
     alpha, bm = refinement_threshold(p), p.beta * p.m
     crosses = ((bm < alpha) & (alpha < p.beta * gains)) | ((p.beta * gains < alpha) & (alpha < bm))
     x = np.full(gains.shape, np.inf)
@@ -405,7 +448,12 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     hi = np.concatenate([cut, np.full((rows, 1), np.inf)], axis=1)
     row, k = np.nonzero(~low[:, None] & (lo < hi))  # pieces past cK have lo = hi = inf
     branch2 = np.where(codes[row] == 0, n2 - k, k + codes[row] - count[row])
-    e_stat = _stationary_rows(gains[row], branch2, n1[row], p) * (p.n0 / p.beta)
+    h0, slack = _piece_h0(gains, row, branch2, n1, p)
+    live = np.flatnonzero(h0 < slack)
+    e_stat = np.full(row.size, np.nan)
+    if live.size:
+        rows_live = row[live]
+        e_stat[live] = _stationary_rows(gains[rows_live], branch2[live], n1[rows_live], p) * (p.n0 / p.beta)
     inside = (lo[row, k] <= e_stat) & (e_stat <= hi[row, k])
     stationary = np.full(lo.shape, np.inf)
     stationary[row[inside], k[inside]] = e_stat[inside]

@@ -22,8 +22,8 @@ closed-form domain (:func:`closed_form_domain`) an entry holds the exact
 gains; elsewhere it comes from the gain triangle below, and
 ``gain_quadrature`` serves as the triangle's oracle.  Every entry on the
 quadrature route derives from exactly one integrated population: a miss
-walks down from the nearest population held whole above it (through
-populations the memo holds), switches to the stored array of each
+walks down from the nearest population held whole above it, past any
+populations the memo lacks, switches to the stored array of each
 population held whole that it passes, and never rewrites an entry that
 already holds the ranks asked for.  A fill holds one module-level lock; a
 hit reads one array without it.
@@ -272,11 +272,14 @@ def _survivals(v: np.ndarray, rank_max: int, pop: int, dim: int) -> np.ndarray:
 def _upper_cutoff(pop: int, dim: int) -> float:
     """Point beyond which the rank-1 survival is below the cutoff.
 
-    Doubling from the Erlang mean, then bisection onto the crossing.
+    Doubling from the Erlang mean, then bisection onto the crossing.  The
+    rank-1 survival is ``1 - P^pop = -expm1(pop log P)``, one Erlang tail
+    per step rather than a row of ``pop + 1`` binomial weights.
     """
 
     def below(v: float) -> bool:
-        return _survivals(np.array([v]), 1, pop, dim)[0, 0] < _SURVIVAL_CUTOFF
+        logp = _erlang_log_tails(np.array([v]), dim)[0][0]
+        return -math.expm1(pop * logp) < _SURVIVAL_CUTOFF
 
     v = float(dim)
     for _ in range(200):
@@ -549,11 +552,8 @@ def _fill(rank_max: int, pop: int, dim: int) -> None:
         else:
             _hold(pop, dim, [float(g) for g in _closed_gain_fractions(pop, dim)])
         return
-    top = pop + 1
-    while (level := _memo.get((top, dim))) is not None and level.size < top:
-        top += 1
-    if level is None:
-        level = _hold(pop, dim, _quadrature_gains(pop, pop, dim))
+    whole = [n for (n, d), held in _memo.items() if d == dim and n > pop and held.size == n]
+    level = _memo[(min(whole), dim)] if whole else _hold(pop, dim, _quadrature_gains(pop, pop, dim))
     _walk_down(rank_max, level, dim)
 
 
@@ -563,10 +563,10 @@ def gains_up_to(rank_max: int, pop: int, dim: int) -> np.ndarray:
     A memo hit is one read of the ``(pop, dim)`` array and a slice.  On a
     miss, a population in the closed-form domain stores the exact gains
     of every rank (``dim == 1``: the harmonic tails of ranks 1..rank_max,
-    extended by a later miss).  On the quadrature route the miss scans up
-    from ``pop + 1`` through the populations the memo holds and walks the
+    extended by a later miss).  On the quadrature route the miss walks the
     triangle rule ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n``
-    down from the first one it holds whole; if there is none, one adaptive
+    down from the smallest population above ``pop`` that the memo holds
+    whole, whatever gaps lie between; if there is none, one adaptive
     pass integrates all ``pop`` ranks (they share every binomial term) and
     the walk starts there.  The walk memoizes ranks 1..rank_max of every
     smaller population on the quadrature route, down to population

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -140,6 +140,24 @@ class TestReducedObjective:
         vals = [net_energy_given_phase1(8, float(e1), p) for e1 in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_array_of_energies_is_the_scalar_calls(self):
+        # low, medium and high, and both sides of every threshold crossing
+        for p in (params_with_threshold(1e-4), TestMediumEsnr()._medium_instance(), params()):
+            grid = np.concatenate([[0.0], np.geomspace(1e-18, 1e-8, 999)]).reshape(20, 50)
+            for n1 in (p.n2, p.n):
+                values = net_energy_given_phase1(n1, grid, p)
+                assert values.shape == grid.shape
+                scalar = [net_energy_given_phase1(n1, e1, p) for e1 in grid.ravel().tolist()]
+                assert {type(v) for v in scalar} == {float}
+                assert values.ravel().tolist() == scalar
+        assert type(net_energy_given_phase1(8, np.float64(1e-13), params())) is float
+
+    def test_array_names_its_first_bad_energy(self):
+        with pytest.raises(ValueError, match=r"^phase-1 energy must be finite and >= 0, got nan$"):
+            net_energy_given_phase1(8, np.array([0.0, 1e-13, math.nan, -1.0]), params())
+        with pytest.raises(ValueError, match=r"^phase-1 energy must be finite and >= 0, got -1.0$"):
+            net_energy_given_phase1(8, [[0.0], [-1.0]], params())
+
 
 class TestClassification:
     def test_single_antenna_always_low(self):
@@ -226,8 +244,7 @@ class TestHighEsnr:
                 np.sum(order_stats.gains_up_to(p.n2, p.n, p.m))
             ) / n1
             grid = np.concatenate([[0.0], np.geomspace(hi * 1e-9, hi, 100_000)])
-            vals = [net_energy_given_phase1(n1, float(e1), p) for e1 in grid]
-            oracle = max(vals)
+            oracle = float(net_energy_given_phase1(n1, grid, p).max())
             assert sol.value >= oracle - 1e-6 * abs(oracle)
 
     def test_weak_rank_crossing_handled(self):
@@ -290,7 +307,7 @@ class TestMediumEsnr:
                 np.sum(order_stats.gains_up_to(p.n2, p.n, p.m))
             ) / n1
             grid = np.concatenate([[0.0], np.geomspace(hi * 1e-9, hi, 100_000)])
-            oracle = max(net_energy_given_phase1(n1, float(e1), p) for e1 in grid)
+            oracle = float(net_energy_given_phase1(n1, grid, p).max())
             assert sol.value >= oracle - 1e-6 * abs(oracle)
         assert hits >= 6
 
@@ -744,6 +761,110 @@ class TestLockstepSweep:
             assert plan.n1 == best[1]
             assert value == pytest.approx(best[0], rel=1e-13)
             assert plan.e1 == pytest.approx(best[2], rel=1e-12, abs=1e-300)
+
+
+def pieces_inside_optimize(p: SystemParams):
+    """``optimize_training(p)``; every (n1, piece) it screens, as
+    ``(n1, branch2, h0, slack, per-rank h(0))`` with the screen's ``h0`` and
+    ``slack`` and the h(0) :func:`optimizer._stationary_rows` forms rank by
+    rank; and the pieces ``(n1, branch2)`` that reach ``_stationary_rows``."""
+    screened, solved = [], []
+    real_h0, real_rows = optimizer._piece_h0, optimizer._stationary_rows
+
+    def screen(gains, row, branch2, n1, q):
+        h0, slack = out = real_h0(gains, row, branch2, n1, q)
+        n, rows = n1[row], gains[row]
+        # h at x = 0 as _stationary_rows evaluates it: u = (0 + 1)/(0 + g)
+        above = np.arange(rows.shape[1]) < branch2[:, None]
+        d0 = esnr(q) * np.sum(np.where(above, rows - q.m, rows / q.m - 1.0), axis=1) / n
+        g = np.where(above, q.m / rows, 1.0)
+        b = np.where(above, g * (1.0 - g), 0.0) / n[:, None]
+        u = 1.0 / g
+        per_rank = 1.0 + np.sum(b * u * u, axis=1) - d0
+        screened.extend(zip(n.tolist(), branch2.tolist(), h0, slack, per_rank))
+        return out
+
+    def stationary(gains, branch2, n1, q):
+        solved.extend(zip(n1.tolist(), branch2.tolist()))
+        return real_rows(gains, branch2, n1, q)
+
+    # not monkeypatch: Hypothesis reruns the body
+    optimizer._piece_h0, optimizer._stationary_rows = screen, stationary
+    try:
+        sol = optimize_training(p)
+    finally:
+        optimizer._piece_h0, optimizer._stationary_rows = real_h0, real_rows
+    return sol, screened, solved
+
+
+class TestPieceScreen:
+    """Pieces whose h(0) >= 0 have no stationary point; the sweep reads h(0)
+    from prefix sums over ranks and sends only the others to Newton."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    @example(p=ism_link(m=4, n=400, n2=200, t=5e-7))
+    def test_prefix_h0_is_the_per_rank_h0(self, p):
+        _, screened, solved = pieces_inside_optimize(p)
+        for n1, branch2, h0, slack, per_rank in screened:
+            assert abs(h0 - per_rank) <= slack, (n1, branch2)
+            assert np.sign(h0) == np.sign(per_rank), (n1, branch2)
+        # exactly the pieces with a negative per-rank h(0) reach Newton
+        live = [(n1, branch2) for n1, branch2, _, _, per_rank in screened if per_rank < 0]
+        assert solved == live
+
+    @pytest.mark.parametrize(
+        "shape, pieces, live",
+        [
+            (dict(m=4, n=400, n2=200, t=5e-7), 18_755, 0),  # medium everywhere
+            (dict(m=4, n=80, n2=64, t=3e-7), 192, 0),  # design-sweep-wide, medium
+            (dict(m=10, n=866, n2=16, t=5e-5), 851, 850),  # ISM, high
+        ],
+    )
+    def test_newton_sees_only_live_pieces(self, shape, pieces, live):
+        _, screened, solved = pieces_inside_optimize(ism_link(**shape))
+        assert len(screened) == pieces
+        assert len(solved) == live
+
+    def test_all_low_block_skips_the_pieces(self, monkeypatch):
+        # the threshold sits between the strongest gains of n1 = 6 and 7, so
+        # n1 = 3..6 are low and 12 medium: the low rows' results alone equal
+        # those rows of a block that takes the piece path
+        top = [order_stats.gain(1, n1, 4) for n1 in (6, 7)]
+        p = params_with_threshold(1e-6 * 0.5 * sum(top), t=1.0)
+        n1s = np.array([3, 4, 5, 6, 12])
+        gains = np.array([order_stats.gains_up_to(p.n2, n1, p.m) for n1 in n1s.tolist()])
+        codes, e1, value, candidates = optimizer._solve_rows(gains, n1s, p)
+        assert [optimizer._label(c).kind for c in codes.tolist()] == [LOW_ESNR] * 4 + [MEDIUM_ESNR]
+
+        def unreachable(*args):
+            raise AssertionError("an all-low block reached the piece path")
+
+        monkeypatch.setattr(optimizer, "_piece_h0", unreachable)
+        monkeypatch.setattr(optimizer, "_stationary_rows", unreachable)
+        low = optimizer._solve_rows(gains[:4], n1s[:4], p)
+        assert low[0].tolist() == codes[:4].tolist()
+        assert (low[1].tolist(), low[2].tolist()) == (e1[:4].tolist(), value[:4].tolist())
+        assert low[3] == candidates[:4]
+        for n1, c in zip(n1s[:4].tolist(), low[3]):
+            assert solve_for_n1(n1, p).candidates == c
+        monkeypatch.undo()
+        assert candidates[4] == solve_for_n1(12, p).candidates
+
+    def test_pieces_within_slack_reach_newton(self, monkeypatch):
+        # the screen drops a piece only where h0 >= slack, the rounding bound
+        p = TestMediumEsnr()._medium_instance()
+        real = optimizer._piece_h0
+        for share, reached in ((0.5, True), (1.0, False)):
+
+            def at_share(gains, row, branch2, n1, q, share=share):
+                _, slack = real(gains, row, branch2, n1, q)
+                return share * slack, slack
+
+            monkeypatch.setattr(optimizer, "_piece_h0", at_share)
+            _, screened, solved = pieces_inside_optimize(p)
+            assert screened
+            assert solved == ([(n1, b) for n1, b, *_ in screened] if reached else [])
 
 
 class TestRestrictedSchemes:

@@ -252,6 +252,15 @@ class TestQuadrature:
         value = gain_quadrature(1, 2000, 256)
         assert value > 256.0
 
+    @pytest.mark.parametrize("pop, dim", [(120, 10), (866, 64), (2000, 2), (10000, 1)])
+    def test_cutoff_is_the_rank1_survival_crossing(self, pop, dim):
+        # the cutoff reads 1 - P^pop; the binomial row's rank-1 survival
+        # crosses the cutoff there too, up to the two sums' rounding
+        cutoff = order_stats._upper_cutoff(pop, dim)
+        row = order_stats._survivals(np.array([cutoff, cutoff * (1 - 1e-9)]), 1, pop, dim)[:, 0]
+        assert row[0] < order_stats._SURVIVAL_CUTOFF * (1 + 1e-10)
+        assert row[1] >= order_stats._SURVIVAL_CUTOFF
+
     def test_reports_non_convergence(self, monkeypatch):
         # a budget of one interval: the first G10K21 estimate misses the
         # tolerance, and the integrator must say so rather than return it
@@ -378,6 +387,21 @@ class TestTriangle:
         walked = walk_triangle(order_stats._quadrature_gains(50, 50, 4))
         assert empty_memo[(49, 4)][:3].tolist() == walked[49][:3].tolist()
 
+    def test_miss_below_a_gap_walks_from_whole_one(self, monkeypatch, empty_memo):
+        # populations 41..49 are not in the memo, and 50 is held whole
+        # (60's walk stopped there): 40 walks down from 50, past the gap
+        calls = count_quadratures(monkeypatch)
+        gains_up_to(50, 60, 4)
+        assert (45, 4) not in empty_memo and empty_memo[(50, 4)].size == 50
+        value = gain(1, 40, 4)
+        assert [args[1] for args in calls] == [60]
+        walked = walk_triangle(empty_memo[(50, 4)])
+        for n in range(31, 50):
+            assert empty_memo[(n, 4)].tolist() == walked[n][:1].tolist(), n
+        assert value == walked[40][0]
+        monkeypatch.undo()
+        assert value == pytest.approx(gain_quadrature(1, 40, 4), rel=1e-13)
+
     def test_keeps_closed_form_and_existing_entries(self, empty_memo):
         closed = gains_up_to(4, 20, 4)
         direct = gain(1, 50, 4)
@@ -452,14 +476,10 @@ class TestMemoProperty:
     DIM = 4
 
     def whole_above(self, memo: dict, pop: int) -> int | None:
-        # the population a miss walks down from: the first held whole when
-        # stepping up from pop + 1 through the populations the memo holds
-        top = pop + 1
-        while (top, self.DIM) in memo:
-            if memo[(top, self.DIM)].size == top:
-                return top
-            top += 1
-        return None
+        # the population a miss walks down from: the smallest above pop that
+        # the memo holds whole, past any populations it lacks
+        whole = [n for (n, d), held in memo.items() if d == self.DIM and n > pop and held.size == n]
+        return min(whole, default=None)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

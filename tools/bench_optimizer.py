@@ -9,10 +9,12 @@ Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
 to one CPU with one BLAS thread, rounds alternating the trees), and each
 case reports the best of all its repeats.  A warm case runs once untimed
 first, so the gain memo is full; a cold case empties the memo before
-every run, so it pays the gain quadrature as a first call does.  The cases are the four ``design-sweep-wide`` block lengths, the
-ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
-``n=5000`` cold and warm, a wide medium/high design (``m=4, n=200,
-n2=100``) and the acceptance c09 shape (``m=1, n=2000, n2=1``).  Each
+every run, so it pays the gain quadrature as a first call does.  The
+cases are the four ``design-sweep-wide`` block lengths, the ISM link
+(``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at ``n=5000`` cold
+and warm, a wide high design (``m=4, n=200, n2=100``), a wide medium one
+(``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings per ``n1``) and
+the acceptance c09 shape (``m=1, n=2000, n2=1``).  Each
 tree's answers (``n1*``, ``e1*``, ``qnet_star``) are written beside the
 times, so a speed-up that moved an answer shows.
 """
@@ -54,6 +56,7 @@ def _cases():
         case("m=10, n=5000, n2=16 cold", True, m=10, n=5000, n2=16, t=5e-5),
         case("m=10, n=5000, n2=16 warm", m=10, n=5000, n2=16, t=5e-5),
         case("m=4, n=200, n2=100 warm", m=4, n=200, n2=100, t=5e-5),
+        case("m=4, n=400, n2=200, t=5e-7 warm", m=4, n=400, n2=200, t=5e-7),
         case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
     ]
 
