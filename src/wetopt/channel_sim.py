@@ -6,11 +6,12 @@ whose randomness derives only from ``(seed, chunk index)``, so reports
 are bit-identical across runs and independent of evaluation order.
 
 No draw has an axis of length m.  A band's harvest depends on its
-channel only through a few scalars, and those are drawn from their exact
-laws: the channel's coordinate along the band's pilot observation and
-its power off it (:func:`_strongest`), and the phase-2 noise split along
-the channel (:func:`_phase2_harvest`).  A trial costs the same at every
-antenna count.
+channel only through a few real scalars, and each kernel draws, from
+their exact laws, only those its harvest reads: one pilot energy per
+probed band and two draws per kept band for the channel power
+(:func:`_strongest`), and three per trained band for the phase-2 noise
+split along the channel (:func:`_phase2_harvest`).  A trial costs the
+same at every antenna count.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ __all__ = [
 ]
 
 # Trials per chunk are sized so a chunk holds roughly this many drawn
-# entries (complex or real); a fixed target keeps chunking (and therefore
-# RNG streams) deterministic for given inputs.
+# entries, at a fixed count per trial for each scheme; a fixed target keeps
+# chunking (and therefore RNG streams) deterministic for given inputs.
 _CHUNK_TARGET = 1 << 21
 
 
@@ -102,15 +103,6 @@ Scheme = TwoPhase | PerfectCsi | NoCsi | Phase1Only | Phase2Only | BruteForce
 # --- randomness helpers ----------------------------------------------------
 
 
-def _complex_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], var: float
-) -> np.ndarray:
-    scale = math.sqrt(var / 2.0)
-    return scale * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-
-
 def _chunks(trials: int, elements_per_trial: int, seed: int):
     """Yields (generator, trial count) per chunk; chunk i draws from (seed, i)."""
     size = max(1, min(trials, _CHUNK_TARGET // max(1, elements_per_trial)))
@@ -124,35 +116,52 @@ def _chunks(trials: int, elements_per_trial: int, seed: int):
 
 def _strongest(
     rng: np.random.Generator, count: int, probed: int, kept: int, e: float,
-    p: SystemParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Channel statistics of the ``kept`` strongest of ``probed`` bands,
-    strongest first.
+    p: SystemParams, along: bool = False,
+) -> np.ndarray:
+    """Channel power of the ``kept`` strongest of ``probed`` bands, shape
+    (count, kept), strongest first: ||h||^2, or with ``along`` |h1|^2.
 
     A band's pilot observation y = sqrt(e) h + z is CN(0, s^2 I) with
     s^2 = beta*e + n0, so ||y||^2 is Gamma(m, s^2) and independent of the
     direction of y, and h | y is CN((sqrt(e) beta / s^2) y, sigma^2 I) with
     sigma^2 = beta n0 / s^2.  Every harvest is invariant under a common
     rotation of h and y, so y lies on the first axis, and h enters only
-    through two statistics per kept band, each of shape (count, kept):
+    through its coordinate h1 = mu + CN(0, sigma^2) along y, with
+    mu = (sqrt(e) beta / s^2) ||y||, and its power off that axis,
+    Gamma(m - 1, sigma^2).  With Z1, Z2 standard normals,
 
-    * ``h1 = mu + CN(0, sigma^2)``, the coordinate of h along y, with
-      mu = (sqrt(e) beta / s^2) ||y||;
-    * ``rest ~ Gamma(m - 1, sigma^2)``, the power of h off that axis, so
-      ||h||^2 = |h1|^2 + rest.
+        |h1|^2 = (mu + sigma Z1 / sqrt 2)^2 + sigma^2 Z2^2 / 2,
+        ||h||^2 = (mu + sigma Z1 / sqrt 2)^2 + Gamma(m - 1/2, sigma^2),
 
-    Per trial: ``probed`` Gamma pilot energies and ``2 * kept`` draws,
-    whatever m is.  The draw order is h1, rest, pilot energies.
+    since sigma^2 Z2^2 / 2 is Gamma(1/2, sigma^2) and independent Gammas of
+    one scale add their shapes.
+
+    Drawn in this order, each as one (count, kept) or (count, probed)
+    array: the normals Z1; the normals Z2 (``along``) or the
+    Gamma(m - 1/2) powers (otherwise); the Gamma pilot energies,
+    partitioned and sorted in place.  That is ``probed + 2 * kept`` draws
+    per trial, whatever m is.
     """
     s2 = p.beta * e + p.n0
-    var = p.beta * p.n0 / s2
-    h1 = _complex_normal(rng, (count, kept), var)
-    rest = rng.gamma(p.m - 1, var, (count, kept))
+    half = p.beta * p.n0 / (2.0 * s2)  # sigma^2 / 2, per real coordinate
+    power = rng.standard_normal((count, kept))
+    if along:
+        off = rng.standard_normal((count, kept))
+        np.square(off, out=off)
+        off *= half
+    else:
+        off = rng.gamma(p.m - 0.5, 2.0 * half, (count, kept))
     energy = rng.gamma(p.m, s2, (count, probed))
-    top = np.partition(energy, probed - kept, axis=1)[:, probed - kept :]
-    top = np.sort(top, axis=1)[:, ::-1]
-    h1 += (math.sqrt(e) * p.beta / s2) * np.sqrt(top)
-    return h1, rest
+    energy.partition(probed - kept, axis=1)
+    mu = energy[:, probed - kept :]
+    mu.sort(axis=1)
+    np.sqrt(mu, out=mu)
+    mu *= math.sqrt(e) * p.beta / s2
+    power *= math.sqrt(half)
+    power += mu[:, ::-1]
+    np.square(power, out=power)
+    power += off
+    return power
 
 
 def _phase2_harvest(
@@ -166,7 +175,12 @@ def _phase2_harvest(
     scale cancels.  Split z2 along h: z_par ~ CN(0, n0) and
     ||z_perp||^2 ~ Gamma(m - 1, n0).  With a = sqrt(e2) ||h|| + z_par,
 
-        |h^H y2|^2 / ||y2||^2 = ||h||^2 |a|^2 / (|a|^2 + ||z_perp||^2).
+        |h^H y2|^2 / ||y2||^2 = ||h||^2 |a|^2 / (|a|^2 + ||z_perp||^2),
+
+    where |a|^2 = (sqrt(e2) ||h|| + Re z_par)^2 + (Im z_par)^2 is formed in
+    real arithmetic.  Drawn in this order, each as one array shaped like
+    ``power``: the real parts of z_par, their imaginary parts (standard
+    normals scaled by sqrt(n0 / 2)) and ||z_perp||^2, three draws per band.
 
     Bands whose pilot energy is zero have no estimate and fall back to
     isotropic transmission (expected power ||h||^2 / m), which keeps the
@@ -178,10 +192,21 @@ def _phase2_harvest(
     active = e2 > 0.0
     if not np.any(active):
         return power / p.m
-    z_par = _complex_normal(rng, power.shape, p.n0)
-    z_perp = rng.gamma(p.m - 1, p.n0, power.shape)
-    a2 = np.abs(np.sqrt(e2) * np.sqrt(power) + z_par) ** 2
-    return np.where(active, power * (a2 / (a2 + z_perp)), power / p.m)
+    scale = math.sqrt(p.n0 / 2.0)
+    a2 = rng.standard_normal(power.shape)
+    a2 *= scale
+    a2 += np.sqrt(e2) * np.sqrt(power)
+    np.square(a2, out=a2)
+    im = rng.standard_normal(power.shape)
+    im *= scale
+    np.square(im, out=im)
+    a2 += im
+    out = rng.gamma(p.m - 1, p.n0, power.shape)
+    out += a2
+    np.divide(a2, out, out=out)
+    out *= power
+    np.divide(power, p.m, out=out, where=~active)
+    return out
 
 
 def _simulate(
@@ -219,16 +244,16 @@ def run_two_phase(
     phase-2 observation (the direction of its LMMSE estimate; the scalar
     LMMSE scale cancels in the harvest).  Each kept band is drawn as the
     per-band statistics of :func:`_strongest` and :func:`_phase2_harvest`:
-    ``n1 + 4 * n2`` draws per trial at any antenna count.
+    ``n1 + 5 * n2`` draws per trial at any antenna count (``n1 + 2 * n2``
+    when no band is refined).  Chunks are sized for ``n1 + 4 * n2``.
     """
     plan.validate_against(p)
     n1, n2 = plan.n1, p.n2
     e2 = np.asarray(plan.e2)
 
     def harvest(rng, count):
-        h1, rest = _strongest(rng, count, n1, n2, plan.e1, p)
-        per_band = _phase2_harvest(rng, np.abs(h1) ** 2 + rest, e2, p)
-        return p.eta_t_ps * per_band.sum(axis=1)
+        power = _strongest(rng, count, n1, n2, plan.e1, p)
+        return p.eta_t_ps * _phase2_harvest(rng, power, e2, p).sum(axis=1)
 
     return _simulate(harvest, n1 + 4 * n2, trials, seed, plan.cost)
 
@@ -238,8 +263,8 @@ def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
     # so only the band norms matter; they are Gamma(m, beta) draws.
     def harvest(rng, count):
         norms = rng.gamma(p.m, p.beta, (count, p.n))
-        top = np.partition(norms, p.n - p.n2, axis=1)[:, p.n - p.n2 :]
-        return p.eta_t_ps * top.sum(axis=1)
+        norms.partition(p.n - p.n2, axis=1)
+        return p.eta_t_ps * norms[:, p.n - p.n2 :].sum(axis=1)
 
     return _simulate(harvest, p.n, trials, seed, 0.0)
 
@@ -274,17 +299,16 @@ def _run_brute_force(
 ) -> EnergyReport:
     # Estimate every band, pick the n2 largest estimated norms, beamform
     # with the estimates: along the first axis of _strongest's frame, so the
-    # harvest is |h1|^2 (isotropic, as in _phase2_harvest, at zero energy).
+    # harvest is |h1|^2 (isotropic, ||h||^2 / m as in _phase2_harvest, at
+    # zero energy).
     if energy < 0:
         raise ValueError(f"per-band energy must be >= 0, got {energy}")
+    trained = energy > 0.0
 
     def harvest(rng, count):
-        h1, rest = _strongest(rng, count, p.n, p.n2, energy, p)
-        if energy > 0.0:
-            per_band = np.abs(h1) ** 2
-        else:
-            per_band = (np.abs(h1) ** 2 + rest) / p.m
-        return p.eta_t_ps * per_band.sum(axis=1)
+        power = _strongest(rng, count, p.n, p.n2, energy, p, along=trained)
+        total = power.sum(axis=1)
+        return p.eta_t_ps * (total if trained else total / p.m)
 
     return _simulate(harvest, p.n + 2 * p.n2, trials, seed, energy * p.n)
 
@@ -325,10 +349,10 @@ def ranked_power_moments(
     total = np.zeros(n1)
     total_sq = np.zeros(n1)
     for rng, count in _chunks(trials, 3 * n1, seed):
-        h1, rest = _strongest(rng, count, n1, n1, e1, p)
-        ranked = np.abs(h1) ** 2 + rest
+        ranked = _strongest(rng, count, n1, n1, e1, p)
         total += ranked.sum(axis=0)
-        total_sq += (ranked**2).sum(axis=0)
+        np.square(ranked, out=ranked)
+        total_sq += ranked.sum(axis=0)
     means = total / trials
     if trials > 1:
         var = (total_sq - trials * means**2) / (trials - 1)

@@ -19,13 +19,14 @@ into three ESNR regimes, labels of one problem:
 The last two split the e1 axis where ranks cross the threshold.  Each
 piece has at most one stationary point, certified and found by a
 bracketed Newton iteration in the phase-1 pilot SNR x = beta * e1 / n0;
-the pieces' ends and stationary points are scored with the exact
-piecewise objective.  :func:`poly_real_roots` is the tests' root oracle.
+e1 = 0, the stationary points and the right ends of the pieces that may
+hold one are scored with the exact piecewise objective.
+:func:`poly_real_roots` is the tests' root oracle.
 
 The n1 sweep runs in lockstep on the gains of every n1 stacked into one
 (n1 count, n2) array: labels, crossings, a prefix-sum screen of every
 (n1, piece), the Newton iterations of the pieces that pass it and the
-scores of every candidate are numpy passes over blocks of rows, of at
+scores of their candidates are numpy passes over blocks of rows, of at
 most ``_BLOCK_TARGET`` elements per (rows x n2) array.
 :func:`solve_for_n1` runs the same code on one row.
 """
@@ -421,9 +422,12 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     reads each piece's h(0) from prefix sums over ranks; only pieces with
     h(0) below its rounding slack, those that may hold a stationary point,
     go to :func:`_stationary_rows`, and the others get NaN as they would
-    there.  A block of low rows returns after the closed form.  Each
-    piece's ends and inside stationary point are scored; the smallest e1
-    of equal value wins.
+    there.  A block of low rows returns after the closed form.  Scored
+    are e1 = 0, each inside stationary point and the right end of each
+    piece that passed the screen, which stands in for a stationary point
+    that rounding puts just past it.  h increases, so on every other piece
+    h >= 0 and the objective falls: its right end is beaten by a smaller
+    scored e1.  The smallest e1 of equal value wins.
     """
     codes = _case_codes(gains, p)
     e1, value = _phase1_closed_form(gains, n1, p)
@@ -457,7 +461,10 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     inside = (lo[row, k] <= e_stat) & (e_stat <= hi[row, k])
     stationary = np.full(lo.shape, np.inf)
     stationary[row[inside], k[inside]] = e_stat[inside]
-    tried = np.concatenate([np.where(low[:, None], np.inf, lo), stationary], axis=1)
+    ends = np.full(lo.shape, np.inf)
+    ends[row[live], k[live]] = hi[row[live], k[live]]
+    start = np.where(low, np.inf, 0.0)[:, None]
+    tried = np.concatenate([start, ends, stationary], axis=1)
     tried.sort(axis=1)
     keep = np.isfinite(tried)
     keep[:, 1:] &= tried[:, 1:] != tried[:, :-1]

@@ -292,20 +292,30 @@ def full_vector_phase2_only(rng, trials, e2, p):
     return full_vector_harvest(rng, h, e2, np.full(p.n2, p.beta * p.m), p)
 
 
-def captured_harvests(monkeypatch, run) -> np.ndarray:
-    """Per-band harvests (trials, n2) that ``run()`` draws through
-    ``channel_sim._phase2_harvest``."""
+def captured(monkeypatch, kernel: str, run) -> np.ndarray:
+    """Per-trial, per-band arrays that ``run()`` gets from the
+    ``channel_sim`` kernel named ``kernel``, over all chunks."""
     chunks = []
-    harvest = channel_sim._phase2_harvest
+    real = getattr(channel_sim, kernel)
 
-    def recording(*args):
-        out = harvest(*args)
-        chunks.append(out)
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        chunks.append(out.copy())  # callers may overwrite it in place
         return out
 
-    monkeypatch.setattr(channel_sim, "_phase2_harvest", recording)
+    monkeypatch.setattr(channel_sim, kernel, recording)
     run()
     return np.concatenate(chunks)
+
+
+def assert_same_moments(a, b):
+    """Per column, the first two moments of samples ``a`` and ``b`` agree
+    within three standard errors."""
+    for moment in (1, 2):
+        x, y = a**moment, b**moment
+        se = np.hypot(x.std(axis=0, ddof=1), y.std(axis=0, ddof=1))
+        z = np.abs(x.mean(axis=0) - y.mean(axis=0)) / (se / math.sqrt(len(x)))
+        assert np.all(z <= 3.0), (moment, z)
 
 
 class TestPhase2Law:
@@ -315,35 +325,83 @@ class TestPhase2Law:
     E2 = np.array([2e-12, 1e-12, 0.0])
     TRIALS = 40_000
 
-    @staticmethod
-    def assert_same_moments(a, b):
-        for moment in (1, 2):
-            x, y = a**moment, b**moment
-            se = np.hypot(x.std(axis=0, ddof=1), y.std(axis=0, ddof=1))
-            z = np.abs(x.mean(axis=0) - y.mean(axis=0)) / (se / math.sqrt(len(x)))
-            assert np.all(z <= 3.0), (moment, z)
-
     def test_two_phase(self, monkeypatch):
         p = params(m=3)
         plan = TrainingPlan(n1=6, e1=5e-13, e2=tuple(self.E2))
-        new = captured_harvests(
-            monkeypatch, lambda: run_two_phase(plan, p, self.TRIALS, seed=701)
+        new = captured(
+            monkeypatch, "_phase2_harvest",
+            lambda: run_two_phase(plan, p, self.TRIALS, seed=701)
         )
         oracle = full_vector_two_phase(
             np.random.default_rng(702), self.TRIALS, plan.n1, plan.e1, self.E2, p
         )
-        self.assert_same_moments(new, oracle)
+        assert_same_moments(new, oracle)
 
     def test_phase2_only(self, monkeypatch):
         p = params(m=3)
         scheme = Phase2Only(e2=tuple(self.E2))
-        new = captured_harvests(
-            monkeypatch, lambda: run_benchmark(scheme, p, self.TRIALS, seed=703)
+        new = captured(
+            monkeypatch, "_phase2_harvest",
+            lambda: run_benchmark(scheme, p, self.TRIALS, seed=703)
         )
         oracle = full_vector_phase2_only(
             np.random.default_rng(704), self.TRIALS, self.E2, p
         )
-        self.assert_same_moments(new, oracle)
+        assert_same_moments(new, oracle)
+
+
+def complex_strongest(rng, trials, probed, kept, e, p):
+    """``(|h1|^2, ||h||^2)`` of the ``kept`` strongest of ``probed`` bands,
+    strongest first, from the complex construction: h1 = mu + CN(0, sigma^2)
+    along the pilot observation and rest ~ Gamma(m - 1, sigma^2) off it."""
+    s2 = p.beta * e + p.n0
+    var = p.beta * p.n0 / s2
+    h1 = complex_normal(rng, (trials, kept), var)
+    rest = rng.gamma(p.m - 1, var, (trials, kept))
+    energy = rng.gamma(p.m, s2, (trials, probed))
+    top = np.sort(energy, axis=1)[:, ::-1][:, :kept]
+    h1 += (math.sqrt(e) * p.beta / s2) * np.sqrt(top)
+    along = np.abs(h1) ** 2
+    return along, along + rest
+
+
+class TestStrongestLaw:
+    """The real channel powers of ``channel_sim._strongest`` follow the
+    complex construction.  At m = 1 the off-axis power is exactly 0, and
+    the Gamma(1/2) term is the imaginary part of h1 alone."""
+
+    TRIALS = 40_000
+
+    @pytest.mark.parametrize("m, seed", [(1, 711), (2, 713), (10, 715)])
+    def test_ranked_power(self, monkeypatch, m, seed):
+        p = params(m=m)
+        n1, e1 = 4, 5e-13
+        new = captured(
+            monkeypatch, "_strongest",
+            lambda: ranked_power_moments(n1, e1, p, self.TRIALS, seed),
+        )
+        _, oracle = complex_strongest(
+            np.random.default_rng(seed + 1), self.TRIALS, n1, n1, e1, p
+        )
+        assert new.shape == oracle.shape
+        assert_same_moments(new, oracle)
+
+    @pytest.mark.parametrize("m, seed", [(1, 721), (2, 723), (10, 725)])
+    def test_brute_force_harvest(self, monkeypatch, m, seed):
+        # at positive energy the beam follows the estimate, so each kept
+        # band harvests |h1|^2
+        p = params(m=m)
+        energy = 1e-13
+        scheme = BruteForce(energy_per_band=energy)
+        new = captured(
+            monkeypatch, "_strongest",
+            lambda: run_benchmark(scheme, p, self.TRIALS, seed),
+        )
+        oracle, _ = complex_strongest(
+            np.random.default_rng(seed + 1), self.TRIALS, p.n, p.n2, energy, p
+        )
+        assert new.shape == oracle.shape
+        assert_same_moments(new, oracle)
 
 
 class TestLargeArray:
@@ -353,13 +411,26 @@ class TestLargeArray:
         p = params(m=4096)
         limit = asymptotics.large_antenna_limit(p)
         shapes = []
-        draw = channel_sim._complex_normal
+        chunks = channel_sim._chunks
 
-        def recording(rng, shape, var):
-            shapes.append(shape)
-            return draw(rng, shape, var)
+        class Recording:
+            # the chunk's Generator, recording the shape of every draw
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(channel_sim, "_complex_normal", recording)
+            def standard_normal(self, size):
+                shapes.append(size)
+                return self.rng.standard_normal(size)
+
+            def gamma(self, shape, scale, size):
+                shapes.append(size)
+                return self.rng.gamma(shape, scale, size)
+
+        def recording(*args):
+            for rng, count in chunks(*args):
+                yield Recording(rng), count
+
+        monkeypatch.setattr(channel_sim, "_chunks", recording)
         report = run_two_phase(limit.plan, p, 20_000, seed=71)
         qbar = average_harvested_energy(limit.plan, p)
         assert abs(report.mean_qbar - qbar) <= 3.0 * report.stderr

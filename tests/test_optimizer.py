@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -697,7 +698,11 @@ class TestLockstepSweep:
         sol, rows, blocks = rows_inside_optimize(p)
         assert blocks == math.ceil(201 / (optimizer._BLOCK_TARGET // (200 * 201))) > 1
         assert {label.kind for label, *_ in rows.values()} == {MEDIUM_ESNR}
-        assert max(len(row[3]) for row in rows.values()) > 100
+        # over 100 pieces per n1, none with a stationary point: only e1 = 0
+        # is scored
+        _, screened, _ = pieces_inside_optimize(p)
+        assert max(Counter(n1 for n1, *_ in screened).values()) > 100
+        assert {row[3] for row in rows.values()} == {(0.0,)}
         for n1 in (200, 201, 205, 206, 299, 333, 399, 400):
             assert_row_is_solve_for_n1(rows[n1], n1, p)
         assert sol.qnet_star == max(row[2] for row in rows.values())
@@ -825,6 +830,23 @@ class TestPieceScreen:
         _, screened, solved = pieces_inside_optimize(ism_link(**shape))
         assert len(screened) == pieces
         assert len(solved) == live
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    def test_unscored_piece_ends_never_win(self, p):
+        # every energy where a rank crosses the threshold ends a piece; the
+        # sweep scores only the ends of pieces that pass the screen, since
+        # on the others the objective falls toward a smaller scored e1
+        alpha, bm = refinement_threshold(p), p.beta * p.m
+        for n1 in range(p.n2, p.n + 1):
+            sol = solve_for_n1(n1, p)
+            rn = p.beta * order_stats.gains_up_to(p.n2, n1, p.m)
+            crosses = ((bm < alpha) & (alpha < rn)) | ((rn < alpha) & (alpha < bm))
+            x = np.divide(alpha - bm, rn - alpha, out=np.zeros_like(rn), where=crosses)
+            ends = x[crosses] * p.n0 / p.beta
+            if ends.size:
+                net = net_energy_given_phase1(n1, ends, p)
+                assert np.all(net <= sol.value + 1e-12 * abs(sol.value)), n1
 
     def test_all_low_block_skips_the_pieces(self, monkeypatch):
         # the threshold sits between the strongest gains of n1 = 6 and 7, so

@@ -9,8 +9,11 @@ Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
 to one CPU with one BLAS thread, rounds alternating the trees), and each
 case reports the best of all its repeats.  The cases
 are the ROADMAP baseline's simulator rows at ISM (``m=10, n=866, n2=16``,
-``t=5e-5``, 1e4 trials) and ``run_two_phase`` on one small system at
-growing antenna counts, which shows whether a trial's cost grows with m.
+``t=5e-5``, 1e4 trials) with ``PerfectCsi`` beside them; the six scheme
+runs of one ``wetopt sweep`` (``sweep_T``) row at the ``validate-ism-schemes``
+shape (``m=10, n=50, n2=16``, ``t=5e-5``, 4000 trials); and
+``run_two_phase`` on one small system at growing antenna counts, which
+shows whether a trial's cost grows with m.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import time
 import benchlib
 
 TRIALS = 10_000
+VALIDATE_TRIALS = 4000  # as the validate-ism-schemes workload runs them
 SEED = 1
 ROUNDS = 2  # fresh interpreters per tree, alternating trees
 REPEATS = 3  # timed runs per case in each interpreter
@@ -46,7 +50,28 @@ def _cases():
             channel_sim.BruteForce(bf_energy), ism, TRIALS, SEED)),
         ("Phase2Only ISM", lambda: channel_sim.run_benchmark(
             channel_sim.Phase2Only(p2_plan.e2), ism, TRIALS, SEED)),
+        ("PerfectCsi ISM", lambda: channel_sim.run_benchmark(
+            channel_sim.PerfectCsi(), ism, TRIALS, SEED)),
     ]
+    # the six runs of one sweep_T row at the validate-ism-schemes shape,
+    # built as wetopt.cli builds them
+    validate = SystemParams(m=10, n=50, n2=16, t=5e-5, **link)
+    v1_plan, _ = optimizer.solve_phase1_only(validate)
+    v2_plan, _ = optimizer.solve_phase2_only(validate)
+    v_energy, _ = optimizer.solve_brute_force(validate)
+    for scheme in (
+        channel_sim.TwoPhase(optimizer.optimize_training(validate).plan),
+        channel_sim.PerfectCsi(),
+        channel_sim.NoCsi(),
+        channel_sim.Phase1Only(n1=v1_plan.n1, e1=v1_plan.e1),
+        channel_sim.Phase2Only(e2=v2_plan.e2),
+        channel_sim.BruteForce(energy_per_band=v_energy),
+    ):
+        cases.append((
+            f"{type(scheme).__name__} validate n=50, 4000 trials",
+            lambda scheme=scheme: channel_sim.run_benchmark(
+                scheme, validate, VALIDATE_TRIALS, SEED),
+        ))
     for m in SCALING_M:
         p = SystemParams(m=m, n=16, n2=4, t=1e-2, **link)
         small = optimizer.optimize_training(p).plan
@@ -87,7 +112,7 @@ def main(argv=None) -> int:
             row = best.setdefault(name, {})
             row[label] = min(row.get(label, float("inf")), seconds)
     labels = [label for label, _ in trees]
-    what = "best wall time in seconds of one call, 1e4 trials, seed 1"
+    what = "best wall time in seconds of one call, seed 1, 1e4 trials unless named"
     report = benchlib.report(what, numpy_version, ROUNDS, REPEATS, labels)
     report["rows"] = [
         {"case": name, **{label: round(row[label], 4) for label in labels}}
