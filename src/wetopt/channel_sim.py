@@ -11,7 +11,8 @@ their exact laws, only those its harvest reads: one pilot energy per
 probed band and two draws per kept band for the channel power
 (:func:`_strongest`), and three per trained band for the phase-2 noise
 split along the channel (:func:`_phase2_harvest`).  A trial costs the
-same at every antenna count.
+same at every antenna count.  The kernels draw in the reduced units of
+:mod:`wetopt.training_model`; each report converts to joules once.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ __all__ = [
     "tune_brute_force_energy",
 ]
 
-# Trials per chunk are sized so a chunk holds roughly this many drawn
-# entries, at a fixed count per trial for each scheme; a fixed target keeps
-# chunking (and therefore RNG streams) deterministic for given inputs.
+# Trials per chunk are this target over a fixed count per trial for each
+# scheme.  The counts are frozen stream keys, not draw counts: they date
+# from earlier kernels, and changing one moves every (seed, chunk) stream.
 _CHUNK_TARGET = 1 << 21
 
 
@@ -115,19 +116,19 @@ def _chunks(trials: int, elements_per_trial: int, seed: int):
 
 
 def _strongest(
-    rng: np.random.Generator, count: int, probed: int, kept: int, e: float,
+    rng: np.random.Generator, count: int, probed: int, kept: int, x: float,
     p: SystemParams, along: bool = False,
 ) -> np.ndarray:
-    """Channel power of the ``kept`` strongest of ``probed`` bands, shape
-    (count, kept), strongest first: ||h||^2, or with ``along`` |h1|^2.
+    """Powers over beta of the ``kept`` strongest of ``probed`` bands at pilot
+    SNR ``x``, (count, kept), strongest first: ||h||^2, or ``along`` |h1|^2.
 
-    A band's pilot observation y = sqrt(e) h + z is CN(0, s^2 I) with
-    s^2 = beta*e + n0, so ||y||^2 is Gamma(m, s^2) and independent of the
-    direction of y, and h | y is CN((sqrt(e) beta / s^2) y, sigma^2 I) with
-    sigma^2 = beta n0 / s^2.  Every harvest is invariant under a common
-    rotation of h and y, so y lies on the first axis, and h enters only
-    through its coordinate h1 = mu + CN(0, sigma^2) along y, with
-    mu = (sqrt(e) beta / s^2) ||y||, and its power off that axis,
+    In unit-variance channels and noise, a band's pilot observation
+    y = sqrt(x) h + z is CN(0, (x + 1) I), so ||y||^2 is Gamma(m, x + 1) and
+    independent of the direction of y, and h | y is CN(c y, sigma^2 I) with
+    c = sqrt(x) / (x + 1) and sigma^2 = 1 / (x + 1).  Every harvest is
+    invariant under a common rotation of h and y, so y lies on the first
+    axis, and h enters only through its coordinate h1 = mu + CN(0, sigma^2)
+    along y, with mu = c ||y||, and its power off that axis,
     Gamma(m - 1, sigma^2).  With Z1, Z2 standard normals,
 
         |h1|^2 = (mu + sigma Z1 / sqrt 2)^2 + sigma^2 Z2^2 / 2,
@@ -142,8 +143,8 @@ def _strongest(
     partitioned and sorted in place.  That is ``probed + 2 * kept`` draws
     per trial, whatever m is.
     """
-    s2 = p.beta * e + p.n0
-    half = p.beta * p.n0 / (2.0 * s2)  # sigma^2 / 2, per real coordinate
+    s2 = x + 1.0
+    half = 0.5 / s2  # sigma^2 / 2, per real coordinate
     power = rng.standard_normal((count, kept))
     if along:
         off = rng.standard_normal((count, kept))
@@ -156,7 +157,7 @@ def _strongest(
     mu = energy[:, probed - kept :]
     mu.sort(axis=1)
     np.sqrt(mu, out=mu)
-    mu *= math.sqrt(e) * p.beta / s2
+    mu *= math.sqrt(x) / s2
     power *= math.sqrt(half)
     power += mu[:, ::-1]
     np.square(power, out=power)
@@ -165,22 +166,22 @@ def _strongest(
 
 
 def _phase2_harvest(
-    rng: np.random.Generator, power: np.ndarray, e2: np.ndarray, p: SystemParams
+    rng: np.random.Generator, power: np.ndarray, y: np.ndarray, p: SystemParams
 ) -> np.ndarray:
     """Per-trial, per-band harvested channel power with estimated beams.
 
-    ``power`` is ||h||^2 per trial and band, ``e2`` the phase-2 pilot
-    energy per band.  The LMMSE estimate of h from y2 = sqrt(e2) h + z2 is
-    a positive multiple of y2, so the beam is y2 / ||y2|| and the LMMSE
-    scale cancels.  Split z2 along h: z_par ~ CN(0, n0) and
-    ||z_perp||^2 ~ Gamma(m - 1, n0).  With a = sqrt(e2) ||h|| + z_par,
+    ``power`` is ||h||^2 / beta per trial and band, ``y`` the phase-2 pilot
+    SNR beta e2 / n0 per band, and z2 has unit variance.  The LMMSE estimate
+    of h from y2 = sqrt(y) h + z2 is a positive multiple of y2, so the beam
+    is y2 / ||y2|| and the LMMSE scale cancels.  Split z2 along h:
+    z_par ~ CN(0, 1), ||z_perp||^2 ~ Gamma(m - 1).  With a = sqrt(y) ||h|| + z_par,
 
         |h^H y2|^2 / ||y2||^2 = ||h||^2 |a|^2 / (|a|^2 + ||z_perp||^2),
 
-    where |a|^2 = (sqrt(e2) ||h|| + Re z_par)^2 + (Im z_par)^2 is formed in
+    where |a|^2 = (sqrt(y) ||h|| + Re z_par)^2 + (Im z_par)^2 is formed in
     real arithmetic.  Drawn in this order, each as one array shaped like
     ``power``: the real parts of z_par, their imaginary parts (standard
-    normals scaled by sqrt(n0 / 2)) and ||z_perp||^2, three draws per band.
+    normals over sqrt 2) and ||z_perp||^2, three draws per band.
 
     Bands whose pilot energy is zero have no estimate and fall back to
     isotropic transmission (expected power ||h||^2 / m), which keeps the
@@ -189,19 +190,18 @@ def _phase2_harvest(
     sees the same channels as one with it.  At m = 1, ||z_perp||^2 is
     exactly 0 and both branches harvest ||h||^2 exactly.
     """
-    active = e2 > 0.0
+    active = y > 0.0
     if not np.any(active):
         return power / p.m
-    scale = math.sqrt(p.n0 / 2.0)
     a2 = rng.standard_normal(power.shape)
-    a2 *= scale
-    a2 += np.sqrt(e2) * np.sqrt(power)
+    a2 *= math.sqrt(0.5)
+    a2 += np.sqrt(y) * np.sqrt(power)
     np.square(a2, out=a2)
     im = rng.standard_normal(power.shape)
-    im *= scale
+    im *= math.sqrt(0.5)
     np.square(im, out=im)
     a2 += im
-    out = rng.gamma(p.m - 1, p.n0, power.shape)
+    out = rng.gamma(p.m - 1, 1.0, power.shape)
     out += a2
     np.divide(a2, out, out=out)
     out *= power
@@ -210,15 +210,15 @@ def _phase2_harvest(
 
 
 def _simulate(
-    harvest, elements_per_trial: int, trials: int, seed: int, cost: float
+    harvest, elements_per_trial: int, trials: int, seed: int, cost: float, p: SystemParams
 ) -> EnergyReport:
-    """Report on ``trials`` trials; ``harvest(rng, count)`` gives the energy
-    harvested in each of one chunk's ``count`` trials, drawn from ``rng``."""
+    """Report, in joules, on ``trials`` trials; ``harvest(rng, count)`` gives
+    the harvest over beta of each of one chunk's ``count`` trials, from ``rng``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     per_trial = np.concatenate(
         [harvest(rng, count) for rng, count in _chunks(trials, elements_per_trial, seed)]
-    )
+    ) * (p.eta_t_ps * p.beta)
     mean_qbar = float(per_trial.mean())
     stderr = (
         float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -245,53 +245,51 @@ def run_two_phase(
     LMMSE scale cancels in the harvest).  Each kept band is drawn as the
     per-band statistics of :func:`_strongest` and :func:`_phase2_harvest`:
     ``n1 + 5 * n2`` draws per trial at any antenna count (``n1 + 2 * n2``
-    when no band is refined).  Chunks are sized for ``n1 + 4 * n2``.
+    when no band is refined); ``n1 + 4 * n2`` is a frozen chunk key.
     """
     plan.validate_against(p)
-    n1, n2 = plan.n1, p.n2
-    e2 = np.asarray(plan.e2)
+    n1, n2, snr = plan.n1, p.n2, p.beta / p.n0
+    x, y = plan.e1 * snr, np.asarray(plan.e2) * snr
 
     def harvest(rng, count):
-        power = _strongest(rng, count, n1, n2, plan.e1, p)
-        return p.eta_t_ps * _phase2_harvest(rng, power, e2, p).sum(axis=1)
+        power = _strongest(rng, count, n1, n2, x, p)
+        return _phase2_harvest(rng, power, y, p).sum(axis=1)
 
-    return _simulate(harvest, n1 + 4 * n2, trials, seed, plan.cost)
+    return _simulate(harvest, n1 + 4 * n2, trials, seed, plan.cost, p)
 
 
 def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
     # Beamforming on the true channel harvests exactly ||h||^2 per band,
-    # so only the band norms matter; they are Gamma(m, beta) draws.
+    # so only the band norms matter; they are Gamma(m) draws.
     def harvest(rng, count):
-        norms = rng.gamma(p.m, p.beta, (count, p.n))
+        norms = rng.gamma(p.m, 1.0, (count, p.n))
         norms.partition(p.n - p.n2, axis=1)
-        return p.eta_t_ps * norms[:, p.n - p.n2 :].sum(axis=1)
+        return norms[:, p.n - p.n2 :].sum(axis=1)
 
-    return _simulate(harvest, p.n, trials, seed, 0.0)
+    return _simulate(harvest, p.n, trials, seed, 0.0, p)
 
 
 def _run_no_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
     def harvest(rng, count):
-        norms = rng.gamma(p.m, p.beta, (count, p.n2))
-        return p.eta_t_ps * norms.sum(axis=1) / p.m
+        return rng.gamma(p.m, 1.0, (count, p.n2)).sum(axis=1) / p.m
 
-    return _simulate(harvest, p.n2, trials, seed, 0.0)
+    return _simulate(harvest, p.n2, trials, seed, 0.0, p)
 
 
 def _run_phase2_only(
     e2: tuple[float, ...], p: SystemParams, trials: int, seed: int
 ) -> EnergyReport:
-    # Bands are exchangeable, so a fixed selection stands in for a random
-    # one and the reported spread reflects channel randomness only.  The
-    # energies must pass as those of a plan that probes no extra band.
+    # Bands are exchangeable: a fixed selection stands in for a random one
+    # (the spread is channel randomness only).  The energies must pass as a
+    # plan's that probes no extra band.  3 n2 is a frozen chunk key.
     TrainingPlan(n1=p.n2, e1=0.0, e2=e2).validate_against(p)
-    e2 = np.asarray(e2, dtype=float)
+    y = np.asarray(e2, dtype=float) * (p.beta / p.n0)
 
     def harvest(rng, count):
-        power = rng.gamma(p.m, p.beta, (count, p.n2))
-        per_band = _phase2_harvest(rng, power, e2, p)
-        return p.eta_t_ps * per_band.sum(axis=1)
+        power = rng.gamma(p.m, 1.0, (count, p.n2))
+        return _phase2_harvest(rng, power, y, p).sum(axis=1)
 
-    return _simulate(harvest, 3 * p.n2, trials, seed, float(e2.sum()))
+    return _simulate(harvest, 3 * p.n2, trials, seed, float(np.sum(e2)), p)
 
 
 def _run_brute_force(
@@ -299,18 +297,18 @@ def _run_brute_force(
 ) -> EnergyReport:
     # Estimate every band, pick the n2 largest estimated norms, beamform
     # with the estimates: along the first axis of _strongest's frame, so the
-    # harvest is |h1|^2 (isotropic, ||h||^2 / m as in _phase2_harvest, at
-    # zero energy).
+    # harvest is |h1|^2.  At zero energy the ranking is noise and the
+    # transmission isotropic: that is the no-CSI scheme.
     if energy < 0:
         raise ValueError(f"per-band energy must be >= 0, got {energy}")
-    trained = energy > 0.0
+    if energy == 0.0:
+        return _run_no_csi(p, trials, seed)
+    x = energy * (p.beta / p.n0)
 
     def harvest(rng, count):
-        power = _strongest(rng, count, p.n, p.n2, energy, p, along=trained)
-        total = power.sum(axis=1)
-        return p.eta_t_ps * (total if trained else total / p.m)
+        return _strongest(rng, count, p.n, p.n2, x, p, along=True).sum(axis=1)
 
-    return _simulate(harvest, p.n + 2 * p.n2, trials, seed, energy * p.n)
+    return _simulate(harvest, p.n + 2 * p.n2, trials, seed, energy * p.n, p)
 
 
 def run_benchmark(
@@ -349,7 +347,7 @@ def ranked_power_moments(
     total = np.zeros(n1)
     total_sq = np.zeros(n1)
     for rng, count in _chunks(trials, 3 * n1, seed):
-        ranked = _strongest(rng, count, n1, n1, e1, p)
+        ranked = _strongest(rng, count, n1, n1, e1 * (p.beta / p.n0), p)
         total += ranked.sum(axis=0)
         np.square(ranked, out=ranked)
         total_sq += ranked.sum(axis=0)
@@ -359,7 +357,7 @@ def ranked_power_moments(
         stderrs = np.sqrt(np.maximum(var, 0.0) / trials)
     else:
         stderrs = np.zeros(n1)
-    return means, stderrs
+    return means * p.beta, stderrs * p.beta
 
 
 def tune_brute_force_energy(

@@ -3,10 +3,10 @@
 Experiments are described by a flat ``key = value`` text file (``#``
 starts a comment).  Physical inputs may be given in linear SI units or in
 the dB forms common in link budgets; conversion happens at the parse
-boundary and everything downstream is strict SI.  Each run writes one CSV
-whose leading comment block echoes the full canonical configuration, so
-any cell can be recomputed from the library alone; identical configs
-produce byte-identical files.
+boundary.  The library is SI at its public boundaries and reduced inside.
+Each run writes one CSV whose leading comment block echoes the full
+canonical configuration, so any cell can be recomputed from the library
+alone; identical configs produce byte-identical files.
 
 Subcommands: ``gtable``, ``optimize``, ``simulate``, ``sweep``,
 ``bound``, ``echo-config``.

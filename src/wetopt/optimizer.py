@@ -3,7 +3,8 @@
 The search space is (n1, e1, {e2 per rank}).  With (n1, e1) fixed, the
 optimal per-rank phase-2 energy is a closed-form water-filling rule, so
 the problem collapses to a one-dimensional search over e1 for each n1,
-followed by an argmax over n1.
+followed by an argmax over n1, in the reduced units of
+:mod:`wetopt.training_model`; joules are applied once, on return.
 
 The reduced objective in e1 is a sum of linear fractional terms minus a
 linear cost.  Its shape depends on where the per-rank expected powers sit
@@ -44,11 +45,11 @@ from . import order_stats
 from .training_model import (
     SystemParams,
     TrainingPlan,
+    _threshold,
     check_e1,
     check_n1,
     esnr,
     expected_selected_power,
-    refinement_threshold,
     selected_powers,
 )
 
@@ -140,22 +141,20 @@ def optimal_phase2_energy(rank: int, n1: int, e1: float, p: SystemParams) -> flo
     band's expected power falls, and bands below the refinement threshold
     get nothing.  With one antenna the water level is zero.
     """
-    return float(_phase2_energies(np.array([expected_selected_power(rank, n1, e1, p)]), p)[0])
+    rho = expected_selected_power(rank, n1, e1, p) / p.beta
+    return float(_phase2_energies(rho, p)) * (p.n0 / p.beta)
 
 
-def _phase2_energies(rn: np.ndarray, p: SystemParams) -> np.ndarray:
-    # optimal_phase2_energy for each prior power in rn
-    level = math.sqrt(p.eta_t_ps * (p.m - 1) * p.n0)
-    return np.maximum(level - p.n0 * p.m / rn, 0.0)
+def _phase2_energies(rho, p: SystemParams):
+    # optimal_phase2_energy over n0 / beta for each prior power rho over beta
+    return np.maximum(math.sqrt(esnr(p) * (p.m - 1)) - p.m / rho, 0.0)
 
 
-def _penalty(rn: np.ndarray, p: SystemParams) -> np.ndarray:
-    # Minimum of (beamforming loss + e2) over e2 >= 0 for each prior power
-    # in rn; zero with one antenna, where the threshold is +inf
-    pen = (p.m - 1) / p.m * p.eta_t_ps * rn
-    above = rn > refinement_threshold(p)
-    pen[above] = 2.0 * math.sqrt((p.m - 1) * p.n0 * p.eta_t_ps) - p.n0 * p.m / rn[above]
-    return pen
+def _penalty(rho, p: SystemParams):
+    # min_phase2_penalty over eta t ps beta per prior power rho over beta:
+    # the beamforming loss at the optimal y plus its bill y / gamma
+    y = _phase2_energies(rho, p)
+    return (p.m - 1) * rho / (y * rho + p.m) + y / esnr(p)
 
 
 def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
@@ -164,12 +163,14 @@ def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
     Piecewise in the band's expected power and continuous at the
     refinement threshold.
     """
-    return float(_penalty(np.array([expected_selected_power(rank, n1, e1, p)]), p)[0])
+    rho = expected_selected_power(rank, n1, e1, p) / p.beta
+    return float(_penalty(rho, p)) * (p.eta_t_ps * p.beta)
 
 
-def _gross(rn: np.ndarray, p: SystemParams):
-    # reduced objective before the phase-1 bill, over rn's last axis (ranks)
-    return (p.eta_t_ps * rn - _penalty(rn, p)).sum(axis=-1)
+def _net(gains: np.ndarray, x: np.ndarray, n1, p: SystemParams):
+    # net energy over eta t ps beta at pilot SNRs x: gross less n1 x / gamma
+    rho = selected_powers(gains, x[..., None], p.m)
+    return (rho - _penalty(rho, p)).sum(axis=-1) - n1 * x / esnr(p)
 
 
 def net_energy_given_phase1(n1: int, e1: float | np.ndarray, p: SystemParams) -> float | np.ndarray:
@@ -185,19 +186,18 @@ def net_energy_given_phase1(n1: int, e1: float | np.ndarray, p: SystemParams) ->
     if not ok.all():
         check_e1(float(e[~ok].flat[0]))  # raises, naming the first bad energy
     gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    net = _gross(selected_powers(gains, e[..., None], p), p) - n1 * e
+    net = _net(gains, e * (p.beta / p.n0), n1, p) * (p.eta_t_ps * p.beta)
     return float(net) if net.ndim == 0 else net
 
 
 def _phase1_closed_form(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
-    # (e1, value) per row of gains with phase 2 off, the low-ESNR optimum; a
-    # surplus below n1/gamma does not pay (e1 = 0) and is raised to it for sqrt
+    # (x, value) per row of gains with phase 2 off, the low-ESNR optimum; a
+    # surplus below n1/gamma does not pay (x = 0) and is raised to it for sqrt
     surplus, gamma = np.sum(gains / p.m - 1.0, axis=1), esnr(p)
     floor = n1 / gamma
     s = np.maximum(surplus, floor)
-    root = math.sqrt(p.eta_t_ps * p.n0) * (np.sqrt(s / n1) - 1.0 / math.sqrt(gamma))
-    value = p.eta_t_ps * p.beta * (p.n2 + (np.sqrt(s) - np.sqrt(floor)) ** 2)
-    return np.where(surplus < floor, 0.0, root), value
+    value = p.n2 + (np.sqrt(s) - np.sqrt(floor)) ** 2
+    return np.where(surplus < floor, 0.0, np.sqrt(gamma * s / n1) - 1.0), value
 
 
 def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
@@ -214,9 +214,9 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
 
 def _case_codes(gains: np.ndarray, p: SystemParams) -> np.ndarray:
     # classify_esnr_case per row of stacked gains: -1 low, 0 high, j medium
-    alpha = refinement_threshold(p)
-    medium = 0 if alpha < p.beta * p.m else np.sum(p.beta * gains > alpha, axis=1)
-    return np.where(alpha >= p.beta * gains[:, 0], -1, medium)
+    rho = _threshold(esnr(p), p.m)
+    medium = 0 if rho < p.m else np.sum(gains > rho, axis=1)
+    return np.where(rho >= gains[:, 0], -1, medium)
 
 
 @lru_cache(maxsize=None)
@@ -412,72 +412,71 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     one n1 per row: the best phase-1 energy, its value and the e1 tried.
 
     Low rows take the phase-1 closed form.  In x a rank's expected power
-    beta*(x*g + m)/(x + 1) moves monotonically from beta*m toward beta*g,
-    so it crosses alpha once if alpha lies strictly between the two.  A
-    row's K crossings cut its e1 axis into pieces (0, c1), ..., (cK, inf);
-    two at one energy raise.  On piece k the strongest branch2 ranks sit
-    above the threshold: n2 - k in high (the k weakest have sunk), k in
-    medium (ranks 1..k have risen), or j where alpha = beta*m and nothing
-    crosses.  Before any per-rank array is built, :func:`_piece_h0`
-    reads each piece's h(0) from prefix sums over ranks; only pieces with
-    h(0) below its rounding slack, those that may hold a stationary point,
-    go to :func:`_stationary_rows`, and the others get NaN as they would
-    there.  A block of low rows returns after the closed form.  Scored
-    are e1 = 0, each inside stationary point and the right end of each
-    piece that passed the screen, which stands in for a stationary point
-    that rounding puts just past it.  h increases, so on every other piece
-    h >= 0 and the objective falls: its right end is beaten by a smaller
-    scored e1.  The smallest e1 of equal value wins.
+    over beta, (x*g + m)/(x + 1), moves monotonically from m toward g, so
+    it crosses rho* once, at x = (rho* - m)/(g - rho*), if rho* lies
+    strictly between the two.  A row's K crossings cut its x axis into
+    pieces (0, c1), ..., (cK, inf); two at one energy raise.  On piece k
+    the strongest branch2 ranks sit above the threshold: n2 - k in high
+    (the k weakest have sunk), k in medium (ranks 1..k have risen), or j
+    where rho* = m and nothing crosses.  Before any per-rank array is
+    built, :func:`_piece_h0` reads each piece's h(0) from prefix sums over
+    ranks; only pieces with h(0) below its rounding slack, those that may
+    hold a stationary point, go to :func:`_stationary_rows`, and the others
+    get NaN as they would there.  A block of low rows skips the pieces.
+    Scored are x = 0, each inside stationary point and the right end of
+    each piece that passed the screen, which stands in for a stationary
+    point that rounding puts just past it.  h increases, so on every other
+    piece h >= 0 and the objective falls: its right end is beaten by a
+    smaller scored x.  The smallest x of equal value wins; energies and
+    values leave in joules.
     """
     codes = _case_codes(gains, p)
-    e1, value = _phase1_closed_form(gains, n1, p)
-    candidates = [(0.0, e) for e in e1.tolist()]
-    low, (rows, n2) = codes < 0, gains.shape
-    if low.all():
-        return codes, e1, value, candidates
-    alpha, bm = refinement_threshold(p), p.beta * p.m
-    crosses = ((bm < alpha) & (alpha < p.beta * gains)) | ((p.beta * gains < alpha) & (alpha < bm))
-    x = np.full(gains.shape, np.inf)
-    np.divide(alpha - bm, p.beta * (gains - alpha / p.beta), out=x, where=crosses & ~low[:, None])
-    cut = np.sort(x * p.n0 / p.beta, axis=1)
-    tied = np.isfinite(cut[:, 1:]) & (cut[:, 1:] == cut[:, :-1])
-    if tied.any():
-        r = int(np.argmax(tied.any(axis=1)))
-        raise ArithmeticError(
-            f"distinct gains crossed the threshold at equal energies at n1={n1[r]}: "
-            f"{cut[r][np.isfinite(cut[r])].tolist()}"
-        )
-    count = np.sum(np.isfinite(cut), axis=1)
-    lo = np.concatenate([np.zeros((rows, 1)), cut], axis=1)
-    hi = np.concatenate([cut, np.full((rows, 1), np.inf)], axis=1)
-    row, k = np.nonzero(~low[:, None] & (lo < hi))  # pieces past cK have lo = hi = inf
-    branch2 = np.where(codes[row] == 0, n2 - k, k + codes[row] - count[row])
-    h0, slack = _piece_h0(gains, row, branch2, n1, p)
-    live = np.flatnonzero(h0 < slack)
-    e_stat = np.full(row.size, np.nan)
-    if live.size:
-        rows_live = row[live]
-        e_stat[live] = _stationary_rows(gains[rows_live], branch2[live], n1[rows_live], p) * (p.n0 / p.beta)
-    inside = (lo[row, k] <= e_stat) & (e_stat <= hi[row, k])
-    stationary = np.full(lo.shape, np.inf)
-    stationary[row[inside], k[inside]] = e_stat[inside]
-    ends = np.full(lo.shape, np.inf)
-    ends[row[live], k[live]] = hi[row[live], k[live]]
-    start = np.where(low, np.inf, 0.0)[:, None]
-    tried = np.concatenate([start, ends, stationary], axis=1)
-    tried.sort(axis=1)
-    keep = np.isfinite(tried)
-    keep[:, 1:] &= tried[:, 1:] != tried[:, :-1]
-    at, tried = np.nonzero(keep)[0], tried[keep]
-    score = _gross(selected_powers(gains[at], tried[:, None], p), p) - n1[at] * tried
-    sizes = np.bincount(at, minlength=rows)[~low]
-    starts = np.cumsum(sizes) - sizes
-    first = np.lexsort((-score, at))[starts]  # stable: the smallest e1 of a tie
-    e1[~low], value[~low] = tried[first], score[first]
-    flat = tried.tolist()
-    for r, s, n in zip(np.flatnonzero(~low).tolist(), starts.tolist(), sizes.tolist()):
-        candidates[r] = tuple(flat[s : s + n])
-    return codes, e1, value, candidates
+    x, value = _phase1_closed_form(gains, n1, p)
+    unit, low, (rows, n2) = p.n0 / p.beta, codes < 0, gains.shape
+    candidates = [(0.0, e) for e in (x * unit).tolist()]
+    if not low.all():
+        rho, m = _threshold(esnr(p), p.m), p.m
+        crosses = ((m < rho) & (rho < gains)) | ((gains < rho) & (rho < m))
+        cut = np.full(gains.shape, np.inf)
+        np.divide(rho - m, gains - rho, out=cut, where=crosses & ~low[:, None])
+        cut.sort(axis=1)
+        tied = np.isfinite(cut[:, 1:]) & (cut[:, 1:] == cut[:, :-1])
+        if tied.any():
+            r = int(np.argmax(tied.any(axis=1)))
+            raise ArithmeticError(
+                f"distinct gains crossed the threshold at equal energies at n1={n1[r]}: "
+                f"{(cut[r][np.isfinite(cut[r])] * unit).tolist()}"
+            )
+        count = np.sum(np.isfinite(cut), axis=1)
+        lo = np.concatenate([np.zeros((rows, 1)), cut], axis=1)
+        hi = np.concatenate([cut, np.full((rows, 1), np.inf)], axis=1)
+        row, k = np.nonzero(~low[:, None] & (lo < hi))  # pieces past cK have lo = hi = inf
+        branch2 = np.where(codes[row] == 0, n2 - k, k + codes[row] - count[row])
+        h0, slack = _piece_h0(gains, row, branch2, n1, p)
+        live = np.flatnonzero(h0 < slack)
+        x_stat = np.full(row.size, np.nan)
+        if live.size:
+            x_stat[live] = _stationary_rows(gains[row[live]], branch2[live], n1[row[live]], p)
+        inside = (lo[row, k] <= x_stat) & (x_stat <= hi[row, k])
+        stationary = np.full(lo.shape, np.inf)
+        stationary[row[inside], k[inside]] = x_stat[inside]
+        ends = np.full(lo.shape, np.inf)
+        ends[row[live], k[live]] = hi[row[live], k[live]]
+        start = np.where(low, np.inf, 0.0)[:, None]
+        tried = np.concatenate([start, ends, stationary], axis=1)
+        tried.sort(axis=1)
+        keep = np.isfinite(tried)
+        keep[:, 1:] &= tried[:, 1:] != tried[:, :-1]
+        at, tried = np.nonzero(keep)[0], tried[keep]
+        score = _net(gains[at], tried, n1[at], p)
+        sizes = np.bincount(at, minlength=rows)[~low]
+        starts = np.cumsum(sizes) - sizes
+        first = np.lexsort((-score, at))[starts]  # stable: the smallest x of a tie
+        x[~low], value[~low] = tried[first], score[first]
+        flat = (tried * unit).tolist()
+        for r, s, n in zip(np.flatnonzero(~low).tolist(), starts.tolist(), sizes.tolist()):
+            candidates[r] = tuple(flat[s : s + n])
+    return codes, x * unit, value * (p.eta_t_ps * p.beta), candidates
 
 
 def _stacked_gains(p: SystemParams) -> tuple[list[int], np.ndarray]:
@@ -526,8 +525,8 @@ def optimize_training(p: SystemParams) -> Solution:
             best_n1, best_e1, best_value = block[i], float(e1[i]), float(value[i])
         cases.update(zip(block, map(_label, codes.tolist())))
         log.extend(zip(block, candidates))
-    rn = selected_powers(gains[best_n1 - p.n2], best_e1, p)
-    e2 = tuple(_phase2_energies(rn, p).tolist())
+    rho = selected_powers(gains[best_n1 - p.n2], best_e1 * (p.beta / p.n0), p.m)
+    e2 = tuple((_phase2_energies(rho, p) * (p.n0 / p.beta)).tolist())
     return Solution(TrainingPlan(best_n1, best_e1, e2), best_value, cases, log)
 
 
@@ -543,9 +542,10 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     array expression over the stacked gains.
     """
     n1s, gains = _stacked_gains(p)
-    e1, value = _phase1_closed_form(gains, np.array(n1s), p)
+    x, value = _phase1_closed_form(gains, np.array(n1s), p)
     i = int(np.argmax(value))
-    return TrainingPlan(n1=n1s[i], e1=float(e1[i]), e2=(0.0,) * p.n2), float(value[i])
+    plan = TrainingPlan(n1=n1s[i], e1=float(x[i]) * (p.n0 / p.beta), e2=(0.0,) * p.n2)
+    return plan, float(value[i]) * (p.eta_t_ps * p.beta)
 
 
 def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
@@ -554,9 +554,8 @@ def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     Without ranking every band has prior power beta*m, so one water-filling
     energy is shared by all selected bands.
     """
-    bm = p.beta * p.m
     e2 = optimal_phase2_energy(1, p.n2, 0.0, p)
-    value = p.n2 * (p.eta_t_ps * bm - float(_penalty(np.array([bm]), p)[0]))
+    value = p.n2 * (p.m - float(_penalty(p.m, p))) * (p.eta_t_ps * p.beta)
     return TrainingPlan(n1=p.n2, e1=0.0, e2=(e2,) * p.n2), value
 
 
@@ -571,9 +570,6 @@ def solve_brute_force(p: SystemParams) -> tuple[float, float]:
     value eta*t*ps*beta*n2.  Returns ``(energy_per_band, value)``.
     """
     top = math.fsum(order_stats.gains_up_to(p.n2, p.n, p.m))
-    x = math.sqrt(esnr(p) * (top - p.n2) / p.n) - 1.0
-    if x <= 0.0:
-        return 0.0, p.eta_t_ps * p.beta * p.n2
-    energy = x * p.n0 / p.beta
-    value = p.eta_t_ps * p.beta * (top - (top - p.n2) / (x + 1.0)) - p.n * energy
-    return energy, value
+    x = max(math.sqrt(esnr(p) * (top - p.n2) / p.n) - 1.0, 0.0)
+    value = p.n2 + (top - p.n2) * x / (x + 1.0) - p.n * x / esnr(p)
+    return x * (p.n0 / p.beta), value * (p.eta_t_ps * p.beta)

@@ -8,16 +8,18 @@ expected channel powers of the ranked bands and the average / net
 harvested-energy expressions that the optimizer and the simulator both
 rely on.
 
-Units are strict SI throughout: energies in joules, powers in watts,
-times in seconds.  Channel entries have variance ``beta`` (dimensionless
-amplitude-squared path gain); ``n0`` is the noise energy per pilot
-observation entry after matched filtering.
+Units are SI at the public boundaries (joules, watts, seconds) and
+reduced inside: x = beta e1 / n0, y = beta e2 / n0, powers over beta and
+energies over eta t ps beta, so the link enters only through the ESNR.
+Channel entries have variance ``beta`` (dimensionless amplitude-squared
+path gain); ``n0`` is the noise energy per matched-filtered pilot entry.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from . import order_stats
@@ -76,6 +78,8 @@ class SystemParams:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.eta > 1:
             raise ValueError(f"conversion efficiency must be <= 1, got {self.eta}")
+        if not max(sys.float_info.min, self.n / sys.float_info.max) <= esnr(self) < math.inf:
+            raise ValueError(f"ESNR must be finite and normal, with n / ESNR finite, got {esnr(self)!r}")
 
     @property
     def eta_t_ps(self) -> float:
@@ -122,10 +126,10 @@ def check_e1(e1: float) -> None:
         raise ValueError(f"phase-1 energy must be finite and >= 0, got {e1}")
 
 
-def selected_powers(gains, e1: float, p: SystemParams):
-    """(beta^2 e1 g + beta n0 m) / (beta e1 + n0) for noise-free gains g, a
-    float or an array: expected selected powers, unchecked (a hot path)."""
-    return (p.beta**2 * e1 * gains + p.beta * p.n0 * p.m) / (p.beta * e1 + p.n0)
+def selected_powers(gains, x, m: int):
+    """(x g + m) / (x + 1) for noise-free gains g at pilot SNR x = beta e1 / n0,
+    floats or arrays: expected selected powers over beta, unchecked."""
+    return (x * gains + m) / (x + 1.0)
 
 
 def expected_selected_power(rank: int, n1: int, e1: float, p: SystemParams) -> float:
@@ -138,7 +142,7 @@ def expected_selected_power(rank: int, n1: int, e1: float, p: SystemParams) -> f
     if not 1 <= rank <= n1:
         raise ValueError(f"rank must be in [1, {n1}], got {rank}")
     check_e1(e1)
-    return selected_powers(order_stats.gain(rank, n1, p.m), e1, p)
+    return p.beta * selected_powers(order_stats.gain(rank, n1, p.m), e1 * (p.beta / p.n0), p.m)
 
 
 def average_harvested_energy(plan: TrainingPlan, p: SystemParams) -> float:
@@ -150,12 +154,10 @@ def average_harvested_energy(plan: TrainingPlan, p: SystemParams) -> float:
     and as the phase-2 pilot energy grows.
     """
     plan.validate_against(p)
-    gains = order_stats.gains_up_to(p.n2, plan.n1, p.m)
-    terms = []
-    for e2, rn in zip(plan.e2, selected_powers(gains, plan.e1, p)):
-        loss = (p.m - 1) * p.n0 / (e2 * rn + p.n0 * p.m)
-        terms.append(rn * (1.0 - loss))
-    return p.eta_t_ps * math.fsum(terms)
+    gains, snr = order_stats.gains_up_to(p.n2, plan.n1, p.m), p.beta / p.n0
+    rho = selected_powers(gains, plan.e1 * snr, p.m)
+    terms = (r * (1.0 - (p.m - 1) / (e2 * snr * r + p.m)) for e2, r in zip(plan.e2, rho))
+    return p.eta_t_ps * p.beta * math.fsum(terms)
 
 
 def net_harvested_energy(plan: TrainingPlan, p: SystemParams) -> float:
@@ -167,9 +169,9 @@ def esnr(p: SystemParams) -> float:
     """Two-way effective SNR: pilot energy scale times beta^2 over noise.
 
     The squared path gain reflects attenuation on both the reverse pilot
-    link and the forward transfer link.
+    link and the forward transfer link; beta^2 itself is never formed.
     """
-    return p.eta_t_ps * p.beta**2 / p.n0
+    return p.eta_t_ps * p.beta * (p.beta / p.n0)
 
 
 def refinement_threshold(p: SystemParams) -> float:
@@ -179,6 +181,9 @@ def refinement_threshold(p: SystemParams) -> float:
     phase-2 energy at the optimum.  With a single antenna beamforming
     buys nothing, so the threshold is +inf.
     """
-    if p.m == 1:
-        return math.inf
-    return math.sqrt(p.n0) * p.m / math.sqrt(p.eta_t_ps * (p.m - 1))
+    return p.beta * _threshold(esnr(p), p.m)
+
+
+def _threshold(gamma: float, m: int) -> float:
+    # the refinement threshold over beta, rho* = m / sqrt(gamma (m - 1))
+    return math.inf if m == 1 else m / math.sqrt(gamma * (m - 1))

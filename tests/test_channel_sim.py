@@ -151,6 +151,10 @@ class TestBenchmarks:
         assert two.mean_qnet - max(phase1.mean_qnet, phase2.mean_qnet) > se(two, phase2)
         assert two.mean_qnet - nocsi.mean_qnet > se(two, nocsi)
 
+    def test_brute_force_at_zero_energy_is_no_csi(self):
+        p = params()
+        assert run_benchmark(BruteForce(0.0), p, 3000, 12) == run_benchmark(NoCsi(), p, 3000, 12)
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(TypeError):
             run_benchmark(object(), params(), 10, 0)
@@ -335,7 +339,7 @@ class TestPhase2Law:
         oracle = full_vector_two_phase(
             np.random.default_rng(702), self.TRIALS, plan.n1, plan.e1, self.E2, p
         )
-        assert_same_moments(new, oracle)
+        assert_same_moments(new, oracle / p.beta)  # the kernels' units
 
     def test_phase2_only(self, monkeypatch):
         p = params(m=3)
@@ -347,7 +351,7 @@ class TestPhase2Law:
         oracle = full_vector_phase2_only(
             np.random.default_rng(704), self.TRIALS, self.E2, p
         )
-        assert_same_moments(new, oracle)
+        assert_same_moments(new, oracle / p.beta)  # the kernels' units
 
 
 def complex_strongest(rng, trials, probed, kept, e, p):
@@ -384,7 +388,7 @@ class TestStrongestLaw:
             np.random.default_rng(seed + 1), self.TRIALS, n1, n1, e1, p
         )
         assert new.shape == oracle.shape
-        assert_same_moments(new, oracle)
+        assert_same_moments(new, oracle / p.beta)  # the kernels' units
 
     @pytest.mark.parametrize("m, seed", [(1, 721), (2, 723), (10, 725)])
     def test_brute_force_harvest(self, monkeypatch, m, seed):
@@ -401,7 +405,7 @@ class TestStrongestLaw:
             np.random.default_rng(seed + 1), self.TRIALS, p.n, p.n2, energy, p
         )
         assert new.shape == oracle.shape
-        assert_same_moments(new, oracle)
+        assert_same_moments(new, oracle / p.beta)  # the kernels' units
 
 
 class TestLargeArray:

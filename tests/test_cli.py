@@ -213,6 +213,36 @@ class TestExitCodes:
         assert main(["bound", "--config", path]) == 2
 
 
+class TestUnitScaling:
+    """beta -> c beta with n0 -> c^2 n0 leaves the ESNR, and so the design:
+    the same n1* and the same net energy in units of eta t ps beta."""
+
+    def _optimize(self, tmp_path, beta, n0):
+        out = tmp_path / f"opt-{beta:g}.csv"
+        text = (
+            "experiment = optimize\nm = 10\nn = 120\nn2 = 16\n"
+            f"eta = 0.8\nt_s = 5e-5\nps_w = 0.06\nbeta = {beta!r}\nn0_j = {n0!r}\n"
+            f"out = {out}\n"
+        )
+        assert main(["optimize", "--config", write(tmp_path, text, f"{beta:g}.conf")]) == 0
+        row = TestOtherExperiments()._read(out)
+        return int(row["n1_star"]), float(row["qnet_j"]) / (0.8 * 5e-5 * 0.06 * beta)
+
+    @pytest.mark.parametrize("beta, n0", [(1e-120, 1e-247), (1e140, 1e273)])
+    def test_optimize_is_scale_free(self, tmp_path, beta, n0):
+        n1, reduced = self._optimize(tmp_path, beta, n0)
+        base_n1, base = self._optimize(tmp_path, 1e-6, 1e-19)
+        assert n1 == base_n1 == 120
+        assert reduced == pytest.approx(base, rel=1e-12)
+
+    def test_esnr_out_of_range_exits_2(self, tmp_path, capsys):
+        text = ISM_DEFAULTS.replace("beta_db = -60", "beta = 1e-200").replace(
+            "n0_dbm_per_hz = -160", "n0_j = 1.0"
+        )
+        assert main(["optimize", "--config", write(tmp_path, text)]) == 2
+        assert "ESNR" in capsys.readouterr().err
+
+
 class TestOtherExperiments:
     def _base(self, tmp_path, experiment, out_name, extra=""):
         out = tmp_path / out_name

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from conftest import grid_oracle_best, random_instance
-from wetopt import optimizer, order_stats
+from wetopt import channel_sim, optimizer, order_stats
 from wetopt.optimizer import (
     HIGH_ESNR,
     LOW_ESNR,
@@ -23,6 +23,7 @@ from wetopt.optimizer import (
     optimal_phase2_energy,
     optimize_training,
     poly_real_roots,
+    solve_brute_force,
     solve_for_n1,
     solve_phase1_only,
     solve_phase2_only,
@@ -641,6 +642,51 @@ class TestAgainstGridOracle:
         p = ism_link(m=m, n=n, n2=n2, t=t)
         oracle = grid_oracle_best(p)
         assert optimize_training(p).qnet_star >= oracle - 1e-4 * abs(oracle)
+
+
+def reduced_answers(p: SystemParams) -> tuple:
+    """Every answer for ``p`` in reduced units: energies as pilot SNRs
+    beta e / n0 and net energies in units of eta t ps beta, with the
+    labels and six simulated schemes at one seed."""
+    unit, scale = p.n0 / p.beta, p.eta_t_ps * p.beta
+    sol = optimize_training(p)
+    plan = sol.plan
+    p1, v1 = solve_phase1_only(p)
+    schemes = [
+        channel_sim.TwoPhase(plan),
+        channel_sim.PerfectCsi(),
+        channel_sim.NoCsi(),
+        channel_sim.Phase1Only(p1.n1, p1.e1),
+        channel_sim.Phase2Only(solve_phase2_only(p)[0].e2),
+        channel_sim.BruteForce(solve_brute_force(p)[0]),
+    ]
+    reports = [channel_sim.run_benchmark(s, p, 64, seed=41) for s in schemes]
+    return (
+        plan.n1,
+        sorted(sol.case_used_per_n1.items()),
+        plan.e1 / unit,
+        [e2 / unit for e2 in plan.e2],
+        sol.qnet_star / scale,
+        net_harvested_energy(plan, p) / scale,
+        (p1.n1, p1.e1 / unit, [e2 / unit for e2 in p1.e2], v1 / scale),
+        [(r.mean_qnet / scale, r.stderr / scale) for r in reports],
+    )
+
+
+class TestUnitScaling:
+    """The design depends on the link only through the ESNR: scaling
+    beta by c and n0 by c^2 leaves every answer in reduced units.  With
+    c = 2^k every SI value scales exactly, so reduced answers must agree
+    bit for bit, far past where beta^2 or beta n0 under- or overflow."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems(), k=st.integers(-450, 450) | st.sampled_from([-450, -350, 350, 450]))
+    @example(p=ism_link(m=10, n=120, n2=16, t=5e-5), k=-450)
+    @example(p=ism_link(m=10, n=120, n2=16, t=5e-5), k=450)
+    def test_reduced_answers_bit_identical(self, p, k):
+        scaled = replace(p, beta=math.ldexp(p.beta, k), n0=math.ldexp(p.n0, 2 * k))
+        assert esnr(scaled) == esnr(p)
+        assert reduced_answers(scaled) == reduced_answers(p)
 
 
 def rows_inside_optimize(p: SystemParams):

@@ -63,6 +63,27 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             params(**{field: value})
 
+    @pytest.mark.parametrize(
+        "beta, n0",
+        [
+            (1e-200, 1.0),  # the ESNR underflows to 0
+            (1e200, 1e-200),  # it overflows to inf
+            (1e-151, 0.25),  # it is normal, 9.6e-308, but n / ESNR overflows
+        ],
+    )
+    def test_rejects_esnr_out_of_range(self, beta, n0):
+        with pytest.raises(ValueError, match=r"^ESNR"):
+            params(m=10, n=120, n2=16, t=5e-5, beta=beta, n0=n0)
+
+    def test_esnr_formed_without_beta_squared(self):
+        # beta**2 underflows to 0, but the ESNR is a normal float, and the
+        # design solves: no training pays at an ESNR this small
+        p = params(m=10, n=120, n2=16, t=5e-5, beta=1e-160, n0=1e-300)
+        assert esnr(p) == pytest.approx(2.4e-26, rel=1e-12)
+        sol = optimizer.optimize_training(p)
+        assert (sol.plan.n1, sol.plan.e1) == (16, 0.0)
+        assert sol.qnet_star == p.eta_t_ps * p.beta * p.n2
+
     def test_accepts_numpy_integers(self):
         p = params(m=np.int64(4), n=np.int32(12))
         assert p.m == 4 and p.n == 12
