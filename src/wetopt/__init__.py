@@ -40,7 +40,6 @@ from .optimizer import (
     CaseSolution,
     Solution,
     classify_esnr_case,
-    min_phase2_penalty,
     net_energy_given_phase1,
     optimal_phase2_energy,
     optimize_training,

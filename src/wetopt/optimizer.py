@@ -17,18 +17,17 @@ into three ESNR regimes, labels of one problem:
   may sink through it as e1 grows (when n1 is barely above n2),
 * medium: ranks 1..j rise through the threshold as e1 grows.
 
-The last two split the e1 axis where ranks cross the threshold.  Each
-piece has at most one stationary point, certified and found by a
-bracketed Newton iteration in the phase-1 pilot SNR x = beta * e1 / n0;
-e1 = 0, the stationary points and the right ends of the pieces that may
-hold one are scored with the exact piecewise objective.
-:func:`poly_real_roots` is the tests' root oracle.
+The last two split the e1 axis where ranks cross the threshold, but the
+objective stays C1 across the crossings: its slope is a negative multiple
+of one increasing function h of the phase-1 pilot SNR x = beta * e1 / n0.
+So each n1's optimum is e1 = 0 where h(0) >= 0, and otherwise the one
+root of h, found by a bracketed Newton iteration on the piece that holds
+it.  :func:`poly_real_roots` is the tests' root oracle.
 
 The n1 sweep runs in lockstep on the gains of every n1 stacked into one
-(n1 count, n2) array: labels, crossings, a prefix-sum screen of every
-(n1, piece), the Newton iterations of the pieces that pass it and the
-scores of their candidates are numpy passes over blocks of rows, of at
-most ``_BLOCK_TARGET`` elements per (rows x n2) array.
+(n1 count, n2) array: labels, h(0), a bisection over the crossings of the
+rows with h(0) < 0, their Newton iterations and their scores are numpy
+passes over blocks of rows.
 :func:`solve_for_n1` runs the same code on one row.
 """
 
@@ -59,7 +58,6 @@ __all__ = [
     "RootFindingError",
     "Solution",
     "classify_esnr_case",
-    "min_phase2_penalty",
     "net_energy_given_phase1",
     "optimal_phase2_energy",
     "optimize_training",
@@ -78,8 +76,9 @@ MEDIUM_ESNR = "medium_esnr"
 # most ten, bisection alone would take about 52 + log2(bracket / root)
 _ROOT_STEPS = 200
 
-# elements per (rows x n2) array of one lockstep block: a block of n1 rows
-# has at most n2 + 1 pieces and 2 n2 + 2 candidates per row
+# a lockstep block holds _BLOCK_TARGET // (n2 (n2 + 1)) n1 rows, at least
+# one, so each of its (rows x n2) arrays holds at most _BLOCK_TARGET / (n2 + 1)
+# elements, or n2
 _BLOCK_TARGET = 1 << 18
 
 
@@ -151,20 +150,11 @@ def _phase2_energies(rho, p: SystemParams):
 
 
 def _penalty(rho, p: SystemParams):
-    # min_phase2_penalty over eta t ps beta per prior power rho over beta:
-    # the beamforming loss at the optimal y plus its bill y / gamma
+    # estimation loss plus pilot cost at the optimal phase-2 energy, over
+    # eta t ps beta, per prior power rho over beta: the beamforming loss at
+    # the optimal y plus its bill y / gamma; continuous at the threshold
     y = _phase2_energies(rho, p)
     return (p.m - 1) * rho / (y * rho + p.m) + y / esnr(p)
-
-
-def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
-    """Estimation loss plus pilot cost at the optimal phase-2 energy.
-
-    Piecewise in the band's expected power and continuous at the
-    refinement threshold.
-    """
-    rho = expected_selected_power(rank, n1, e1, p) / p.beta
-    return float(_penalty(rho, p)) * (p.eta_t_ps * p.beta)
 
 
 def _net(gains: np.ndarray, x: np.ndarray, n1, p: SystemParams):
@@ -317,49 +307,63 @@ def _stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) 
     return None if math.isnan(x) else x
 
 
+def _piece_arrays(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
+    # (g, b, d0) of h on pieces: the strongest branch2[i] ranks of row i
+    # above the threshold, the rest below (they carry b = 0)
+    above = np.arange(gains.shape[1]) < branch2[:, None]
+    d0 = esnr(p) * np.sum(np.where(above, gains - p.m, gains / p.m - 1.0), axis=1) / n1
+    g = np.where(above, p.m / gains, 1.0)
+    b = np.where(above, g * (1.0 - g), 0.0) / n1[:, None]
+    return g, b, d0
+
+
+def _h(x: np.ndarray, g: np.ndarray, b: np.ndarray, d0: np.ndarray):
+    # h per row at x, on the pieces of :func:`_piece_arrays`
+    u = (x + 1.0)[:, None] / (x[:, None] + g)
+    return (x + 1.0) ** 2 + np.sum(b * u * u, axis=1) - d0
+
+
 def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
     """Stationary point of the reduced objective on pieces, in x = beta*e1/n0.
 
     On row i the strongest ``branch2[i]`` ranks of ``gains[i]`` are assumed
     above the refinement threshold, the rest below.  With g_i = m/gain_i
-    and b_i = g_i (1-g_i)/n1 the piece's objective is
-    d0/(x+1) + x - sum b_i/(x+g_i) up to constants, stationary where
-    h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = 0.
-    Ordered gains have sum_{r<=n1} (gain_r - m)^2 <= n1 m (Jensen), so
+    and b_i = g_i (1-g_i)/n1 the piece's objective Q is
+    -(n1/gamma) [d0/(x+1) + x - sum b_i/(x+g_i)] up to constants, so
+    h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = -(gamma/n1) (x+1)^2 Q'(x).
+    The factor does not depend on the piece, and the exact objective is C1
+    across the crossings: at rho* a rank's net, rho/m below and
+    rho - 2 sqrt((m-1)/gamma) + m/(gamma rho) above, is 1/sqrt(gamma (m-1))
+    on both sides, with slope 1/m on both.  So the pieces' h join into one
+    continuous function of x.  Ordered gains have
+    sum_{r<=n1} (gain_r - m)^2 <= n1 m (Jensen), so
     h'(x) = 2(x+1) [1 - (1/n1) sum g_i (1-g_i)^2/(x+g_i)^3] >= 2(x+1)(1-1/m)
-    on x >= 0, with m >= 2 wherever phase 2 is on: h increases, and its
-    one root, if h(0) < 0, lies in [0, sqrt(d0 + sum_{b_i<0} |b_i|)].
+    on x >= 0, with m >= 2 wherever phase 2 is on: h increases on every
+    piece and so on all of [0, inf).  On one piece its root, if
+    h(0) < 0, lies in [0, sqrt(d0 + sum_{b_i<0} |b_i|)].
     Newton steps from the right end that leave the bracket fall back to
     bisection, and one below half an ulp moves one ulp, until h is 0 or the
     bracket ends are adjacent floats (then the end with the smaller |h|).
-    All rows step in lockstep and leave once certified; a row's arithmetic
-    does not depend on the others.  NaN where h(0) >= 0.  The sweep sends
-    only the pieces that pass :func:`_piece_h0`'s screen, so the per-rank
-    arrays are built for those alone.
+    The terms of h' are divided by x + g_i three times, since its cube
+    overflows once x passes about 5e102.  All rows step in lockstep and
+    leave once certified; a row's arithmetic does not depend on the
+    others.  NaN where h(0) >= 0.
     """
-    above = np.arange(gains.shape[1]) < branch2[:, None]
-    d0 = esnr(p) * np.sum(np.where(above, gains - p.m, gains / p.m - 1.0), axis=1) / n1
-    g = np.where(above, p.m / gains, 1.0)  # below-threshold columns carry b = 0
-    b = np.where(above, g * (1.0 - g), 0.0) / n1[:, None]
+    g, b, d0 = _piece_arrays(gains, branch2, n1, p)
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
-
-    def h(x, g, b, d0):
-        u = (x + 1.0)[:, None] / (x[:, None] + g)
-        return (x + 1.0) ** 2 + np.sum(b * u * u, axis=1) - d0
-
     out = np.full(d0.size, np.nan)
-    live = np.flatnonzero(h(np.zeros(d0.size), g, b, d0) < 0.0)
+    live = np.flatnonzero(_h(np.zeros(d0.size), g, b, d0) < 0.0)
     g, b, curve, d0 = g[live], b[live], curve[live], d0[live]
     lo, hi = np.zeros(live.size), np.sqrt(d0 - np.sum(np.minimum(b, 0.0), axis=1))
     x = hi
     for _ in range(_ROOT_STEPS):
         if not live.size:
             return out
-        hx = h(x, g, b, d0)
+        hx = _h(x, g, b, d0)
         neg = hx < 0.0
         lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
         t = x[:, None] + g
-        nxt = x - hx / (2.0 * (x + 1.0) * (1.0 - np.sum(curve / (t * t * t), axis=1)))
+        nxt = x - hx / (2.0 * (x + 1.0) * (1.0 - np.sum(curve / t / t / t, axis=1)))
         nxt = np.where(nxt == x, np.nextafter(x, np.where(neg, hi, lo)), nxt)
         bisect = ~((lo < nxt) & (nxt < hi))
         nxt = np.where(bisect, lo + 0.5 * (hi - lo), nxt)
@@ -368,7 +372,7 @@ def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: 
         if done.any():
             out[live[hx == 0.0]] = x[hx == 0.0]
             i = np.flatnonzero(ends)
-            nearer = np.abs(h(hi[i], g[i], b[i], d0[i])) < np.abs(h(lo[i], g[i], b[i], d0[i]))
+            nearer = np.abs(_h(hi[i], g[i], b[i], d0[i])) < np.abs(_h(lo[i], g[i], b[i], d0[i]))
             out[live[i]] = np.where(nearer, hi[i], lo[i])
             keep = ~done
             live, nxt, lo, hi = live[keep], nxt[keep], lo[keep], hi[keep]
@@ -383,30 +387,6 @@ def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: 
     )
 
 
-def _piece_h0(gains: np.ndarray, row: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
-    """``(h0, slack)`` per piece, the screen of :func:`_stationary_rows`:
-    a piece with ``h0 >= slack`` has no stationary point.
-
-    Piece i is row ``row[i]`` of ``gains`` with its strongest ``branch2[i]``
-    ranks above the threshold.  Its h(0) = 1 + sum b_i/g_i^2 - d0 needs no
-    per-rank array: b_i/g_i^2 = (gain_i/m - 1)/n1, so with the prefix sums
-    A = cumsum(gain - m) over ranks (leading 0) and B = A/m,
-    h(0) = 1 + B[branch2]/n1 - gamma (A[branch2] + B[n2] - B[branch2])/n1.
-    These sums round differently from the per-rank ones; ``slack`` bounds
-    the two roundings from sum(gain + m) over the row, so every piece whose
-    per-rank h(0) is negative has h0 < slack, and the per-rank h(0) stays
-    the test of the pieces that pass.
-    """
-    rows, n2 = gains.shape
-    prefix = np.zeros((rows, n2 + 1))
-    np.cumsum(gains - p.m, axis=1, out=prefix[:, 1:])
-    above, total, n, gamma = prefix[row, branch2], prefix[row, n2], n1[row], esnr(p)
-    h0 = 1.0 + above / (p.m * n) - gamma * (above + (total - above) / p.m) / n
-    scale = total + 2 * n2 * p.m  # sum(gain + m) over the row
-    slack = 16.0 * (n2 + 1) * np.finfo(float).eps * (1.0 + (1.0 + gamma) * scale / n)
-    return h0, slack
-
-
 def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     """(case codes, e1, value, candidates) for each row of stacked gains,
     one n1 per row: the best phase-1 energy, its value and the e1 tried.
@@ -415,67 +395,55 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     over beta, (x*g + m)/(x + 1), moves monotonically from m toward g, so
     it crosses rho* once, at x = (rho* - m)/(g - rho*), if rho* lies
     strictly between the two.  A row's K crossings cut its x axis into
-    pieces (0, c1), ..., (cK, inf); two at one energy raise.  On piece k
-    the strongest branch2 ranks sit above the threshold: n2 - k in high
-    (the k weakest have sunk), k in medium (ranks 1..k have risen), or j
-    where rho* = m and nothing crosses.  Before any per-rank array is
-    built, :func:`_piece_h0` reads each piece's h(0) from prefix sums over
-    ranks; only pieces with h(0) below its rounding slack, those that may
-    hold a stationary point, go to :func:`_stationary_rows`, and the others
-    get NaN as they would there.  A block of low rows skips the pieces.
-    Scored are x = 0, each inside stationary point and the right end of
-    each piece that passed the screen, which stands in for a stationary
-    point that rounding puts just past it.  h increases, so on every other
-    piece h >= 0 and the objective falls: its right end is beaten by a
-    smaller scored x.  The smallest x of equal value wins; energies and
-    values leave in joules.
+    pieces (0, c1), ..., (cK, inf).  On piece k the strongest branch2
+    ranks sit above the threshold: n2 - k in high (the k weakest have
+    sunk), k in medium (ranks 1..k have risen), or j where rho* = m and
+    nothing crosses.  The pieces' h of :func:`_stationary_rows` form one
+    continuous increasing function, so a row's optimum is x = 0 where
+    h(0) >= 0, and otherwise the one root of h.  Every row scores x = 0.
+    On the rows whose h(0) < 0, a bisection over the sorted crossings
+    finds k, the number of them where h < 0 (at a crossing, h of the
+    piece it starts), and Newton runs once, on piece k.  The root is kept
+    only if it scores strictly above x = 0, so a tie goes to the smaller
+    e1.  A block of low rows skips all of this.  Energies and values
+    leave in joules.
     """
     codes = _case_codes(gains, p)
     x, value = _phase1_closed_form(gains, n1, p)
-    unit, low, (rows, n2) = p.n0 / p.beta, codes < 0, gains.shape
+    unit, rows = p.n0 / p.beta, np.flatnonzero(codes >= 0)
     candidates = [(0.0, e) for e in (x * unit).tolist()]
-    if not low.all():
-        rho, m = _threshold(esnr(p), p.m), p.m
+    if rows.size:
+        gains, n1, code = gains[rows], n1[rows], codes[rows]
+        rho, m, n2 = _threshold(esnr(p), p.m), p.m, gains.shape[1]
         crosses = ((m < rho) & (rho < gains)) | ((gains < rho) & (rho < m))
+        count = np.sum(crosses, axis=1)
+        first = np.where(code == 0, n2, code - count)  # branch2 on piece 0
+        sign = np.where(code == 0, -1, 1)  # its change per crossing passed
+        zero = np.zeros(rows.size)
+        # at x = 0 every rank's power is m, so every row has one value there
+        x[rows], value[rows] = zero, _net(gains[:1], zero[:1], n1[:1], p)
+        for r in rows.tolist():
+            candidates[r] = (0.0,)
+        live = np.flatnonzero(_h(zero, *_piece_arrays(gains, first, n1, p)) < 0.0)
+        gains, n1, first, sign, top = gains[live], n1[live], first[live], sign[live], count[live]
         cut = np.full(gains.shape, np.inf)
-        np.divide(rho - m, gains - rho, out=cut, where=crosses & ~low[:, None])
+        np.divide(rho - m, gains - rho, out=cut, where=crosses[live])
         cut.sort(axis=1)
-        tied = np.isfinite(cut[:, 1:]) & (cut[:, 1:] == cut[:, :-1])
-        if tied.any():
-            r = int(np.argmax(tied.any(axis=1)))
-            raise ArithmeticError(
-                f"distinct gains crossed the threshold at equal energies at n1={n1[r]}: "
-                f"{(cut[r][np.isfinite(cut[r])] * unit).tolist()}"
-            )
-        count = np.sum(np.isfinite(cut), axis=1)
-        lo = np.concatenate([np.zeros((rows, 1)), cut], axis=1)
-        hi = np.concatenate([cut, np.full((rows, 1), np.inf)], axis=1)
-        row, k = np.nonzero(~low[:, None] & (lo < hi))  # pieces past cK have lo = hi = inf
-        branch2 = np.where(codes[row] == 0, n2 - k, k + codes[row] - count[row])
-        h0, slack = _piece_h0(gains, row, branch2, n1, p)
-        live = np.flatnonzero(h0 < slack)
-        x_stat = np.full(row.size, np.nan)
-        if live.size:
-            x_stat[live] = _stationary_rows(gains[row[live]], branch2[live], n1[row[live]], p)
-        inside = (lo[row, k] <= x_stat) & (x_stat <= hi[row, k])
-        stationary = np.full(lo.shape, np.inf)
-        stationary[row[inside], k[inside]] = x_stat[inside]
-        ends = np.full(lo.shape, np.inf)
-        ends[row[live], k[live]] = hi[row[live], k[live]]
-        start = np.where(low, np.inf, 0.0)[:, None]
-        tried = np.concatenate([start, ends, stationary], axis=1)
-        tried.sort(axis=1)
-        keep = np.isfinite(tried)
-        keep[:, 1:] &= tried[:, 1:] != tried[:, :-1]
-        at, tried = np.nonzero(keep)[0], tried[keep]
-        score = _net(gains[at], tried, n1[at], p)
-        sizes = np.bincount(at, minlength=rows)[~low]
-        starts = np.cumsum(sizes) - sizes
-        first = np.lexsort((-score, at))[starts]  # stable: the smallest x of a tie
-        x[~low], value[~low] = tried[first], score[first]
-        flat = (tried * unit).tolist()
-        for r, s, n in zip(np.flatnonzero(~low).tolist(), starts.tolist(), sizes.tolist()):
-            candidates[r] = tuple(flat[s : s + n])
+        k = np.zeros(live.size, dtype=int)  # the count sought lies in [k, top]
+        for _ in range(int(top.max(initial=0)).bit_length()):  # ceil(log2(K + 1))
+            i = np.flatnonzero(k < top)
+            mid = (k[i] + top[i] + 1) // 2
+            piece = _piece_arrays(gains[i], first[i] + sign[i] * mid, n1[i], p)
+            neg = _h(cut[i, mid - 1], *piece) < 0.0
+            k[i], top[i] = np.where(neg, mid, k[i]), np.where(neg, top[i], mid - 1)
+        root = _stationary_rows(gains, first + sign * k, n1, p)
+        found = np.flatnonzero(root > 0.0)  # a NaN root compares False
+        at, root = rows[live[found]], root[found]
+        score = _net(gains[found], root, n1[found], p)
+        better = score > value[at]
+        x[at[better]], value[at[better]] = root[better], score[better]
+        for r, e in zip(at.tolist(), (root * unit).tolist()):
+            candidates[r] = (0.0, e)
     return codes, x * unit, value * (p.eta_t_ps * p.beta), candidates
 
 

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +17,6 @@ from wetopt.optimizer import (
     LOW_ESNR,
     MEDIUM_ESNR,
     classify_esnr_case,
-    min_phase2_penalty,
     net_energy_given_phase1,
     optimal_phase2_energy,
     optimize_training,
@@ -94,6 +92,13 @@ class TestPhase2Energy:
         level = math.sqrt(p.eta_t_ps * (p.m - 1) * p.n0)
         value = optimal_phase2_energy(1, 6, 1.0, p)
         assert value == pytest.approx(level, rel=1e-4)
+
+
+def min_phase2_penalty(rank: int, n1: int, e1: float, p: SystemParams) -> float:
+    """Estimation loss plus pilot cost of one ranked band at the optimal
+    phase-2 energy, in joules."""
+    rho = expected_selected_power(rank, n1, e1, p) / p.beta
+    return float(optimizer._penalty(rho, p)) * (p.eta_t_ps * p.beta)
 
 
 class TestPhase2Penalty:
@@ -688,6 +693,20 @@ class TestUnitScaling:
         assert esnr(scaled) == esnr(p)
         assert reduced_answers(scaled) == reduced_answers(p)
 
+    def test_extreme_esnr_raises_no_warning(self):
+        # the Newton step divides by x + g three times, not by its cube,
+        # which overflowed past an ESNR of about 1e210; from 1e100 up the
+        # optimum trains every band and its reduced value is settled
+        base = ism_link(m=10, n=120, n2=16, t=5e-5)
+        for k in range(210, 307, 8):
+            p = replace(base, beta=1e100, n0=base.eta_t_ps * 1e200 / 10.0**k)
+            assert esnr(p) == pytest.approx(10.0**k, rel=1e-12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sol = optimize_training(p)
+            assert sol.plan.n1 == 120
+            assert sol.qnet_star / (p.eta_t_ps * p.beta) == pytest.approx(249.313369, abs=5e-7)
+
 
 def rows_inside_optimize(p: SystemParams):
     """``optimize_training(p)`` and the per-n1 rows of its lockstep blocks,
@@ -744,10 +763,11 @@ class TestLockstepSweep:
         sol, rows, blocks = rows_inside_optimize(p)
         assert blocks == math.ceil(201 / (optimizer._BLOCK_TARGET // (200 * 201))) > 1
         assert {label.kind for label, *_ in rows.values()} == {MEDIUM_ESNR}
-        # over 100 pieces per n1, none with a stationary point: only e1 = 0
-        # is scored
-        _, screened, _ = pieces_inside_optimize(p)
-        assert max(Counter(n1 for n1, *_ in screened).values()) > 100
+        # over 100 crossings per n1, yet h(0) >= 0 on every row: no row
+        # reaches Newton and only e1 = 0 is scored
+        assert max(len(crossings(n1, p)) for n1 in rows) > 100
+        _, solved = newton_inside_optimize(p)
+        assert solved == []
         assert {row[3] for row in rows.values()} == {(0.0,)}
         for n1 in (200, 201, 205, 206, 299, 333, 399, 400):
             assert_row_is_solve_for_n1(rows[n1], n1, p)
@@ -762,24 +782,26 @@ class TestLockstepSweep:
         assert {row[1:3] for row in rows.values()} == {(0.0, p.eta_t_ps * p.beta * p.n2)}
         assert (sol.plan.n1, sol.plan.e1) == (200, 0.0)
 
-    def test_equal_crossings_raise_naming_n1(self, monkeypatch):
-        # two ranks with one gain cross the threshold at one energy
-        p = TestMediumEsnr()._medium_instance()
-        real = order_stats.gains_up_to
-
-        def tied(rank_max, pop, dim):
-            gains = real(rank_max, pop, dim).copy()
-            gains[1] = gains[0]
-            return gains
-
-        monkeypatch.setattr(order_stats, "gains_up_to", tied)
-        with pytest.raises(ArithmeticError, match=r"equal energies at n1=12: \["):
-            solve_for_n1(12, p)
-        # nothing crosses at n1 = 3 (low ESNR); the sweep names the first
-        # n1 that fails
-        assert solve_for_n1(3, p).label.kind == LOW_ESNR
-        with pytest.raises(ArithmeticError, match=r"equal energies at n1=4: \["):
-            optimize_training(p)
+    def test_tied_crossings_below_the_root(self, monkeypatch):
+        # two ranks with one gain cross the threshold at one energy.  The
+        # gains are stronger than order statistics allow, which puts the
+        # root of h past that crossing; the zero-length piece between the
+        # equal crossings holds no sign change, so the solve is still the
+        # maximum of a dense scan
+        p = params(m=2, n=4, n2=2, n0=params().eta_t_ps * 1e-12 / 0.9)  # ESNR 0.9
+        assert esnr(p) == pytest.approx(0.9, rel=1e-15)
+        monkeypatch.setattr(order_stats, "gains_up_to", lambda rank_max, pop, dim: np.array([5.7, 5.7]))
+        cut = crossings(2, p)
+        assert cut.size == 2 and cut[0] == cut[1]
+        sol = solve_for_n1(2, p)
+        assert sol.label.kind == MEDIUM_ESNR and sol.e1 * p.beta / p.n0 > 10 * cut[0]
+        assert len(sol.candidates) == 2 and sol.candidates[1] == sol.e1
+        # h < 0 at both crossings, so Newton ran on the piece past them
+        assert (2, 2) in newton_inside_optimize(p)[1]
+        grid = np.linspace(0.0, 4.0 * sol.e1, 400_001)
+        scan = net_energy_given_phase1(2, grid, p)
+        assert scan.max() <= sol.value <= scan.max() * (1 + 1e-12)
+        assert abs(grid[np.argmax(scan)] - sol.e1) <= grid[1]
 
     def test_newton_step_cap_raises_naming_n1(self, monkeypatch):
         # high ESNR: n1 = 3 has no stationary point, n1 = 4 the first one
@@ -814,75 +836,119 @@ class TestLockstepSweep:
             assert plan.e1 == pytest.approx(best[2], rel=1e-12, abs=1e-300)
 
 
-def pieces_inside_optimize(p: SystemParams):
-    """``optimize_training(p)``; every (n1, piece) it screens, as
-    ``(n1, branch2, h0, slack, per-rank h(0))`` with the screen's ``h0`` and
-    ``slack`` and the h(0) :func:`optimizer._stationary_rows` forms rank by
-    rank; and the pieces ``(n1, branch2)`` that reach ``_stationary_rows``."""
-    screened, solved = [], []
-    real_h0, real_rows = optimizer._piece_h0, optimizer._stationary_rows
+def crossings(n1: int, p: SystemParams) -> np.ndarray:
+    """The pilot SNRs x = beta e1 / n0 where ranks cross the refinement
+    threshold, ascending: a rank's power over beta, (x g + m)/(x + 1),
+    moves from m toward g."""
+    rho, gains = refinement_threshold(p) / p.beta, order_stats.gains_up_to(p.n2, n1, p.m)
+    crosses = ((p.m < rho) & (rho < gains)) | ((gains < rho) & (rho < p.m))
+    return np.sort((rho - p.m) / (gains[crosses] - rho))
 
-    def screen(gains, row, branch2, n1, q):
-        h0, slack = out = real_h0(gains, row, branch2, n1, q)
-        n, rows = n1[row], gains[row]
-        # h at x = 0 as _stationary_rows evaluates it: u = (0 + 1)/(0 + g)
-        above = np.arange(rows.shape[1]) < branch2[:, None]
-        d0 = esnr(q) * np.sum(np.where(above, rows - q.m, rows / q.m - 1.0), axis=1) / n
-        g = np.where(above, q.m / rows, 1.0)
-        b = np.where(above, g * (1.0 - g), 0.0) / n[:, None]
-        u = 1.0 / g
-        per_rank = 1.0 + np.sum(b * u * u, axis=1) - d0
-        screened.extend(zip(n.tolist(), branch2.tolist(), h0, slack, per_rank))
-        return out
+
+def h_at(n1: int, p: SystemParams, x, inside=None) -> np.ndarray:
+    """The solver's h of one n1 at pilot SNRs x, each on the piece that
+    holds ``inside`` (default x): that piece's ranks above the threshold
+    are counted from their powers, not from the solver's piece index."""
+    x = np.asarray(x, dtype=float)
+    inside = x if inside is None else np.asarray(inside, dtype=float)
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    above = np.sum(
+        (inside[:, None] * gains + p.m) / (inside[:, None] + 1.0) > refinement_threshold(p) / p.beta,
+        axis=1,
+    )
+    rows = np.broadcast_to(gains, (x.size, gains.size))
+    return optimizer._h(x, *optimizer._piece_arrays(rows, above, np.full(x.size, n1), p))
+
+
+def h_scale(n1: int, p: SystemParams, x) -> np.ndarray:
+    """A bound on the magnitude of the terms of h at x, the scale of its
+    rounding: (x + 1)^2, |d0| and |b_i| ((x + 1)/(x + g_i))^2 all lie below
+    (x + 1)^2 (1 + sum (gain + m) / n1) (1 + gamma)."""
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)
+    return (np.asarray(x) + 1.0) ** 2 * (1.0 + np.sum(gains + p.m) / n1) * (1.0 + esnr(p))
+
+
+def newton_inside_optimize(p: SystemParams):
+    """``optimize_training(p)`` and the rows ``(n1, branch2)`` that reach
+    :func:`optimizer._stationary_rows`."""
+    solved = []
+    real = optimizer._stationary_rows
 
     def stationary(gains, branch2, n1, q):
         solved.extend(zip(n1.tolist(), branch2.tolist()))
-        return real_rows(gains, branch2, n1, q)
+        return real(gains, branch2, n1, q)
 
-    # not monkeypatch: Hypothesis reruns the body
-    optimizer._piece_h0, optimizer._stationary_rows = screen, stationary
+    optimizer._stationary_rows = stationary  # not monkeypatch: Hypothesis reruns the body
     try:
         sol = optimize_training(p)
     finally:
-        optimizer._piece_h0, optimizer._stationary_rows = real_h0, real_rows
-    return sol, screened, solved
+        optimizer._stationary_rows = real
+    return sol, solved
 
 
 class TestPieceScreen:
-    """Pieces whose h(0) >= 0 have no stationary point; the sweep reads h(0)
-    from prefix sums over ranks and sends only the others to Newton."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(p=oracle_systems())
-    @example(p=ism_link(m=4, n=400, n2=200, t=5e-7))
-    def test_prefix_h0_is_the_per_rank_h0(self, p):
-        _, screened, solved = pieces_inside_optimize(p)
-        for n1, branch2, h0, slack, per_rank in screened:
-            assert abs(h0 - per_rank) <= slack, (n1, branch2)
-            assert np.sign(h0) == np.sign(per_rank), (n1, branch2)
-        # exactly the pieces with a negative per-rank h(0) reach Newton
-        live = [(n1, branch2) for n1, branch2, _, _, per_rank in screened if per_rank < 0]
-        assert solved == live
+    """A row's optimum is e1 = 0 where h(0) >= 0, and otherwise the one
+    root of h: only rows with h(0) < 0 reach Newton, once each."""
 
     @pytest.mark.parametrize(
-        "shape, pieces, live",
+        "shape, rows, live",
         [
-            (dict(m=4, n=400, n2=200, t=5e-7), 18_755, 0),  # medium everywhere
-            (dict(m=4, n=80, n2=64, t=3e-7), 192, 0),  # design-sweep-wide, medium
+            (dict(m=4, n=400, n2=200, t=5e-7), 201, 0),  # medium everywhere
+            (dict(m=4, n=80, n2=64, t=3e-7), 17, 0),  # design-sweep-wide, medium
             (dict(m=10, n=866, n2=16, t=5e-5), 851, 850),  # ISM, high
         ],
     )
-    def test_newton_sees_only_live_pieces(self, shape, pieces, live):
-        _, screened, solved = pieces_inside_optimize(ism_link(**shape))
-        assert len(screened) == pieces
+    def test_newton_sees_only_live_pieces(self, shape, rows, live):
+        p = ism_link(**shape)
+        sol, solved = newton_inside_optimize(p)
+        screened = [n1 for n1, label in sol.case_used_per_n1.items() if label.kind != LOW_ESNR]
+        assert len(screened) == rows
         assert len(solved) == live
+        # each live row once, and only rows with h(0) < 0
+        assert len({n1 for n1, _ in solved}) == live
+        assert all(h_at(n1, p, [0.0], [1e-12])[0] < 0.0 for n1, _ in solved)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    @example(p=ism_link(m=4, n=80, n2=64, t=1e-7))
+    @example(p=ism_link(m=4, n=80, n2=64, t=3e-7))
+    @example(p=ism_link(m=4, n=80, n2=64, t=5e-6))
+    @example(p=ism_link(m=4, n=80, n2=64, t=1e-1))
+    def test_h_is_one_increasing_function(self, p):
+        # h is -(gamma/n1)(x+1)^2 times the slope of the piecewise objective,
+        # which is C1: the pieces' h agree at each crossing, h increases on
+        # all of [0, inf), and the solve sits where it changes sign
+        eps = np.finfo(float).eps
+        for n1 in range(p.n2, p.n + 1):
+            sol = solve_for_n1(n1, p)
+            if sol.label.kind == LOW_ESNR:
+                continue
+            cut = crossings(n1, p)
+            bounds = np.concatenate([[0.0], cut, [2.0 * cut[-1] + 1.0 if cut.size else 1.0]])
+            mids = 0.5 * (bounds[:-1] + bounds[1:])
+            if cut.size:
+                left, right = h_at(n1, p, cut, mids[:-1]), h_at(n1, p, cut, mids[1:])
+                assert np.all(np.abs(left - right) <= 4 * eps * h_scale(n1, p, cut)), n1
+            root = sol.candidates[1] * p.beta / p.n0 if len(sol.candidates) > 1 else 0.0
+            top = 4.0 * max(bounds[-1], root)
+            grid = np.concatenate([[0.0], np.geomspace(1e-9 * top, top, 2000)])
+            h = h_at(n1, p, grid, np.maximum(grid, 1e-3 * bounds[1]))
+            assert np.all(np.diff(h) >= -4 * eps * h_scale(n1, p, grid[1:])), n1
+            h0 = h_at(n1, p, [0.0], [0.5 * bounds[1]])[0]
+            if len(sol.candidates) == 1:
+                assert h0 >= 0.0 and sol.e1 == 0.0, n1
+            else:
+                assert h0 < 0.0, n1
+                step = 1e-9 * (1.0 + root)
+                below, above = h_at(n1, p, [max(root - step, 0.0), root + step])
+                assert below < 0.0 < above, n1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=oracle_systems())
     def test_unscored_piece_ends_never_win(self, p):
         # every energy where a rank crosses the threshold ends a piece; the
-        # sweep scores only the ends of pieces that pass the screen, since
-        # on the others the objective falls toward a smaller scored e1
+        # sweep scores none of them, since the objective rises up to the
+        # root of h and falls after it
         alpha, bm = refinement_threshold(p), p.beta * p.m
         for n1 in range(p.n2, p.n + 1):
             sol = solve_for_n1(n1, p)
@@ -908,8 +974,8 @@ class TestPieceScreen:
         def unreachable(*args):
             raise AssertionError("an all-low block reached the piece path")
 
-        monkeypatch.setattr(optimizer, "_piece_h0", unreachable)
-        monkeypatch.setattr(optimizer, "_stationary_rows", unreachable)
+        for name in ("_piece_arrays", "_h", "_stationary_rows"):
+            monkeypatch.setattr(optimizer, name, unreachable)
         low = optimizer._solve_rows(gains[:4], n1s[:4], p)
         assert low[0].tolist() == codes[:4].tolist()
         assert (low[1].tolist(), low[2].tolist()) == (e1[:4].tolist(), value[:4].tolist())
@@ -918,21 +984,6 @@ class TestPieceScreen:
             assert solve_for_n1(n1, p).candidates == c
         monkeypatch.undo()
         assert candidates[4] == solve_for_n1(12, p).candidates
-
-    def test_pieces_within_slack_reach_newton(self, monkeypatch):
-        # the screen drops a piece only where h0 >= slack, the rounding bound
-        p = TestMediumEsnr()._medium_instance()
-        real = optimizer._piece_h0
-        for share, reached in ((0.5, True), (1.0, False)):
-
-            def at_share(gains, row, branch2, n1, q, share=share):
-                _, slack = real(gains, row, branch2, n1, q)
-                return share * slack, slack
-
-            monkeypatch.setattr(optimizer, "_piece_h0", at_share)
-            _, screened, solved = pieces_inside_optimize(p)
-            assert screened
-            assert solved == ([(n1, b) for n1, b, *_ in screened] if reached else [])
 
 
 class TestRestrictedSchemes:
