@@ -10,9 +10,13 @@ channel only through a few real scalars, and each kernel draws, from
 their exact laws, only those its harvest reads: one pilot energy per
 probed band and two draws per kept band for the channel power
 (:func:`_strongest`), and three per trained band for the phase-2 noise
-split along the channel (:func:`_phase2_harvest`).  A trial costs the
-same at every antenna count.  The kernels draw in the reduced units of
-:mod:`wetopt.training_model`; each report converts to joules once.
+split along the channel (:func:`_phase2_harvest`).  A scheme whose
+harvest is a sum over the kept bands of their powers (no phase 2, one
+antenna, brute force, no CSI) draws that sum instead, in two draws per
+trial besides the pilot energies (:func:`_strongest_total`).  A trial
+costs the same at every antenna count.  The kernels draw in the reduced
+units of :mod:`wetopt.training_model`; each report converts to joules
+once.
 """
 
 from __future__ import annotations
@@ -117,10 +121,10 @@ def _chunks(trials: int, elements_per_trial: int, seed: int):
 
 def _strongest(
     rng: np.random.Generator, count: int, probed: int, kept: int, x: float,
-    p: SystemParams, along: bool = False,
+    p: SystemParams,
 ) -> np.ndarray:
-    """Powers over beta of the ``kept`` strongest of ``probed`` bands at pilot
-    SNR ``x``, (count, kept), strongest first: ||h||^2, or ``along`` |h1|^2.
+    """Channel powers ||h||^2 over beta of the ``kept`` strongest of
+    ``probed`` bands at pilot SNR ``x``, (count, kept), strongest first.
 
     In unit-variance channels and noise, a band's pilot observation
     y = sqrt(x) h + z is CN(0, (x + 1) I), so ||y||^2 is Gamma(m, x + 1) and
@@ -138,20 +142,16 @@ def _strongest(
     one scale add their shapes.
 
     Drawn in this order, each as one (count, kept) or (count, probed)
-    array: the normals Z1; the normals Z2 (``along``) or the
-    Gamma(m - 1/2) powers (otherwise); the Gamma pilot energies,
-    partitioned and sorted in place.  That is ``probed + 2 * kept`` draws
-    per trial, whatever m is.
+    array: the normals Z1; the Gamma(m - 1/2) powers; the Gamma pilot
+    energies, partitioned and sorted in place.  That is
+    ``probed + 2 * kept`` draws per trial, whatever m is.  A caller that
+    reads only the sum over the kept bands draws it from
+    :func:`_strongest_total` instead.
     """
     s2 = x + 1.0
     half = 0.5 / s2  # sigma^2 / 2, per real coordinate
     power = rng.standard_normal((count, kept))
-    if along:
-        off = rng.standard_normal((count, kept))
-        np.square(off, out=off)
-        off *= half
-    else:
-        off = rng.gamma(p.m - 0.5, 2.0 * half, (count, kept))
+    off = rng.gamma(p.m - 0.5, 2.0 * half, (count, kept))
     energy = rng.gamma(p.m, s2, (count, probed))
     energy.partition(probed - kept, axis=1)
     mu = energy[:, probed - kept :]
@@ -163,6 +163,43 @@ def _strongest(
     np.square(power, out=power)
     power += off
     return power
+
+
+def _strongest_total(
+    rng: np.random.Generator, count: int, probed: int, kept: int, x: float,
+    p: SystemParams, along: bool = False,
+) -> np.ndarray:
+    """Per trial, the sum over the ``kept`` strongest bands of their powers
+    ||h||^2, or ``along`` |h1|^2, over beta, (count,), in the frame of
+    :func:`_strongest` and drawn from that sum's own law.
+
+    Given the pilot energies E_r = ||y_r||^2, the kept channels are
+    independent CN(c y_r, sigma^2 I), so their summed power is sigma^2 / 2
+    times a noncentral chi-square with 2 m kept degrees of freedom and
+    noncentrality 2 c^2 sum E_r / sigma^2 (2 kept degrees along y_r).  All
+    the noncentrality can sit on one real coordinate, so with Z standard
+    normal and d = m kept (kept along),
+
+        total = (c sqrt(sum E_r) + sigma Z / sqrt 2)^2 + Gamma(d - 1/2, sigma^2).
+
+    Drawn in this order: the normals Z and the Gammas, each as one (count,)
+    array, then the (count, probed) pilot energies, partitioned in place
+    and the top ``kept`` summed.  That is ``probed + 2`` draws per trial.
+    """
+    s2 = x + 1.0
+    half = 0.5 / s2  # sigma^2 / 2, per real coordinate
+    dof = kept if along else p.m * kept
+    total = rng.standard_normal(count)
+    off = rng.gamma(dof - 0.5, 2.0 * half, count)
+    energy = rng.gamma(p.m, s2, (count, probed))
+    energy.partition(probed - kept, axis=1)
+    mu = np.sqrt(energy[:, probed - kept :].sum(axis=1))
+    mu *= math.sqrt(x) / s2
+    total *= math.sqrt(half)
+    total += mu
+    np.square(total, out=total)
+    total += off
+    return total
 
 
 def _phase2_harvest(
@@ -184,11 +221,9 @@ def _phase2_harvest(
     normals over sqrt 2) and ||z_perp||^2, three draws per band.
 
     Bands whose pilot energy is zero have no estimate and fall back to
-    isotropic transmission (expected power ||h||^2 / m), which keeps the
-    all-zero plan identical to the no-CSI scheme.  The noise is drawn
-    last, and only when some band is trained, so a plan without phase 2
-    sees the same channels as one with it.  At m = 1, ||z_perp||^2 is
-    exactly 0 and both branches harvest ||h||^2 exactly.
+    isotropic transmission (expected power ||h||^2 / m).  The noise is
+    drawn last, and only when some band is trained.  At m = 1,
+    ||z_perp||^2 is exactly 0 and both branches harvest ||h||^2 exactly.
     """
     active = y > 0.0
     if not np.any(active):
@@ -244,16 +279,24 @@ def run_two_phase(
     phase-2 observation (the direction of its LMMSE estimate; the scalar
     LMMSE scale cancels in the harvest).  Each kept band is drawn as the
     per-band statistics of :func:`_strongest` and :func:`_phase2_harvest`:
-    ``n1 + 5 * n2`` draws per trial at any antenna count (``n1 + 2 * n2``
-    when no band is refined); ``n1 + 4 * n2`` is a frozen chunk key.
+    ``n1 + 5 * n2`` draws per trial at any antenna count.  When no band is
+    refined every band transmits isotropically, and at m = 1 every beam
+    harvests ||h||^2 whatever e2 is; either way the harvest is the kept
+    bands' summed power over m, drawn by :func:`_strongest_total` in
+    ``n1 + 2`` draws, so at one antenna phase-2 pilots change nothing but
+    the bill.  ``n1 + 4 * n2`` is a frozen chunk key.
     """
     plan.validate_against(p)
     n1, n2, snr = plan.n1, p.n2, p.beta / p.n0
     x, y = plan.e1 * snr, np.asarray(plan.e2) * snr
 
-    def harvest(rng, count):
-        power = _strongest(rng, count, n1, n2, x, p)
-        return _phase2_harvest(rng, power, y, p).sum(axis=1)
+    if p.m == 1 or not np.any(y > 0.0):
+        def harvest(rng, count):
+            return _strongest_total(rng, count, n1, n2, x, p) / p.m
+    else:
+        def harvest(rng, count):
+            power = _strongest(rng, count, n1, n2, x, p)
+            return _phase2_harvest(rng, power, y, p).sum(axis=1)
 
     return _simulate(harvest, n1 + 4 * n2, trials, seed, plan.cost, p)
 
@@ -270,8 +313,10 @@ def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
 
 
 def _run_no_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
+    # isotropic transmission harvests the kept bands' summed ||h||^2 over m,
+    # a sum of n2 Gamma(m) norms: one Gamma(n2 m) per trial
     def harvest(rng, count):
-        return rng.gamma(p.m, 1.0, (count, p.n2)).sum(axis=1) / p.m
+        return rng.gamma(p.n2 * p.m, 1.0, count) / p.m
 
     return _simulate(harvest, p.n2, trials, seed, 0.0, p)
 
@@ -297,7 +342,8 @@ def _run_brute_force(
 ) -> EnergyReport:
     # Estimate every band, pick the n2 largest estimated norms, beamform
     # with the estimates: along the first axis of _strongest's frame, so the
-    # harvest is |h1|^2.  At zero energy the ranking is noise and the
+    # harvest is the kept bands' summed |h1|^2, which _strongest_total draws
+    # in n + 2 draws per trial.  At zero energy the ranking is noise and the
     # transmission isotropic: that is the no-CSI scheme.
     if energy < 0:
         raise ValueError(f"per-band energy must be >= 0, got {energy}")
@@ -306,7 +352,7 @@ def _run_brute_force(
     x = energy * (p.beta / p.n0)
 
     def harvest(rng, count):
-        return _strongest(rng, count, p.n, p.n2, x, p, along=True).sum(axis=1)
+        return _strongest_total(rng, count, p.n, p.n2, x, p, along=True)
 
     return _simulate(harvest, p.n + 2 * p.n2, trials, seed, energy * p.n, p)
 

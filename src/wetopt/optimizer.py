@@ -76,9 +76,8 @@ MEDIUM_ESNR = "medium_esnr"
 # most ten, bisection alone would take about 52 + log2(bracket / root)
 _ROOT_STEPS = 200
 
-# a lockstep block holds _BLOCK_TARGET // (n2 (n2 + 1)) n1 rows, at least
-# one, so each of its (rows x n2) arrays holds at most _BLOCK_TARGET / (n2 + 1)
-# elements, or n2
+# a lockstep block holds _BLOCK_TARGET // n2 n1 rows, at least one, so each
+# of its (rows x n2) arrays holds at most _BLOCK_TARGET elements, or n2
 _BLOCK_TARGET = 1 << 18
 
 
@@ -482,7 +481,7 @@ def optimize_training(p: SystemParams) -> Solution:
     re-derives the per-rank phase-2 energies from the winning (n1, e1).
     """
     n1s, gains = _stacked_gains(p)
-    step = max(1, _BLOCK_TARGET // (p.n2 * (p.n2 + 1)))
+    step = max(1, _BLOCK_TARGET // p.n2)
     best_n1, best_e1, best_value = -1, 0.0, -math.inf
     cases, log = {}, []
     for start in range(0, len(n1s), step):

@@ -312,6 +312,53 @@ def captured(monkeypatch, kernel: str, run) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def harvests(monkeypatch, run) -> np.ndarray:
+    """Per-trial harvests over beta of the run ``run()`` simulates, over all
+    chunks."""
+    chunks = []
+    real = channel_sim._simulate
+
+    def recording(harvest, *args):
+        def recorded(rng, count):
+            out = harvest(rng, count)
+            chunks.append(out.copy())
+            return out
+
+        return real(recorded, *args)
+
+    monkeypatch.setattr(channel_sim, "_simulate", recording)
+    run()
+    return np.concatenate(chunks)
+
+
+def drawn(monkeypatch, run):
+    """``(run(), shapes)``: the shape of every draw ``run()`` makes from its
+    chunks' Generators, in order."""
+    shapes = []
+    chunks = channel_sim._chunks
+
+    class Recording:
+        # the chunk's Generator, recording the shape of every draw
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            shapes.append(tuple(np.atleast_1d(size).tolist()))
+            return self.rng.standard_normal(size)
+
+        def gamma(self, shape, scale, size):
+            shapes.append(tuple(np.atleast_1d(size).tolist()))
+            return self.rng.gamma(shape, scale, size)
+
+    def recording(*args):
+        for rng, count in chunks(*args):
+            yield Recording(rng), count
+
+    with monkeypatch.context() as patch:
+        patch.setattr(channel_sim, "_chunks", recording)
+        return run(), shapes
+
+
 def assert_same_moments(a, b):
     """Per column, the first two moments of samples ``a`` and ``b`` agree
     within three standard errors."""
@@ -370,7 +417,8 @@ def complex_strongest(rng, trials, probed, kept, e, p):
 
 
 class TestStrongestLaw:
-    """The real channel powers of ``channel_sim._strongest`` follow the
+    """The real channel powers of ``channel_sim._strongest``, and the
+    per-trial totals of ``channel_sim._strongest_total``, follow the
     complex construction.  At m = 1 the off-axis power is exactly 0, and
     the Gamma(1/2) term is the imaginary part of h1 alone."""
 
@@ -392,20 +440,52 @@ class TestStrongestLaw:
 
     @pytest.mark.parametrize("m, seed", [(1, 721), (2, 723), (10, 725)])
     def test_brute_force_harvest(self, monkeypatch, m, seed):
-        # at positive energy the beam follows the estimate, so each kept
-        # band harvests |h1|^2
+        # at positive energy the beam follows the estimate, so each trial
+        # harvests the kept bands' summed |h1|^2
         p = params(m=m)
         energy = 1e-13
         scheme = BruteForce(energy_per_band=energy)
         new = captured(
-            monkeypatch, "_strongest",
+            monkeypatch, "_strongest_total",
             lambda: run_benchmark(scheme, p, self.TRIALS, seed),
         )
         oracle, _ = complex_strongest(
             np.random.default_rng(seed + 1), self.TRIALS, p.n, p.n2, energy, p
         )
+        oracle = oracle.sum(axis=1)
         assert new.shape == oracle.shape
         assert_same_moments(new, oracle / p.beta)  # the kernels' units
+
+    @pytest.mark.parametrize("m, seed", [(1, 731), (2, 733), (10, 735)])
+    def test_phase1_only_total(self, monkeypatch, m, seed):
+        # without phase 2 each trial harvests the kept bands' summed
+        # ||h||^2 over m
+        p = params(m=m)
+        n1, e1 = 6, 1e-13
+        scheme = Phase1Only(n1=n1, e1=e1)
+        new = captured(
+            monkeypatch, "_strongest_total",
+            lambda: run_benchmark(scheme, p, self.TRIALS, seed),
+        )
+        _, oracle = complex_strongest(
+            np.random.default_rng(seed + 1), self.TRIALS, n1, p.n2, e1, p
+        )
+        oracle = oracle.sum(axis=1)
+        assert new.shape == oracle.shape
+        assert_same_moments(new, oracle / p.beta)  # the kernels' units
+
+    @pytest.mark.parametrize("m, seed", [(1, 741), (10, 743)])
+    def test_no_csi_is_one_gamma(self, monkeypatch, m, seed):
+        # one Gamma(n2 m) / m per trial against the n2 kept bands' Gamma(m)
+        # norms over m
+        p = params(m=m)
+        new = harvests(
+            monkeypatch, lambda: run_benchmark(NoCsi(), p, self.TRIALS, seed)
+        )
+        norms = np.random.default_rng(seed + 1).gamma(p.m, 1.0, (self.TRIALS, p.n2))
+        oracle = norms.sum(axis=1) / p.m
+        assert new.shape == oracle.shape
+        assert_same_moments(new, oracle)
 
 
 class TestLargeArray:
@@ -414,32 +494,45 @@ class TestLargeArray:
         # m = 4096 as at m = 4, since no draw has an antenna axis
         p = params(m=4096)
         limit = asymptotics.large_antenna_limit(p)
-        shapes = []
-        chunks = channel_sim._chunks
-
-        class Recording:
-            # the chunk's Generator, recording the shape of every draw
-            def __init__(self, rng):
-                self.rng = rng
-
-            def standard_normal(self, size):
-                shapes.append(size)
-                return self.rng.standard_normal(size)
-
-            def gamma(self, shape, scale, size):
-                shapes.append(size)
-                return self.rng.gamma(shape, scale, size)
-
-        def recording(*args):
-            for rng, count in chunks(*args):
-                yield Recording(rng), count
-
-        monkeypatch.setattr(channel_sim, "_chunks", recording)
-        report = run_two_phase(limit.plan, p, 20_000, seed=71)
+        report, shapes = drawn(
+            monkeypatch, lambda: run_two_phase(limit.plan, p, 20_000, seed=71)
+        )
         qbar = average_harvested_energy(limit.plan, p)
         assert abs(report.mean_qbar - qbar) <= 3.0 * report.stderr
         assert 0.99 <= report.mean_qnet / limit.qnet_limit <= 1.0
         assert shapes and all(p.m not in shape for shape in shapes)
+
+
+class TestDrawShapes:
+    """A scheme whose harvest is a sum over the kept bands draws that sum
+    per trial: it makes no (trials, n2)-shaped draw."""
+
+    TRIALS = 500
+
+    def test_summed_schemes_draw_no_band_axis(self, monkeypatch):
+        p, one = params(), params(m=1)
+        runs = {
+            "phase-1 only": lambda: run_benchmark(Phase1Only(n1=8, e1=3e-13), p, self.TRIALS, 3),
+            "no phase 2": lambda: run_two_phase(
+                TrainingPlan(n1=8, e1=3e-13, e2=(0.0,) * p.n2), p, self.TRIALS, 3
+            ),
+            "m = 1, e2 > 0": lambda: run_two_phase(
+                TrainingPlan(n1=6, e1=2e-13, e2=(3e-13, 2e-13, 1e-13)), one, self.TRIALS, 3
+            ),
+            "no CSI": lambda: run_benchmark(NoCsi(), p, self.TRIALS, 3),
+            "brute force": lambda: run_benchmark(BruteForce(1e-13), p, self.TRIALS, 3),
+        }
+        for name, run in runs.items():
+            _, shapes = drawn(monkeypatch, run)
+            assert shapes and (self.TRIALS, p.n2) not in shapes, name
+
+    def test_trained_two_phase_draws_per_band(self, monkeypatch):
+        # m > 1 with a trained band: two channel draws and three phase-2
+        # noise draws per kept band
+        p = params()
+        plan = TrainingPlan(n1=8, e1=3e-13, e2=(2e-12, 1e-12, 0.0))
+        _, shapes = drawn(monkeypatch, lambda: run_two_phase(plan, p, self.TRIALS, 3))
+        assert shapes.count((self.TRIALS, p.n2)) == 5
 
 
 class TestReportProperties:

@@ -757,11 +757,11 @@ class TestLockstepSweep:
         assert sol.plan.n1 == min(n1 for n1, row in rows.items() if row[2] == best[2])
 
     def test_wide_medium_spans_blocks(self):
-        # m=4, n=400, n2=200 at t=5e-7: medium at every n1, up to 124
-        # crossings, six n1 rows per block
-        p = ism_link(m=4, n=400, n2=200, t=5e-7)
+        # m=4, n=1100, n2=400 at t=5e-7: medium at every n1, up to 338
+        # crossings, 655 n1 rows per block, so 701 rows take two blocks
+        p = ism_link(m=4, n=1100, n2=400, t=5e-7)
         sol, rows, blocks = rows_inside_optimize(p)
-        assert blocks == math.ceil(201 / (optimizer._BLOCK_TARGET // (200 * 201))) > 1
+        assert blocks == math.ceil(701 / (optimizer._BLOCK_TARGET // 400)) > 1
         assert {label.kind for label, *_ in rows.values()} == {MEDIUM_ESNR}
         # over 100 crossings per n1, yet h(0) >= 0 on every row: no row
         # reaches Newton and only e1 = 0 is scored
@@ -769,18 +769,18 @@ class TestLockstepSweep:
         _, solved = newton_inside_optimize(p)
         assert solved == []
         assert {row[3] for row in rows.values()} == {(0.0,)}
-        for n1 in (200, 201, 205, 206, 299, 333, 399, 400):
+        for n1 in (400, 401, 700, 1053, 1054, 1055, 1099, 1100):
             assert_row_is_solve_for_n1(rows[n1], n1, p)
         assert sol.qnet_star == max(row[2] for row in rows.values())
 
     def test_tie_across_blocks_goes_to_smallest_n1(self):
         # a block too short for training to pay: every n1 nets the no-CSI
-        # value exactly, in each of the 34 blocks
-        p = ism_link(m=4, n=400, n2=200, t=1e-9)
+        # value exactly, in each of the two blocks
+        p = ism_link(m=4, n=1100, n2=400, t=1e-9)
         sol, rows, blocks = rows_inside_optimize(p)
         assert blocks > 1
         assert {row[1:3] for row in rows.values()} == {(0.0, p.eta_t_ps * p.beta * p.n2)}
-        assert (sol.plan.n1, sol.plan.e1) == (200, 0.0)
+        assert (sol.plan.n1, sol.plan.e1) == (400, 0.0)
 
     def test_tied_crossings_below_the_root(self, monkeypatch):
         # two ranks with one gain cross the threshold at one energy.  The

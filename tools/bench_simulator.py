@@ -9,11 +9,13 @@ Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
 to one CPU with one BLAS thread, rounds alternating the trees), and each
 case reports the best of all its repeats.  The cases
 are the ROADMAP baseline's simulator rows at ISM (``m=10, n=866, n2=16``,
-``t=5e-5``, 1e4 trials) with ``PerfectCsi`` beside them; the six scheme
-runs of one ``wetopt sweep`` (``sweep_T``) row at the ``validate-ism-schemes``
-shape (``m=10, n=50, n2=16``, ``t=5e-5``, 4000 trials); and
-``run_two_phase`` on one small system at growing antenna counts, which
-shows whether a trial's cost grows with m.
+``t=5e-5``, 1e4 trials) with ``PerfectCsi`` and ``Phase1Only`` beside
+them; the six scheme runs of one ``wetopt sweep`` (``sweep_T``) row at the
+``validate-ism-schemes`` shape (``m=10, n=50, n2=16``, ``t=5e-5``, 4000
+trials); ``run_two_phase`` on one small system at growing antenna counts,
+which shows whether a trial's cost grows with m; and the m = 10 plan of
+that system run at m = 1, where its phase-2 pilots change nothing but
+the bill.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def _cases():
     if plan.n1 != 219:
         raise RuntimeError(f"ISM optimum moved: n1 = {plan.n1}, expected 219")
     bf_energy, _ = optimizer.solve_brute_force(ism)
+    p1_plan, _ = optimizer.solve_phase1_only(ism)
     p2_plan, _ = optimizer.solve_phase2_only(ism)
     cases = [
         ("run_two_phase ISM n1=219",
@@ -52,6 +55,8 @@ def _cases():
             channel_sim.Phase2Only(p2_plan.e2), ism, TRIALS, SEED)),
         ("PerfectCsi ISM", lambda: channel_sim.run_benchmark(
             channel_sim.PerfectCsi(), ism, TRIALS, SEED)),
+        ("Phase1Only ISM", lambda: channel_sim.run_benchmark(
+            channel_sim.Phase1Only(n1=p1_plan.n1, e1=p1_plan.e1), ism, TRIALS, SEED)),
     ]
     # the six runs of one sweep_T row at the validate-ism-schemes shape,
     # built as wetopt.cli builds them
@@ -79,6 +84,12 @@ def _cases():
             f"run_two_phase m={m} (n=16, n2=4, n1={small.n1})",
             lambda small=small, p=p: channel_sim.run_two_phase(small, p, TRIALS, SEED),
         ))
+    trained = optimizer.optimize_training(SystemParams(m=10, n=16, n2=4, t=1e-2, **link)).plan
+    one = SystemParams(m=1, n=16, n2=4, t=1e-2, **link)
+    cases.append((
+        f"run_two_phase m=1 (n=16, n2=4, n1={trained.n1}, the m=10 plan's e2 > 0)",
+        lambda: channel_sim.run_two_phase(trained, one, TRIALS, SEED),
+    ))
     return cases
 
 
