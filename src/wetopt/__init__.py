@@ -32,6 +32,7 @@ from .channel_sim import (
     TwoPhase,
     ranked_power_moments,
     run_benchmark,
+    run_schemes,
     run_two_phase,
     tune_brute_force_energy,
 )

@@ -1,22 +1,28 @@
 """Monte Carlo simulation of the two-phase protocol and benchmark schemes.
 
 Every analytic expression in :mod:`wetopt.training_model` has an
-empirical counterpart here.  Trials are processed in fixed-size chunks
-whose randomness derives only from ``(seed, chunk index)``, so reports
-are bit-identical across runs and independent of evaluation order.
+empirical counterpart here, drawn in its reduced units; each report
+converts to joules once.
 
-No draw has an axis of length m.  A band's harvest depends on its
-channel only through a few real scalars, and each kernel draws, from
-their exact laws, only those its harvest reads: one pilot energy per
-probed band and two draws per kept band for the channel power
-(:func:`_strongest`), and three per trained band for the phase-2 noise
-split along the channel (:func:`_phase2_harvest`).  A scheme whose
-harvest is a sum over the kept bands of their powers (no phase 2, one
-antenna, brute force, no CSI) draws that sum instead, in two draws per
-trial besides the pilot energies (:func:`_strongest_total`).  A trial
-costs the same at every antenna count.  The kernels draw in the reduced
-units of :mod:`wetopt.training_model`; each report converts to joules
-once.
+No draw has an axis of length m, so a trial costs the same at every
+antenna count.  A band's harvest depends on its channel only through a
+few real scalars, and each kernel draws, from their exact laws, only
+those it reads: one pilot energy per probed band, two draws per kept band
+for the channel power (:func:`_strongest`) and three per trained band for
+the phase-2 noise split along the channel (:func:`_phase2_harvest`).  A
+harvest that is a sum over the kept bands (no phase 2, one antenna, brute
+force, no CSI) is drawn as that sum, in two draws per trial besides the
+pilot energies (:func:`_strongest_total`).
+
+Trials run in chunks of ``_CHUNK_TARGET // (n + 4 n2)``, whose randomness
+derives only from ``(seed, chunk index)``, so reports are bit-identical
+across runs.  Schemes simulated together share common random numbers
+(:func:`run_schemes`): per chunk the unit Gamma(m) pilot energies are
+drawn once, band-major, and partitioned once per ``(probed, kept)``, and
+each scheme kind draws the rest from its own Generator.  So a report is
+the same, to the bit, alone or in any batch, and keeps its exact law; the
+reports of one batch are correlated, so gaps judged by their
+``hypot(stderr)`` are conservative.
 """
 
 from __future__ import annotations
@@ -40,14 +46,15 @@ __all__ = [
     "TwoPhase",
     "ranked_power_moments",
     "run_benchmark",
+    "run_schemes",
     "run_two_phase",
     "tune_brute_force_energy",
 ]
 
-# Trials per chunk are this target over a fixed count per trial for each
-# scheme.  The counts are frozen stream keys, not draw counts: they date
-# from earlier kernels, and changing one moves every (seed, chunk) stream.
+# Trials per chunk are this target over n + 4 n2 for every scheme: a
+# frozen stream key, not a draw count; changing it moves every stream.
 _CHUNK_TARGET = 1 << 21
+_BLOCK = 1 << 16  # values per transposed block of pilot energies
 
 
 @dataclass(frozen=True)
@@ -108,23 +115,73 @@ Scheme = TwoPhase | PerfectCsi | NoCsi | Phase1Only | Phase2Only | BruteForce
 # --- randomness helpers ----------------------------------------------------
 
 
-def _chunks(trials: int, elements_per_trial: int, seed: int):
-    """Yields (generator, trial count) per chunk; chunk i draws from (seed, i)."""
-    size = max(1, min(trials, _CHUNK_TARGET // max(1, elements_per_trial)))
+def _rng(*key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+class _Chunk:
+    """One chunk of trials and the draws its schemes share.
+
+    ``energy`` holds unit Gamma(m, 1) pilot energies band-major,
+    (width, count), from the Generator keyed (seed, chunk): a scheme that
+    probes r bands reads the first r rows, the same stream at any width.
+    Scaled by x + 1 they are pilot energies at pilot SNR x; as they are,
+    channel norms.  Shared arrays are read-only, and ``energy`` lives in a
+    buffer that the next chunk overwrites, so no result may be a view of it.
+    """
+
+    def __init__(self, seed: int, index: int, energy: np.ndarray, m: int):
+        self.seed, self.index, self.count = seed, index, energy.shape[1]
+        if energy.size:
+            _rng(seed, index).standard_gamma(m, out=energy)
+        energy.flags.writeable = False
+        self.energy = energy
+        self._top: dict[tuple[int, int], np.ndarray] = {}
+
+    def rng(self, key: int) -> np.random.Generator:
+        return _rng(self.seed, self.index, key)
+
+    def top(self, probed: int, kept: int) -> np.ndarray:
+        """The ``kept`` largest of each trial's first ``probed`` energies,
+        (count, kept), in no order; partitioned once per chunk."""
+        top = self._top.get((probed, kept))
+        if top is None:
+            # in blocks of trials, so each transposed copy stays in cache
+            top = np.empty((self.count, kept))
+            step = max(1, _BLOCK // probed)
+            block = np.empty((step, probed))
+            for start in range(0, self.count, step):
+                rows = block[: min(step, self.count - start)]
+                np.copyto(rows, self.energy[:probed, start : start + step].T)
+                rows.partition(probed - kept, axis=1)
+                top[start : start + step] = rows[:, probed - kept :]
+            top.flags.writeable = False
+            self._top[probed, kept] = top
+        return top
+
+
+def _chunks(trials: int, width: int, seed: int, p: SystemParams):
+    """Yields each chunk of ``trials``, ``width`` energy bands wide, all
+    drawn into one buffer.  Every scheme's chunks hold
+    ``_CHUNK_TARGET // (n + 4 n2)`` trials."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    size = max(1, min(trials, _CHUNK_TARGET // (p.n + 4 * p.n2)))
+    buffer = np.empty(width * size)
     for index, start in enumerate(range(0, trials, size)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        yield rng, min(size, trials - start)
+        count = min(size, trials - start)
+        yield _Chunk(seed, index, buffer[: width * count].reshape(width, count), p.m)
 
 
 # --- kernels ---------------------------------------------------------------
 
 
 def _strongest(
-    rng: np.random.Generator, count: int, probed: int, kept: int, x: float,
-    p: SystemParams,
+    rng: np.random.Generator, top: np.ndarray, x: float, p: SystemParams
 ) -> np.ndarray:
-    """Channel powers ||h||^2 over beta of the ``kept`` strongest of
-    ``probed`` bands at pilot SNR ``x``, (count, kept), strongest first.
+    """Channel powers ||h||^2 over beta of the kept strongest bands at pilot
+    SNR ``x``, (count, kept), strongest first; ``top`` holds their unit
+    pilot energies (:meth:`_Chunk.top`).
 
     In unit-variance channels and noise, a band's pilot observation
     y = sqrt(x) h + z is CN(0, (x + 1) I), so ||y||^2 is Gamma(m, x + 1) and
@@ -132,8 +189,9 @@ def _strongest(
     c = sqrt(x) / (x + 1) and sigma^2 = 1 / (x + 1).  Every harvest is
     invariant under a common rotation of h and y, so y lies on the first
     axis, and h enters only through its coordinate h1 = mu + CN(0, sigma^2)
-    along y, with mu = c ||y||, and its power off that axis,
-    Gamma(m - 1, sigma^2).  With Z1, Z2 standard normals,
+    along y, with mu = c ||y|| = sqrt(x sigma^2 E) for the unit energy E,
+    and its power off that axis, Gamma(m - 1, sigma^2).  With Z1, Z2
+    standard normals,
 
         |h1|^2 = (mu + sigma Z1 / sqrt 2)^2 + sigma^2 Z2^2 / 2,
         ||h||^2 = (mu + sigma Z1 / sqrt 2)^2 + Gamma(m - 1/2, sigma^2),
@@ -141,23 +199,18 @@ def _strongest(
     since sigma^2 Z2^2 / 2 is Gamma(1/2, sigma^2) and independent Gammas of
     one scale add their shapes.
 
-    Drawn in this order, each as one (count, kept) or (count, probed)
-    array: the normals Z1; the Gamma(m - 1/2) powers; the Gamma pilot
-    energies, partitioned and sorted in place.  That is
+    Drawn in this order, each as one (count, kept) array: the normals Z1
+    and the Gamma(m - 1/2) powers.  With the pilot energies that is
     ``probed + 2 * kept`` draws per trial, whatever m is.  A caller that
     reads only the sum over the kept bands draws it from
     :func:`_strongest_total` instead.
     """
-    s2 = x + 1.0
-    half = 0.5 / s2  # sigma^2 / 2, per real coordinate
-    power = rng.standard_normal((count, kept))
-    off = rng.gamma(p.m - 0.5, 2.0 * half, (count, kept))
-    energy = rng.gamma(p.m, s2, (count, probed))
-    energy.partition(probed - kept, axis=1)
-    mu = energy[:, probed - kept :]
-    mu.sort(axis=1)
+    half = 0.5 / (x + 1.0)  # sigma^2 / 2, per real coordinate
+    power = rng.standard_normal(top.shape)
+    off = rng.gamma(p.m - 0.5, 2.0 * half, top.shape)
+    mu = np.sort(top, axis=1)
     np.sqrt(mu, out=mu)
-    mu *= math.sqrt(x) / s2
+    mu *= math.sqrt(2.0 * x * half)
     power *= math.sqrt(half)
     power += mu[:, ::-1]
     np.square(power, out=power)
@@ -166,10 +219,10 @@ def _strongest(
 
 
 def _strongest_total(
-    rng: np.random.Generator, count: int, probed: int, kept: int, x: float,
-    p: SystemParams, along: bool = False,
+    rng: np.random.Generator, top: np.ndarray, x: float, p: SystemParams,
+    along: bool = False,
 ) -> np.ndarray:
-    """Per trial, the sum over the ``kept`` strongest bands of their powers
+    """Per trial, the sum over the kept strongest bands of their powers
     ||h||^2, or ``along`` |h1|^2, over beta, (count,), in the frame of
     :func:`_strongest` and drawn from that sum's own law.
 
@@ -183,18 +236,15 @@ def _strongest_total(
         total = (c sqrt(sum E_r) + sigma Z / sqrt 2)^2 + Gamma(d - 1/2, sigma^2).
 
     Drawn in this order: the normals Z and the Gammas, each as one (count,)
-    array, then the (count, probed) pilot energies, partitioned in place
-    and the top ``kept`` summed.  That is ``probed + 2`` draws per trial.
+    array.  With the pilot energies that is ``probed + 2`` draws per trial.
     """
-    s2 = x + 1.0
-    half = 0.5 / s2  # sigma^2 / 2, per real coordinate
+    count, kept = top.shape
+    half = 0.5 / (x + 1.0)  # sigma^2 / 2, per real coordinate
     dof = kept if along else p.m * kept
     total = rng.standard_normal(count)
     off = rng.gamma(dof - 0.5, 2.0 * half, count)
-    energy = rng.gamma(p.m, s2, (count, probed))
-    energy.partition(probed - kept, axis=1)
-    mu = np.sqrt(energy[:, probed - kept :].sum(axis=1))
-    mu *= math.sqrt(x) / s2
+    mu = np.sqrt(top.sum(axis=1))
+    mu *= math.sqrt(2.0 * x * half)
     total *= math.sqrt(half)
     total += mu
     np.square(total, out=total)
@@ -244,27 +294,107 @@ def _phase2_harvest(
     return out
 
 
-def _simulate(
-    harvest, elements_per_trial: int, trials: int, seed: int, cost: float, p: SystemParams
-) -> EnergyReport:
-    """Report, in joules, on ``trials`` trials; ``harvest(rng, count)`` gives
-    the harvest over beta of each of one chunk's ``count`` trials, from ``rng``."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    per_trial = np.concatenate(
-        [harvest(rng, count) for rng, count in _chunks(trials, elements_per_trial, seed)]
-    ) * (p.eta_t_ps * p.beta)
+# Each kind's own draws come from the Generator keyed (seed, chunk, key).
+# The keys are frozen and nonzero: SeedSequence pads a key with zeros, so
+# key 0 would repeat the energies' (seed, chunk) stream.
+_TWO_PHASE, _NO_CSI, _PHASE2_ONLY, _BRUTE_FORCE = 1, 2, 3, 4
+
+
+def _kernel(scheme: Scheme, p: SystemParams):
+    """``(probed, key, harvest, cost)`` for one scheme: it reads the first
+    ``probed`` energy bands of each chunk, ``harvest(rng, chunk)`` gives the
+    harvest over beta of each of the chunk's trials, drawing the rest from
+    ``rng`` (the Generator ``key``, or None), and ``cost`` is the training
+    bill in joules.  Probing at zero energy ranks by noise: with no band
+    trained, or at m = 1, the harvest is then the no-CSI law.
+    """
+    snr = p.beta / p.n0
+
+    def no_csi(rng, chunk):
+        # isotropic transmission harvests the kept bands' summed ||h||^2
+        # over m, n2 Gamma(m) norms: one Gamma(n2 m) per trial
+        return rng.gamma(p.n2 * p.m, 1.0, chunk.count) / p.m
+
+    if isinstance(scheme, Phase1Only):
+        scheme = TwoPhase(TrainingPlan(n1=scheme.n1, e1=scheme.e1, e2=(0.0,) * p.n2))
+    if isinstance(scheme, BruteForce) and scheme.energy_per_band < 0:
+        raise ValueError(f"per-band energy must be >= 0, got {scheme.energy_per_band}")
+    if scheme == BruteForce(0.0):
+        scheme = NoCsi()  # the ranking is noise and the transmission isotropic
+    if isinstance(scheme, TwoPhase):
+        plan = scheme.plan
+        plan.validate_against(p)
+        n1, n2, x, y = plan.n1, p.n2, plan.e1 * snr, np.asarray(plan.e2) * snr
+        if p.m > 1 and np.any(y > 0.0):
+            def harvest(rng, chunk):
+                power = _strongest(rng, chunk.top(n1, n2), x, p)
+                return _phase2_harvest(rng, power, y, p).sum(axis=1)
+        elif x == 0.0:
+            return 0, _NO_CSI, no_csi, plan.cost
+        else:
+            def harvest(rng, chunk):
+                return _strongest_total(rng, chunk.top(n1, n2), x, p) / p.m
+        return n1, _TWO_PHASE, harvest, plan.cost
+    if isinstance(scheme, NoCsi):
+        return 0, _NO_CSI, no_csi, 0.0
+    if isinstance(scheme, PerfectCsi):
+        # beamforming on the true channel harvests exactly the kept norms
+        return p.n, None, lambda rng, chunk: chunk.top(p.n, p.n2).sum(axis=1), 0.0
+    if isinstance(scheme, Phase2Only):
+        # Bands are exchangeable: the first n2 stand in for a random
+        # selection (the spread is channel randomness only).  The energies
+        # must pass as a plan's that probes no extra band.
+        TrainingPlan(n1=p.n2, e1=0.0, e2=scheme.e2).validate_against(p)
+        y = np.asarray(scheme.e2, dtype=float) * snr
+
+        def harvest(rng, chunk):
+            return _phase2_harvest(rng, chunk.energy[: p.n2].T, y, p).sum(axis=1)
+
+        return p.n2, _PHASE2_ONLY, harvest, float(np.sum(scheme.e2))
+    if isinstance(scheme, BruteForce):
+        # Estimate every band, pick the n2 largest estimated norms, beamform
+        # with the estimates: along the first axis of _strongest's frame, so
+        # the harvest is the kept bands' summed |h1|^2.
+        x = scheme.energy_per_band * snr
+
+        def harvest(rng, chunk):
+            return _strongest_total(rng, chunk.top(p.n, p.n2), x, p, along=True)
+
+        return p.n, _BRUTE_FORCE, harvest, scheme.energy_per_band * p.n
+    raise TypeError(f"unknown scheme {scheme!r}")
+
+
+def _report(harvest: np.ndarray, cost: float, seed: int, p: SystemParams) -> EnergyReport:
+    """Report, in joules, on the per-trial harvests over beta."""
+    per_trial = harvest * (p.eta_t_ps * p.beta)
+    trials = len(per_trial)
     mean_qbar = float(per_trial.mean())
-    stderr = (
-        float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    )
-    return EnergyReport(
-        mean_qnet=mean_qbar - cost,
-        mean_qbar=mean_qbar,
-        training_cost=cost,
-        stderr=stderr,
-        trials=trials,
-        seed=seed,
+    stderr = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return EnergyReport(mean_qbar - cost, mean_qbar, cost, stderr, trials, seed)
+
+
+def run_schemes(
+    schemes, p: SystemParams, trials: int, seed: int
+) -> tuple[EnergyReport, ...]:
+    """Simulate several schemes on common random numbers, one report each.
+
+    Per chunk the unit pilot energies are drawn once, and each top-``kept``
+    partition is done once, for every scheme of the batch (see
+    :class:`_Chunk`); each scheme's own draws come from its kind's
+    Generator.  Every report has its scheme's exact law and equals
+    ``run_benchmark(scheme, p, trials, seed)`` bit for bit, whatever else
+    the batch holds.  The reports of one batch are correlated, positively
+    where the schemes rank the same energies.
+    """
+    kernels = [_kernel(scheme, p) for scheme in schemes]
+    width = max((probed for probed, *_ in kernels), default=0)
+    parts = [[] for _ in kernels]
+    for chunk in _chunks(trials, width, seed, p):
+        for part, (_, key, harvest, _) in zip(parts, kernels):
+            part.append(harvest(chunk.rng(key) if key else None, chunk))
+    return tuple(
+        _report(np.concatenate(part), cost, seed, p)
+        for part, (*_, cost) in zip(parts, kernels)
     )
 
 
@@ -277,104 +407,20 @@ def run_two_phase(
     bands by received energy; the top n2 are observed again with the
     per-rank pilot energies, and each band's transmit beam follows its
     phase-2 observation (the direction of its LMMSE estimate; the scalar
-    LMMSE scale cancels in the harvest).  Each kept band is drawn as the
-    per-band statistics of :func:`_strongest` and :func:`_phase2_harvest`:
-    ``n1 + 5 * n2`` draws per trial at any antenna count.  When no band is
-    refined every band transmits isotropically, and at m = 1 every beam
-    harvests ||h||^2 whatever e2 is; either way the harvest is the kept
-    bands' summed power over m, drawn by :func:`_strongest_total` in
-    ``n1 + 2`` draws, so at one antenna phase-2 pilots change nothing but
-    the bill.  ``n1 + 4 * n2`` is a frozen chunk key.
+    LMMSE scale cancels in the harvest): ``n1 + 5 * n2`` draws per trial
+    at any antenna count.  With no band refined, or at m = 1, the harvest
+    is the kept bands' summed power over m, drawn in ``n1 + 2``
+    (:func:`_strongest_total`), so at one antenna phase-2 pilots change
+    nothing but the bill.  A one-scheme :func:`run_schemes`.
     """
-    plan.validate_against(p)
-    n1, n2, snr = plan.n1, p.n2, p.beta / p.n0
-    x, y = plan.e1 * snr, np.asarray(plan.e2) * snr
-
-    if p.m == 1 or not np.any(y > 0.0):
-        def harvest(rng, count):
-            return _strongest_total(rng, count, n1, n2, x, p) / p.m
-    else:
-        def harvest(rng, count):
-            power = _strongest(rng, count, n1, n2, x, p)
-            return _phase2_harvest(rng, power, y, p).sum(axis=1)
-
-    return _simulate(harvest, n1 + 4 * n2, trials, seed, plan.cost, p)
-
-
-def _run_perfect_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
-    # Beamforming on the true channel harvests exactly ||h||^2 per band,
-    # so only the band norms matter; they are Gamma(m) draws.
-    def harvest(rng, count):
-        norms = rng.gamma(p.m, 1.0, (count, p.n))
-        norms.partition(p.n - p.n2, axis=1)
-        return norms[:, p.n - p.n2 :].sum(axis=1)
-
-    return _simulate(harvest, p.n, trials, seed, 0.0, p)
-
-
-def _run_no_csi(p: SystemParams, trials: int, seed: int) -> EnergyReport:
-    # isotropic transmission harvests the kept bands' summed ||h||^2 over m,
-    # a sum of n2 Gamma(m) norms: one Gamma(n2 m) per trial
-    def harvest(rng, count):
-        return rng.gamma(p.n2 * p.m, 1.0, count) / p.m
-
-    return _simulate(harvest, p.n2, trials, seed, 0.0, p)
-
-
-def _run_phase2_only(
-    e2: tuple[float, ...], p: SystemParams, trials: int, seed: int
-) -> EnergyReport:
-    # Bands are exchangeable: a fixed selection stands in for a random one
-    # (the spread is channel randomness only).  The energies must pass as a
-    # plan's that probes no extra band.  3 n2 is a frozen chunk key.
-    TrainingPlan(n1=p.n2, e1=0.0, e2=e2).validate_against(p)
-    y = np.asarray(e2, dtype=float) * (p.beta / p.n0)
-
-    def harvest(rng, count):
-        power = rng.gamma(p.m, 1.0, (count, p.n2))
-        return _phase2_harvest(rng, power, y, p).sum(axis=1)
-
-    return _simulate(harvest, 3 * p.n2, trials, seed, float(np.sum(e2)), p)
-
-
-def _run_brute_force(
-    energy: float, p: SystemParams, trials: int, seed: int
-) -> EnergyReport:
-    # Estimate every band, pick the n2 largest estimated norms, beamform
-    # with the estimates: along the first axis of _strongest's frame, so the
-    # harvest is the kept bands' summed |h1|^2, which _strongest_total draws
-    # in n + 2 draws per trial.  At zero energy the ranking is noise and the
-    # transmission isotropic: that is the no-CSI scheme.
-    if energy < 0:
-        raise ValueError(f"per-band energy must be >= 0, got {energy}")
-    if energy == 0.0:
-        return _run_no_csi(p, trials, seed)
-    x = energy * (p.beta / p.n0)
-
-    def harvest(rng, count):
-        return _strongest_total(rng, count, p.n, p.n2, x, p, along=True)
-
-    return _simulate(harvest, p.n + 2 * p.n2, trials, seed, energy * p.n, p)
+    return run_schemes((TwoPhase(plan),), p, trials, seed)[0]
 
 
 def run_benchmark(
     scheme: Scheme, p: SystemParams, trials: int, seed: int
 ) -> EnergyReport:
     """Simulate one scheme; see the scheme dataclasses for parameters."""
-    if isinstance(scheme, TwoPhase):
-        return run_two_phase(scheme.plan, p, trials, seed)
-    if isinstance(scheme, PerfectCsi):
-        return _run_perfect_csi(p, trials, seed)
-    if isinstance(scheme, NoCsi):
-        return _run_no_csi(p, trials, seed)
-    if isinstance(scheme, Phase1Only):
-        plan = TrainingPlan(n1=scheme.n1, e1=scheme.e1, e2=(0.0,) * p.n2)
-        return run_two_phase(plan, p, trials, seed)
-    if isinstance(scheme, Phase2Only):
-        return _run_phase2_only(scheme.e2, p, trials, seed)
-    if isinstance(scheme, BruteForce):
-        return _run_brute_force(scheme.energy_per_band, p, trials, seed)
-    raise TypeError(f"unknown scheme {scheme!r}")
+    return run_schemes((scheme,), p, trials, seed)[0]
 
 
 def ranked_power_moments(
@@ -384,16 +430,16 @@ def ranked_power_moments(
 
     Runs the probing phase only and averages ||h||^2 of the band placed at
     each rank; returns ``(means, stderrs)`` over all n1 ranks.  Direct
-    validation of the analytic per-rank expected powers.
+    validation of the analytic per-rank expected powers.  The ranks read
+    the energies and draws of a two-phase run probing n1 bands.
     """
     check_n1(n1, p)
     check_e1(e1)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     total = np.zeros(n1)
     total_sq = np.zeros(n1)
-    for rng, count in _chunks(trials, 3 * n1, seed):
-        ranked = _strongest(rng, count, n1, n1, e1 * (p.beta / p.n0), p)
+    x = e1 * (p.beta / p.n0)
+    for chunk in _chunks(trials, n1, seed, p):
+        ranked = _strongest(chunk.rng(_TWO_PHASE), chunk.top(n1, n1), x, p)
         total += ranked.sum(axis=0)
         np.square(ranked, out=ranked)
         total_sq += ranked.sum(axis=0)
@@ -421,7 +467,7 @@ def tune_brute_force_energy(
     lo = 0.0
 
     def net(energy: float) -> float:
-        return _run_brute_force(energy, p, pilot_trials, seed).mean_qnet
+        return run_benchmark(BruteForce(energy), p, pilot_trials, seed).mean_qnet
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -15,6 +15,7 @@ Subcommands: ``gtable``, ``optimize``, ``simulate``, ``sweep``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 
@@ -454,20 +455,19 @@ _BENCH_HEADER = [
 
 def _benchmark_columns(p: SystemParams, trials: int, seed: int) -> list:
     sol = optimizer.optimize_training(p)
-    two = channel_sim.run_two_phase(sol.plan, p, trials, seed)
-    perfect = channel_sim.run_benchmark(channel_sim.PerfectCsi(), p, trials, seed)
-    nocsi = channel_sim.run_benchmark(channel_sim.NoCsi(), p, trials, seed)
     p1_plan, _ = optimizer.solve_phase1_only(p)
-    phase1 = channel_sim.run_benchmark(
-        channel_sim.Phase1Only(n1=p1_plan.n1, e1=p1_plan.e1), p, trials, seed
-    )
     p2_plan, _ = optimizer.solve_phase2_only(p)
-    phase2 = channel_sim.run_benchmark(
-        channel_sim.Phase2Only(e2=p2_plan.e2), p, trials, seed
-    )
     bf_energy, _ = optimizer.solve_brute_force(p)
-    brute = channel_sim.run_benchmark(
-        channel_sim.BruteForce(energy_per_band=bf_energy), p, trials, seed
+    two, perfect, nocsi, phase1, phase2, brute = channel_sim.run_schemes(
+        (
+            channel_sim.TwoPhase(sol.plan),
+            channel_sim.PerfectCsi(),
+            channel_sim.NoCsi(),
+            channel_sim.Phase1Only(n1=p1_plan.n1, e1=p1_plan.e1),
+            channel_sim.Phase2Only(e2=p2_plan.e2),
+            channel_sim.BruteForce(energy_per_band=bf_energy),
+        ),
+        p, trials, seed,
     )
     return [
         sol.plan.n1,
@@ -588,6 +588,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # command line
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wetopt",

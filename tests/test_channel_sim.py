@@ -1,6 +1,8 @@
 """Monte Carlo protocol simulation against the closed-form expressions."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from wetopt.channel_sim import (
     TwoPhase,
     ranked_power_moments,
     run_benchmark,
+    run_schemes,
     run_two_phase,
     tune_brute_force_energy,
 )
@@ -154,6 +157,28 @@ class TestBenchmarks:
     def test_brute_force_at_zero_energy_is_no_csi(self):
         p = params()
         assert run_benchmark(BruteForce(0.0), p, 3000, 12) == run_benchmark(NoCsi(), p, 3000, 12)
+
+    def test_zero_energy_probing_is_no_csi(self, monkeypatch):
+        # with no band trained the ranking is noise and every band transmits
+        # blind: one Gamma(n2 m) per trial, no pilot energies drawn
+        p = params()
+        nocsi = run_benchmark(NoCsi(), p, 3000, 12)
+        runs = {
+            "phase-1 only": lambda: run_benchmark(Phase1Only(n1=8, e1=0.0), p, 3000, 12),
+            "zero plan": lambda: run_two_phase(
+                TrainingPlan(n1=8, e1=0.0, e2=(0.0,) * p.n2), p, 3000, 12
+            ),
+        }
+        for name, run in runs.items():
+            report, shapes = drawn(monkeypatch, run)
+            assert report == nocsi, name
+            assert shapes == [(3000,)], name
+        # at one antenna phase-2 pilots change only the bill
+        one = params(m=1)
+        plan = TrainingPlan(n1=8, e1=0.0, e2=(3e-13, 2e-13, 1e-13))
+        report = run_two_phase(plan, one, 3000, 12)
+        assert report.mean_qbar == run_benchmark(NoCsi(), one, 3000, 12).mean_qbar
+        assert report.training_cost == plan.cost
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(TypeError):
@@ -316,17 +341,13 @@ def harvests(monkeypatch, run) -> np.ndarray:
     """Per-trial harvests over beta of the run ``run()`` simulates, over all
     chunks."""
     chunks = []
-    real = channel_sim._simulate
+    real = channel_sim._report
 
     def recording(harvest, *args):
-        def recorded(rng, count):
-            out = harvest(rng, count)
-            chunks.append(out.copy())
-            return out
+        chunks.append(harvest.copy())
+        return real(harvest, *args)
 
-        return real(recorded, *args)
-
-    monkeypatch.setattr(channel_sim, "_simulate", recording)
+    monkeypatch.setattr(channel_sim, "_report", recording)
     run()
     return np.concatenate(chunks)
 
@@ -335,10 +356,10 @@ def drawn(monkeypatch, run):
     """``(run(), shapes)``: the shape of every draw ``run()`` makes from its
     chunks' Generators, in order."""
     shapes = []
-    chunks = channel_sim._chunks
+    rng = channel_sim._rng
 
     class Recording:
-        # the chunk's Generator, recording the shape of every draw
+        # a chunk's Generator, recording the shape of every draw
         def __init__(self, rng):
             self.rng = rng
 
@@ -350,12 +371,15 @@ def drawn(monkeypatch, run):
             shapes.append(tuple(np.atleast_1d(size).tolist()))
             return self.rng.gamma(shape, scale, size)
 
-    def recording(*args):
-        for rng, count in chunks(*args):
-            yield Recording(rng), count
+        def standard_gamma(self, shape, out):
+            shapes.append(out.shape)
+            return self.rng.standard_gamma(shape, out=out)
+
+    def recording(*key):
+        return Recording(rng(*key))
 
     with monkeypatch.context() as patch:
-        patch.setattr(channel_sim, "_chunks", recording)
+        patch.setattr(channel_sim, "_rng", recording)
         return run(), shapes
 
 
@@ -535,6 +559,27 @@ class TestDrawShapes:
         assert shapes.count((self.TRIALS, p.n2)) == 5
 
 
+def random_schemes(rng, p: SystemParams) -> dict:
+    """One scheme of each kind for ``p``, by name: a third of the energies
+    are zero, the rest span 1e-3..1e3 times unit SNR."""
+    unit = p.n0 / p.beta
+
+    def energy():
+        return 0.0 if rng.random() < 1 / 3 else unit * 10.0 ** rng.uniform(-3, 3)
+
+    n1 = int(rng.integers(p.n2, p.n + 1))
+    e1 = energy()
+    e2 = tuple(energy() for _ in range(p.n2))
+    return {
+        "two_phase": TwoPhase(TrainingPlan(n1=n1, e1=e1, e2=e2)),
+        "perfect": PerfectCsi(),
+        "no_csi": NoCsi(),
+        "phase1": Phase1Only(n1=n1, e1=e1),
+        "phase2": Phase2Only(e2=e2),
+        "brute": BruteForce(energy_per_band=e1),
+    }
+
+
 class TestReportProperties:
     SCHEMES = ["two_phase", "perfect", "no_csi", "phase1", "phase2", "brute"]
 
@@ -544,27 +589,51 @@ class TestReportProperties:
         scheme_kind=st.sampled_from(SCHEMES),
     )
     def test_accounting_and_rerun(self, seed, scheme_kind):
-        # a random small system, plan and trial count per example; a third
-        # of the energies are zero, the rest span 1e-3..1e3 times unit SNR
+        # a random small system, plan and trial count per example
         rng = np.random.default_rng(seed)
         p = random_instance(rng, str(rng.choice(["low", "medium", "high"])))
-        unit = p.n0 / p.beta
-
-        def energy():
-            return 0.0 if rng.random() < 1 / 3 else unit * 10.0 ** rng.uniform(-3, 3)
-
-        n1 = int(rng.integers(p.n2, p.n + 1))
-        e1 = energy()
-        e2 = tuple(energy() for _ in range(p.n2))
-        scheme = {
-            "two_phase": lambda: TwoPhase(TrainingPlan(n1=n1, e1=e1, e2=e2)),
-            "perfect": PerfectCsi,
-            "no_csi": NoCsi,
-            "phase1": lambda: Phase1Only(n1=n1, e1=e1),
-            "phase2": lambda: Phase2Only(e2=e2),
-            "brute": lambda: BruteForce(energy_per_band=e1),
-        }[scheme_kind]()
+        scheme = random_schemes(rng, p)[scheme_kind]
         trials = int(rng.integers(1, 301))
         report = run_benchmark(scheme, p, trials, seed)
         assert report.mean_qnet == report.mean_qbar - report.training_cost
         assert run_benchmark(scheme, p, trials, seed) == report
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_batch_equals_alone(self, seed):
+        # all six kinds in a random order, some twice, over several chunks
+        # of a random size: each report is the one its scheme gets alone
+        rng = np.random.default_rng(seed)
+        p = random_instance(rng, str(rng.choice(["low", "medium", "high"])))
+        n = int(rng.integers(1, 33))
+        p = replace(p, n=n, n2=int(rng.integers(1, n + 1)))
+        kinds = random_schemes(rng, p)
+        names = self.SCHEMES + list(rng.choice(self.SCHEMES, int(rng.integers(0, 4))))
+        batch = [kinds[name] for name in rng.permutation(names)]
+        size = int(rng.integers(1, 60))
+        trials = int(rng.integers(size + 1, 4 * size + 2))
+        target = size * (p.n + 4 * p.n2)
+        with mock.patch.object(channel_sim, "_CHUNK_TARGET", target):
+            together = run_schemes(batch, p, trials, seed)
+            alone = tuple(run_benchmark(scheme, p, trials, seed) for scheme in batch)
+        assert together == alone
+
+
+class TestSharedDraws:
+    def test_one_band_axis_draw_per_chunk(self, monkeypatch):
+        # the six schemes of a sweep row share one (n, count) draw of pilot
+        # energies per chunk; every other draw has the trials axis first
+        p = params()
+        plan = TrainingPlan(n1=8, e1=3e-13, e2=(2e-12, 1e-12, 0.0))
+        batch = (
+            TwoPhase(plan),
+            PerfectCsi(),
+            NoCsi(),
+            Phase1Only(n1=6, e1=2e-13),
+            Phase2Only(e2=plan.e2),
+            BruteForce(1e-13),
+        )
+        monkeypatch.setattr(channel_sim, "_CHUNK_TARGET", 100 * (p.n + 4 * p.n2))
+        reports, shapes = drawn(monkeypatch, lambda: run_schemes(batch, p, 400, 3))
+        assert len(reports) == len(batch)
+        assert [s for s in shapes if s[0] != 100] == [(p.n, 100)] * 4

@@ -131,6 +131,20 @@ class TestSweepCsv:
         assert main(["sweep", "--config", path]) == 0
         assert out.read_bytes() == first
 
+    def test_overrides_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        # main() reuses one parser per process: an override given to one
+        # call must not reach the next
+        path, out = small_sweep_config(tmp_path)
+        other = tmp_path / "other.csv"
+        argv = ["--config", path, "--seed", "77", "--trials", "40", "--out", str(other)]
+        assert main(["sweep", *argv]) == 0
+        assert main(["echo-config", "--config", path]) == 0
+        echoed = capsys.readouterr().out.splitlines()
+        assert {"seed = 9", "trials = 500", f"out = {out}"} <= set(echoed)
+        assert main(["sweep", "--config", path]) == 0
+        assert {"# seed = 9", "# trials = 500"} <= set(out.read_text().splitlines())
+        assert {"# seed = 77", "# trials = 40"} <= set(other.read_text().splitlines())
+
     def test_seed_override_changes_sim_not_analytic(self, tmp_path):
         path, out = small_sweep_config(tmp_path)
         main(["sweep", "--config", path])

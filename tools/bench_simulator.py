@@ -15,7 +15,10 @@ them; the six scheme runs of one ``wetopt sweep`` (``sweep_T``) row at the
 trials); ``run_two_phase`` on one small system at growing antenna counts,
 which shows whether a trial's cost grows with m; and the m = 10 plan of
 that system run at m = 1, where its phase-2 pilots change nothing but
-the bill.
+the bill.  The "sweep row" cases run all six schemes of a row at the
+ISM and validate shapes as ``wetopt sweep`` does, in one
+``channel_sim.run_schemes`` batch (six ``run_benchmark`` calls on a tree
+that predates it).
 """
 
 from __future__ import annotations
@@ -32,6 +35,22 @@ SEED = 1
 ROUNDS = 2  # fresh interpreters per tree, alternating trees
 REPEATS = 3  # timed runs per case in each interpreter
 SCALING_M = (10, 100, 1000)
+
+
+def _sweep_row(channel_sim, optimizer, p, trials):
+    """One sweep row's six scheme runs at ``p``, built as ``wetopt.cli`` builds them."""
+    p1_plan, _ = optimizer.solve_phase1_only(p)
+    schemes = (
+        channel_sim.TwoPhase(optimizer.optimize_training(p).plan),
+        channel_sim.PerfectCsi(),
+        channel_sim.NoCsi(),
+        channel_sim.Phase1Only(n1=p1_plan.n1, e1=p1_plan.e1),
+        channel_sim.Phase2Only(e2=optimizer.solve_phase2_only(p)[0].e2),
+        channel_sim.BruteForce(energy_per_band=optimizer.solve_brute_force(p)[0]),
+    )
+    if hasattr(channel_sim, "run_schemes"):
+        return schemes, lambda: channel_sim.run_schemes(schemes, p, trials, SEED)
+    return schemes, lambda: [channel_sim.run_benchmark(s, p, trials, SEED) for s in schemes]
 
 
 def _cases():
@@ -59,24 +78,17 @@ def _cases():
             channel_sim.Phase1Only(n1=p1_plan.n1, e1=p1_plan.e1), ism, TRIALS, SEED)),
     ]
     # the six runs of one sweep_T row at the validate-ism-schemes shape,
-    # built as wetopt.cli builds them
+    # each alone and all in one batch
     validate = SystemParams(m=10, n=50, n2=16, t=5e-5, **link)
-    v1_plan, _ = optimizer.solve_phase1_only(validate)
-    v2_plan, _ = optimizer.solve_phase2_only(validate)
-    v_energy, _ = optimizer.solve_brute_force(validate)
-    for scheme in (
-        channel_sim.TwoPhase(optimizer.optimize_training(validate).plan),
-        channel_sim.PerfectCsi(),
-        channel_sim.NoCsi(),
-        channel_sim.Phase1Only(n1=v1_plan.n1, e1=v1_plan.e1),
-        channel_sim.Phase2Only(e2=v2_plan.e2),
-        channel_sim.BruteForce(energy_per_band=v_energy),
-    ):
+    schemes, row = _sweep_row(channel_sim, optimizer, validate, VALIDATE_TRIALS)
+    for scheme in schemes:
         cases.append((
             f"{type(scheme).__name__} validate n=50, 4000 trials",
             lambda scheme=scheme: channel_sim.run_benchmark(
                 scheme, validate, VALIDATE_TRIALS, SEED),
         ))
+    cases.append(("sweep row validate n=50, 4000 trials", row))
+    cases.append(("sweep row ISM", _sweep_row(channel_sim, optimizer, ism, TRIALS)[1]))
     for m in SCALING_M:
         p = SystemParams(m=m, n=16, n2=4, t=1e-2, **link)
         small = optimizer.optimize_training(p).plan
