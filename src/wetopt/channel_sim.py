@@ -11,8 +11,8 @@ those it reads: one pilot energy per probed band, two draws per kept band
 for the channel power (:func:`_strongest`) and three per trained band for
 the phase-2 noise split along the channel (:func:`_phase2_harvest`).  A
 harvest that is a sum over the kept bands (no phase 2, one antenna, brute
-force, no CSI) is drawn as that sum, in two draws per trial besides the
-pilot energies (:func:`_strongest_total`).
+force, no CSI, and phase-2-only per energy level) is drawn as that sum,
+in two draws per trial besides the pilot energies (:func:`_strongest_total`).
 
 Trials run in chunks of ``_CHUNK_TARGET // (n + 4 n2)``, whose randomness
 derives only from ``(seed, chunk index)``, so reports are bit-identical
@@ -270,14 +270,8 @@ def _phase2_harvest(
     ``power``: the real parts of z_par, their imaginary parts (standard
     normals over sqrt 2) and ||z_perp||^2, three draws per band.
 
-    Bands whose pilot energy is zero have no estimate and fall back to
-    isotropic transmission (expected power ||h||^2 / m).  The noise is
-    drawn last, and only when some band is trained.  At m = 1,
-    ||z_perp||^2 is exactly 0 and both branches harvest ||h||^2 exactly.
+    An untrained band (y = 0) has no estimate and harvests ||h||^2 / m.
     """
-    active = y > 0.0
-    if not np.any(active):
-        return power / p.m
     a2 = rng.standard_normal(power.shape)
     a2 *= math.sqrt(0.5)
     a2 += np.sqrt(y) * np.sqrt(power)
@@ -290,7 +284,7 @@ def _phase2_harvest(
     out += a2
     np.divide(a2, out, out=out)
     out *= power
-    np.divide(power, p.m, out=out, where=~active)
+    np.divide(power, p.m, out=out, where=y == 0.0)
     return out
 
 
@@ -317,8 +311,8 @@ def _kernel(scheme: Scheme, p: SystemParams):
 
     if isinstance(scheme, Phase1Only):
         scheme = TwoPhase(TrainingPlan(n1=scheme.n1, e1=scheme.e1, e2=(0.0,) * p.n2))
-    if isinstance(scheme, BruteForce) and scheme.energy_per_band < 0:
-        raise ValueError(f"per-band energy must be >= 0, got {scheme.energy_per_band}")
+    if isinstance(scheme, BruteForce) and not 0.0 <= scheme.energy_per_band < math.inf:
+        raise ValueError(f"per-band energy must be finite and >= 0, got {scheme.energy_per_band}")
     if scheme == BruteForce(0.0):
         scheme = NoCsi()  # the ranking is noise and the transmission isotropic
     if isinstance(scheme, TwoPhase):
@@ -341,14 +335,20 @@ def _kernel(scheme: Scheme, p: SystemParams):
         # beamforming on the true channel harvests exactly the kept norms
         return p.n, None, lambda rng, chunk: chunk.top(p.n, p.n2).sum(axis=1), 0.0
     if isinstance(scheme, Phase2Only):
-        # Bands are exchangeable: the first n2 stand in for a random
-        # selection (the spread is channel randomness only).  The energies
-        # must pass as a plan's that probes no extra band.
+        # Bands are exchangeable: the first n2 stand in for a random selection,
+        # with a plan's energies.  Read as ||y2||^2 / (y + 1), a trained band's
+        # energy gives brute force's along law at x = y, summed per level; an
+        # untrained band, or any at m = 1, harvests its norm over m.
         TrainingPlan(n1=p.n2, e1=0.0, e2=scheme.e2).validate_against(p)
         y = np.asarray(scheme.e2, dtype=float) * snr
+        trained = (y > 0.0) & (p.m > 1)
 
         def harvest(rng, chunk):
-            return _phase2_harvest(rng, chunk.energy[: p.n2].T, y, p).sum(axis=1)
+            energy = chunk.energy[: p.n2]
+            total = energy[~trained].sum(axis=0) / p.m
+            for level in np.unique(y[trained]):
+                total += _strongest_total(rng, energy[y == level].T, level, p, along=True)
+            return total
 
         return p.n2, _PHASE2_ONLY, harvest, float(np.sum(scheme.e2))
     if isinstance(scheme, BruteForce):

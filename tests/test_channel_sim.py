@@ -194,6 +194,11 @@ class TestBenchmarks:
         with pytest.raises(ValueError):
             run_benchmark(Phase2Only(e2=e2), params(), 10, 0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -1e-12])
+    def test_brute_force_rejects_bad_energy(self, energy):
+        with pytest.raises(ValueError, match="per-band energy must be finite and >= 0"):
+            run_benchmark(BruteForce(energy_per_band=energy), params(), 10, 0)
+
     @pytest.mark.parametrize(
         "scheme",
         [
@@ -394,8 +399,9 @@ def assert_same_moments(a, b):
 
 
 class TestPhase2Law:
-    """The per-band statistics draw the same harvest law as whole m-vector
-    channels with an LMMSE beam, on two trained bands and one untrained."""
+    """The per-band statistics, and phase-2-only's per-trial totals, draw
+    the same harvest law as whole m-vector channels with an LMMSE beam, on
+    two trained bands and one untrained."""
 
     E2 = np.array([2e-12, 1e-12, 0.0])
     TRIALS = 40_000
@@ -413,15 +419,33 @@ class TestPhase2Law:
         assert_same_moments(new, oracle / p.beta)  # the kernels' units
 
     def test_phase2_only(self, monkeypatch):
+        # phase-2-only draws each energy level's summed harvest, so its
+        # per-trial totals are compared
         p = params(m=3)
         scheme = Phase2Only(e2=tuple(self.E2))
-        new = captured(
-            monkeypatch, "_phase2_harvest",
-            lambda: run_benchmark(scheme, p, self.TRIALS, seed=703)
+        new = harvests(
+            monkeypatch, lambda: run_benchmark(scheme, p, self.TRIALS, seed=703)
         )
         oracle = full_vector_phase2_only(
             np.random.default_rng(704), self.TRIALS, self.E2, p
+        ).sum(axis=1)
+        assert new.shape == oracle.shape
+        assert_same_moments(new, oracle / p.beta)  # the kernels' units
+
+    @pytest.mark.parametrize("m, seed", [(2, 705), (10, 707)])
+    def test_phase2_only_equal_energies(self, monkeypatch, m, seed):
+        # the optimizer's plan: one energy on every band, one summed draw
+        p = params(m=m)
+        plan, _ = solve_phase2_only(p)
+        assert len(set(plan.e2)) == 1 and plan.e2[0] > 0.0
+        new = harvests(
+            monkeypatch,
+            lambda: run_benchmark(Phase2Only(e2=plan.e2), p, self.TRIALS, seed),
         )
+        oracle = full_vector_phase2_only(
+            np.random.default_rng(seed + 1), self.TRIALS, np.array(plan.e2), p
+        ).sum(axis=1)
+        assert new.shape == oracle.shape
         assert_same_moments(new, oracle / p.beta)  # the kernels' units
 
 
@@ -557,6 +581,25 @@ class TestDrawShapes:
         plan = TrainingPlan(n1=8, e1=3e-13, e2=(2e-12, 1e-12, 0.0))
         _, shapes = drawn(monkeypatch, lambda: run_two_phase(plan, p, self.TRIALS, 3))
         assert shapes.count((self.TRIALS, p.n2)) == 5
+
+    @pytest.mark.parametrize(
+        "m, e2, levels",
+        [
+            (4, (2e-12, 1e-12, 0.0), 2),
+            (4, (1e-12,) * 3, 1),
+            (4, (1e-12, 0.0, 1e-12), 1),
+            (4, (0.0,) * 3, 0),
+            (1, (2e-12, 1e-12, 0.0), 0),  # at one antenna no band needs a beam
+        ],
+    )
+    def test_phase2_only_draws_per_level(self, monkeypatch, m, e2, levels):
+        # two (trials,) draws per distinct positive energy, after the n2
+        # shared pilot energies, and none shaped (trials, n2)
+        p = params(m=m)
+        _, shapes = drawn(
+            monkeypatch, lambda: run_benchmark(Phase2Only(e2=e2), p, self.TRIALS, 3)
+        )
+        assert shapes == [(p.n2, self.TRIALS)] + [(self.TRIALS,)] * (2 * levels)
 
 
 def random_schemes(rng, p: SystemParams) -> dict:
