@@ -80,32 +80,44 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class TwoPhase:
+    """The two-phase protocol under ``plan``: probe, rank, refine, beamform."""
+
     plan: TrainingPlan
 
 
 @dataclass(frozen=True)
 class PerfectCsi:
-    pass
+    """Beamforming on the exact channels of the n2 strongest of all n bands,
+    with no training bill: the ceiling of every other scheme."""
 
 
 @dataclass(frozen=True)
 class NoCsi:
-    pass
+    """No training: n2 bands taken blind, each transmitted isotropically."""
 
 
 @dataclass(frozen=True)
 class Phase1Only:
+    """Phase 1 alone: ``n1`` bands probed at ``e1`` joules each, the n2
+    strongest kept and transmitted isotropically (diversity gain only)."""
+
     n1: int
     e1: float
 
 
 @dataclass(frozen=True)
 class Phase2Only:
+    """Phase 2 alone: n2 bands taken blind, band i trained with ``e2[i]``
+    joules and beamformed on its estimate (beamforming gain only)."""
+
     e2: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class BruteForce:
+    """Every one of the n bands estimated with ``energy_per_band`` joules, the
+    n2 largest estimates kept and beamformed on."""
+
     energy_per_band: float
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import order_stats
 from .training_model import (
@@ -182,7 +181,7 @@ def net_energy_given_phase1(n1: int, e1: float | np.ndarray, p: SystemParams) ->
 def _phase1_closed_form(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     # (x, value) per row of gains with phase 2 off, the low-ESNR optimum; a
     # surplus below n1/gamma does not pay (x = 0) and is raised to it for sqrt
-    surplus, gamma = np.sum(gains / p.m - 1.0, axis=1), esnr(p)
+    surplus, gamma = (gains / p.m - 1.0).sum(axis=1), esnr(p)
     floor = n1 / gamma
     s = np.maximum(surplus, floor)
     value = p.n2 + (np.sqrt(s) - np.sqrt(floor)) ** 2
@@ -204,7 +203,7 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
 def _case_codes(gains: np.ndarray, p: SystemParams) -> np.ndarray:
     # classify_esnr_case per row of stacked gains: -1 low, 0 high, j medium
     rho = _threshold(esnr(p), p.m)
-    medium = 0 if rho < p.m else np.sum(gains > rho, axis=1)
+    medium = 0 if rho < p.m else (gains > rho).sum(axis=1)
     return np.where(rho >= gains[:, 0], -1, medium)
 
 
@@ -223,6 +222,8 @@ def _label(code: int) -> CaseLabel:
 def _scaled_residual(x: float, c: np.ndarray) -> float:
     # |p(x)| / max(1, |x|)^deg; beyond the unit interval it is the reversed
     # polynomial at 1/x, which cannot overflow where x^deg would
+    from numpy.polynomial import polynomial as npoly
+
     if abs(x) <= 1.0:
         return abs(npoly.polyval(x, c))
     return abs(npoly.polyval(1.0 / x, c[::-1]))
@@ -232,6 +233,8 @@ def _newton_step(x: float, c: np.ndarray) -> float | None:
     # p(x)/p'(x), or None where p' vanishes; beyond the unit interval it is
     # x r(u) / (deg r(u) - u r'(u)) for the reversed polynomial r at u = 1/x,
     # which cannot overflow where x^deg would
+    from numpy.polynomial import polynomial as npoly
+
     if abs(x) <= 1.0:
         num, den = npoly.polyval(x, c), npoly.polyval(x, npoly.polyder(c))
     else:
@@ -253,6 +256,10 @@ def poly_real_roots(coeffs) -> np.ndarray:
     is taken from the reversed polynomial at 1/x.  Near-coincident roots
     are merged.
     """
+    # imported on first use, as in the two helpers above: nothing on the
+    # solve path needs numpy.polynomial, and importing it costs start-up
+    from numpy.polynomial import polynomial as npoly
+
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0:
         raise ValueError("empty coefficient vector")
@@ -301,34 +308,44 @@ def poly_real_roots(coeffs) -> np.ndarray:
 
 
 def _stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> float | None:
-    """:func:`_stationary_rows` on one piece: its x = beta*e1/n0, or None."""
-    x = float(_stationary_rows(gains[None, :], np.array([branch2]), np.array([n1]), p)[0])
-    return None if math.isnan(x) else x
+    """:func:`_stationary_rows` on one piece: its x = beta*e1/n0, or None
+    where h(0) >= 0."""
+    branch2, n1 = np.array([branch2]), np.array([n1])
+    piece = _piece_arrays(gains[None, :], branch2, n1, p)
+    if not _h(np.zeros(1), *piece)[0] < 0.0:
+        return None
+    return float(_stationary_rows(piece, branch2, n1)[0])
 
 
 def _piece_arrays(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
     # (g, b, d0) of h on pieces: the strongest branch2[i] ranks of row i
-    # above the threshold, the rest below (they carry b = 0)
+    # above the threshold, the rest below (g = 1 gives them b = 0)
     above = np.arange(gains.shape[1]) < branch2[:, None]
-    d0 = esnr(p) * np.sum(np.where(above, gains - p.m, gains / p.m - 1.0), axis=1) / n1
+    d0 = esnr(p) * np.where(above, gains - p.m, gains / p.m - 1.0).sum(axis=1) / n1
     g = np.where(above, p.m / gains, 1.0)
-    b = np.where(above, g * (1.0 - g), 0.0) / n1[:, None]
+    b = g * (1.0 - g) / n1[:, None]
     return g, b, d0
 
 
 def _h(x: np.ndarray, g: np.ndarray, b: np.ndarray, d0: np.ndarray):
     # h per row at x, on the pieces of :func:`_piece_arrays`
-    u = (x + 1.0)[:, None] / (x[:, None] + g)
-    return (x + 1.0) ** 2 + np.sum(b * u * u, axis=1) - d0
+    return _h_given(x + 1.0, x[:, None] + g, b, d0)
 
 
-def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
-    """Stationary point of the reduced objective on pieces, in x = beta*e1/n0.
+def _h_given(x1: np.ndarray, t: np.ndarray, b: np.ndarray, d0: np.ndarray):
+    # h per row from x1 = x + 1 and t = x + g, which Newton's slope shares
+    u = x1[:, None] / t
+    return x1**2 + (b * u * u).sum(axis=1) - d0
 
-    On row i the strongest ``branch2[i]`` ranks of ``gains[i]`` are assumed
-    above the refinement threshold, the rest below.  With g_i = m/gain_i
-    and b_i = g_i (1-g_i)/n1 the piece's objective Q is
-    -(n1/gamma) [d0/(x+1) + x - sum b_i/(x+g_i)] up to constants, so
+
+def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
+    """Root of h on pieces where h(0) < 0, in x = beta*e1/n0.
+
+    ``piece`` is the (g, b, d0) of :func:`_piece_arrays`: on row i the
+    strongest ``branch2[i]`` ranks are above the refinement threshold, the
+    rest below.  With g_i = m/gain_i and b_i = g_i (1-g_i)/n1 the piece's
+    objective Q is -(n1/gamma) [d0/(x+1) + x - sum b_i/(x+g_i)] up to
+    constants, so
     h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = -(gamma/n1) (x+1)^2 Q'(x).
     The factor does not depend on the piece, and the exact objective is C1
     across the crossings: at rho* a rank's net, rho/m below and
@@ -343,36 +360,40 @@ def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: 
     Newton steps from the right end that leave the bracket fall back to
     bisection, and one below half an ulp moves one ulp, until h is 0 or the
     bracket ends are adjacent floats (then the end with the smaller |h|).
-    The terms of h' are divided by x + g_i three times, since its cube
-    overflows once x passes about 5e102.  All rows step in lockstep and
-    leave once certified; a row's arithmetic does not depend on the
-    others.  NaN where h(0) >= 0.
+    Each step forms x + 1 and x + g_i once, for h and h' both.  The terms
+    of h' are divided by x + g_i three times, since its cube overflows
+    once x passes about 5e102.  All rows step in lockstep and leave once
+    certified; a row's arithmetic does not depend on the others.  The
+    caller forms the pieces and h(0) and passes only rows with h(0) < 0;
+    ``branch2`` and ``n1`` name a row in the error raised.
     """
-    g, b, d0 = _piece_arrays(gains, branch2, n1, p)
+    g, b, d0 = piece
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
     out = np.full(d0.size, np.nan)
-    live = np.flatnonzero(_h(np.zeros(d0.size), g, b, d0) < 0.0)
-    g, b, curve, d0 = g[live], b[live], curve[live], d0[live]
-    lo, hi = np.zeros(live.size), np.sqrt(d0 - np.sum(np.minimum(b, 0.0), axis=1))
+    live = np.arange(d0.size)
+    lo, hi = np.zeros(live.size), np.sqrt(d0 - np.minimum(b, 0.0).sum(axis=1))
     x = hi
     for _ in range(_ROOT_STEPS):
         if not live.size:
             return out
-        hx = _h(x, g, b, d0)
+        x1, t = x + 1.0, x[:, None] + g
+        hx = _h_given(x1, t, b, d0)
         neg = hx < 0.0
         lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
-        t = x[:, None] + g
-        nxt = x - hx / (2.0 * (x + 1.0) * (1.0 - np.sum(curve / t / t / t, axis=1)))
+        nxt = x - hx / (2.0 * x1 * (1.0 - (curve / t / t / t).sum(axis=1)))
         nxt = np.where(nxt == x, np.nextafter(x, np.where(neg, hi, lo)), nxt)
         bisect = ~((lo < nxt) & (nxt < hi))
-        nxt = np.where(bisect, lo + 0.5 * (hi - lo), nxt)
-        ends = bisect & ~((lo < nxt) & (nxt < hi)) & (hx != 0.0)
-        done = ends | (hx == 0.0)
+        ends, zero = bisect, hx == 0.0  # a bracket can end only where a row bisects
+        if bisect.any():
+            nxt = np.where(bisect, lo + 0.5 * (hi - lo), nxt)
+            ends = bisect & ~((lo < nxt) & (nxt < hi)) & ~zero
+        done = ends | zero
         if done.any():
-            out[live[hx == 0.0]] = x[hx == 0.0]
-            i = np.flatnonzero(ends)
-            nearer = np.abs(_h(hi[i], g[i], b[i], d0[i])) < np.abs(_h(lo[i], g[i], b[i], d0[i]))
-            out[live[i]] = np.where(nearer, hi[i], lo[i])
+            out[live[zero]] = x[zero]
+            i = ends.nonzero()[0]
+            if i.size:
+                nearer = np.abs(_h(hi[i], g[i], b[i], d0[i])) < np.abs(_h(lo[i], g[i], b[i], d0[i]))
+                out[live[i]] = np.where(nearer, hi[i], lo[i])
             keep = ~done
             live, nxt, lo, hi = live[keep], nxt[keep], lo[keep], hi[keep]
             g, b, curve, d0 = g[keep], b[keep], curve[keep], d0[keep]
@@ -386,63 +407,94 @@ def _stationary_rows(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: 
     )
 
 
+def _roots_of_h(gains: np.ndarray, n1: np.ndarray, code: np.ndarray, p: SystemParams):
+    """(rows, x) for stacked gains of high or medium rows: the rows where
+    h has a root x > 0, and that root.
+
+    In x a rank's expected power over beta, (x*g + m)/(x + 1), moves
+    monotonically from m toward g, so it crosses rho* once, at
+    x = (rho* - m)/(g - rho*), if rho* lies strictly between the two.  A
+    row's K crossings cut its x axis into pieces (0, c1), ..., (cK, inf).
+    On piece k the strongest branch2 ranks sit above the threshold:
+    n2 - k in high (the k weakest have sunk), k in medium (ranks 1..k have
+    risen), or j where rho* = m and nothing crosses.  The pieces' h of
+    :func:`_stationary_rows` form one continuous increasing function, so
+    only rows with h(0) < 0 have a root.  Piece 0's arrays are built once,
+    for every row, and give h(0).  On the rows where it is negative and
+    that have a crossing, a bisection over the sorted crossings finds k,
+    the number of them where h < 0 (at a crossing, h of the piece it
+    starts), and a row with k > 0 has its arrays rebuilt on piece k and
+    its h(0) taken there.  Newton then runs once per row, on those arrays.
+    """
+    rho, m, n2 = _threshold(esnr(p), p.m), p.m, gains.shape[1]
+    crosses = ((m < rho) & (rho < gains)) | ((gains < rho) & (rho < m))
+    top = crosses.sum(axis=1)
+    branch2 = np.where(code == 0, n2, code - top)  # on piece 0
+    piece = _piece_arrays(gains, branch2, n1, p)
+    live = (_h(np.zeros(n1.size), *piece) < 0.0).nonzero()[0]
+    if not live.size:
+        return live, np.zeros(0)
+    n1, branch2, top = n1[live], branch2[live], top[live]
+    piece = [a[live] for a in piece]
+    i = top.nonzero()[0]  # the rows with a crossing
+    if i.size:
+        gains = gains[live]
+        sign = np.where(code[live] == 0, -1, 1)  # branch2's change per crossing passed
+        cut = np.full((i.size, n2), np.inf)
+        np.divide(rho - m, gains[i] - rho, out=cut, where=crosses[live[i]])
+        cut.sort(axis=1)
+        c = np.arange(i.size)  # the rows of cut that i's rows own
+        k = np.zeros(live.size, dtype=int)  # the count sought lies in [k, top]
+        for _ in range(int(top.max()).bit_length()):  # ceil(log2(K + 1))
+            mid = (k[i] + top[i] + 1) // 2
+            at_mid = _piece_arrays(gains[i], branch2[i] + sign[i] * mid, n1[i], p)
+            neg = _h(cut[c, mid - 1], *at_mid) < 0.0
+            k[i], top[i] = np.where(neg, mid, k[i]), np.where(neg, top[i], mid - 1)
+            going = k[i] < top[i]
+            i, c = i[going], c[going]
+        moved = k.nonzero()[0]
+        if moved.size:
+            branch2 = branch2 + sign * k
+            rebuilt = _piece_arrays(gains[moved], branch2[moved], n1[moved], p)
+            for a, r in zip(piece, rebuilt):
+                a[moved] = r
+            keep = np.ones(live.size, dtype=bool)
+            keep[moved] = _h(np.zeros(moved.size), *rebuilt) < 0.0
+            live, n1, branch2 = live[keep], n1[keep], branch2[keep]
+            piece = [a[keep] for a in piece]
+    root = _stationary_rows(piece, branch2, n1)
+    found = root > 0.0
+    return live[found], root[found]
+
+
 def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
     """(case codes, e1, value, candidates) for each row of stacked gains,
     one n1 per row: the best phase-1 energy, its value and the e1 tried.
 
-    Low rows take the phase-1 closed form.  In x a rank's expected power
-    over beta, (x*g + m)/(x + 1), moves monotonically from m toward g, so
-    it crosses rho* once, at x = (rho* - m)/(g - rho*), if rho* lies
-    strictly between the two.  A row's K crossings cut its x axis into
-    pieces (0, c1), ..., (cK, inf).  On piece k the strongest branch2
-    ranks sit above the threshold: n2 - k in high (the k weakest have
-    sunk), k in medium (ranks 1..k have risen), or j where rho* = m and
-    nothing crosses.  The pieces' h of :func:`_stationary_rows` form one
-    continuous increasing function, so a row's optimum is x = 0 where
-    h(0) >= 0, and otherwise the one root of h.  Every row scores x = 0.
-    On the rows whose h(0) < 0, a bisection over the sorted crossings
-    finds k, the number of them where h < 0 (at a crossing, h of the
-    piece it starts), and Newton runs once, on piece k.  The root is kept
-    only if it scores strictly above x = 0, so a tie goes to the smaller
-    e1.  A block of low rows skips all of this.  Energies and values
-    leave in joules.
+    Low rows take the phase-1 closed form.  Every other row scores x = 0,
+    its optimum where h(0) >= 0; :func:`_roots_of_h` finds the rows where
+    h(0) < 0 and the one root of h on each.  A root is kept only if it
+    scores strictly above x = 0, so a tie goes to the smaller e1.  A block
+    of low rows skips all of this, and a block with no root scores
+    nothing more.  Energies and values leave in joules.
     """
     codes = _case_codes(gains, p)
     x, value = _phase1_closed_form(gains, n1, p)
-    unit, rows = p.n0 / p.beta, np.flatnonzero(codes >= 0)
+    unit, rows = p.n0 / p.beta, (codes >= 0).nonzero()[0]
     candidates = [(0.0, e) for e in (x * unit).tolist()]
     if rows.size:
-        gains, n1, code = gains[rows], n1[rows], codes[rows]
-        rho, m, n2 = _threshold(esnr(p), p.m), p.m, gains.shape[1]
-        crosses = ((m < rho) & (rho < gains)) | ((gains < rho) & (rho < m))
-        count = np.sum(crosses, axis=1)
-        first = np.where(code == 0, n2, code - count)  # branch2 on piece 0
-        sign = np.where(code == 0, -1, 1)  # its change per crossing passed
-        zero = np.zeros(rows.size)
         # at x = 0 every rank's power is m, so every row has one value there
-        x[rows], value[rows] = zero, _net(gains[:1], zero[:1], n1[:1], p)
+        x[rows], value[rows] = 0.0, _net(gains[rows[:1]], np.zeros(1), n1[rows[:1]], p)
         for r in rows.tolist():
             candidates[r] = (0.0,)
-        live = np.flatnonzero(_h(zero, *_piece_arrays(gains, first, n1, p)) < 0.0)
-        gains, n1, first, sign, top = gains[live], n1[live], first[live], sign[live], count[live]
-        cut = np.full(gains.shape, np.inf)
-        np.divide(rho - m, gains - rho, out=cut, where=crosses[live])
-        cut.sort(axis=1)
-        k = np.zeros(live.size, dtype=int)  # the count sought lies in [k, top]
-        for _ in range(int(top.max(initial=0)).bit_length()):  # ceil(log2(K + 1))
-            i = np.flatnonzero(k < top)
-            mid = (k[i] + top[i] + 1) // 2
-            piece = _piece_arrays(gains[i], first[i] + sign[i] * mid, n1[i], p)
-            neg = _h(cut[i, mid - 1], *piece) < 0.0
-            k[i], top[i] = np.where(neg, mid, k[i]), np.where(neg, top[i], mid - 1)
-        root = _stationary_rows(gains, first + sign * k, n1, p)
-        found = np.flatnonzero(root > 0.0)  # a NaN root compares False
-        at, root = rows[live[found]], root[found]
-        score = _net(gains[found], root, n1[found], p)
-        better = score > value[at]
-        x[at[better]], value[at[better]] = root[better], score[better]
-        for r, e in zip(at.tolist(), (root * unit).tolist()):
-            candidates[r] = (0.0, e)
+        at, root = _roots_of_h(gains[rows], n1[rows], codes[rows], p)
+        if at.size:
+            at = rows[at]
+            score = _net(gains[at], root, n1[at], p)
+            better = score > value[at]
+            x[at[better]], value[at[better]] = root[better], score[better]
+            for r, e in zip(at.tolist(), (root * unit).tolist()):
+                candidates[r] = (0.0, e)
     return codes, x * unit, value * (p.eta_t_ps * p.beta), candidates
 
 

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -387,6 +386,8 @@ def _closed_gain_fractions(pop: int, dim: int) -> tuple[Fraction, ...]:
     with large binomial weights, so they are evaluated in exact rational
     arithmetic and rounded only on output; there is no cancellation loss.
     """
+    from fractions import Fraction  # imported on first use, to keep start-up light
+
     # poly[s] = coefficient of v^s in (sum_{j<dim} v^j/j!)^p, built by
     # incremental convolution; integrating term by term against e^{-p v}
     # gives the p-th survival-power integral c_p = sum_s poly[s] s! / p^(s+1).

@@ -97,9 +97,12 @@ class TrainingPlan:
 
     def __post_init__(self) -> None:
         check_e1(self.e1)
-        if not all(math.isfinite(x) and x >= 0 for x in self.e2):
-            raise ValueError("phase-2 energies must be finite and >= 0")
-        object.__setattr__(self, "e2", tuple(float(x) for x in self.e2))
+        e2 = []
+        for x in self.e2:
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError("phase-2 energies must be finite and >= 0")
+            e2.append(float(x))
+        object.__setattr__(self, "e2", tuple(e2))
 
     def validate_against(self, p: SystemParams) -> None:
         check_n1(self.n1, p)

@@ -337,6 +337,19 @@ class TestOtherExperiments:
             assert float(r["bound_j"]) >= float(r["qnet_twophase_j"]) * (1 - 1e-12)
 
 
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this ``wetopt``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wetopt.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_cli_optimize_loads_no_scipy(tmp_path):
     # start-up cost is mostly imports, and scipy is a test-only oracle: a
     # fresh interpreter that imports the CLI and runs an optimize on the
@@ -346,20 +359,24 @@ def test_cli_optimize_loads_no_scipy(tmp_path):
         tmp_path, ISM_DEFAULTS.replace("n = 866", "n = 40").replace("n2 = 16", "n2 = 4")
     )
     out = str(tmp_path / "opt.csv")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wetopt.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, wetopt.cli\n"
         "rc = wetopt.cli.main(['optimize', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "sys.exit(rc or (f'scipy modules loaded: {loaded}' if loaded else 0))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code, config, out],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = fresh_python(code, config, out)
     assert result.returncode == 0, result.stderr
     assert os.path.getsize(out) > 0
+
+
+def test_cli_import_skips_oracle_modules():
+    # numpy.polynomial serves only the tests' root oracle and fractions only
+    # the exact closed-form gains, so importing the CLI loads neither
+    code = (
+        "import sys, wetopt.cli\n"
+        "loaded = [m for m in ('numpy.polynomial', 'fractions') if m in sys.modules]\n"
+        "sys.exit(f'loaded on import: {loaded}' if loaded else 0)\n"
+    )
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr

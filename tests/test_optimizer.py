@@ -874,9 +874,9 @@ def newton_inside_optimize(p: SystemParams):
     solved = []
     real = optimizer._stationary_rows
 
-    def stationary(gains, branch2, n1, q):
+    def stationary(piece, branch2, n1):
         solved.extend(zip(n1.tolist(), branch2.tolist()))
-        return real(gains, branch2, n1, q)
+        return real(piece, branch2, n1)
 
     optimizer._stationary_rows = stationary  # not monkeypatch: Hypothesis reruns the body
     try:
@@ -896,11 +896,32 @@ class TestPieceScreen:
             (dict(m=4, n=400, n2=200, t=5e-7), 201, 0),  # medium everywhere
             (dict(m=4, n=80, n2=64, t=3e-7), 17, 0),  # design-sweep-wide, medium
             (dict(m=10, n=866, n2=16, t=5e-5), 851, 850),  # ISM, high
+            (dict(m=4, n=80, n2=64, t=1e-1), 17, 16),  # design-sweep-wide, high
         ],
     )
-    def test_newton_sees_only_live_pieces(self, shape, rows, live):
+    def test_newton_sees_only_live_pieces(self, shape, rows, live, monkeypatch):
         p = ism_link(**shape)
+        blocks = []  # per block: [piece builds, Newton calls]
+        solve, pieces, newton = optimizer._solve_rows, optimizer._piece_arrays, optimizer._stationary_rows
+
+        def counting(real, slot):
+            def wrapper(*args):
+                blocks[-1][slot] += 1
+                return real(*args)
+            return wrapper
+
+        def block(*args):
+            blocks.append([0, 0])
+            return solve(*args)
+
+        monkeypatch.setattr(optimizer, "_solve_rows", block)
+        monkeypatch.setattr(optimizer, "_piece_arrays", counting(pieces, 0))
+        monkeypatch.setattr(optimizer, "_stationary_rows", counting(newton, 1))
         sol, solved = newton_inside_optimize(p)
+        # no live row has a crossing below its root, so the one block builds
+        # piece 0 once, for h(0) and Newton both, and a block without a live
+        # row never enters Newton
+        assert blocks == [[1, int(live > 0)]]
         screened = [n1 for n1, label in sol.case_used_per_n1.items() if label.kind != LOW_ESNR]
         assert len(screened) == rows
         assert len(solved) == live

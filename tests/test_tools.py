@@ -5,8 +5,10 @@ Each script's cases run once, untimed, so a renamed or re-signatured
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -28,3 +30,36 @@ def test_every_case_runs(script, monkeypatch):
     for name, run, *_ in cases:
         assert run() is not None, name
 
+
+
+def test_times_keep_three_significant_figures(monkeypatch):
+    # warm design-sweep-wide solves take 0.1-0.6 ms: rounding to a fixed
+    # number of decimals would leave one or two digits of them
+    monkeypatch.syspath_prepend(str(TOOLS))
+    benchlib = load("benchlib")
+    assert benchlib.sig3(0.000123456) == 0.000123
+    assert benchlib.sig3(0.0009996) == 0.001
+    assert benchlib.sig3(1.23456) == 1.23
+
+
+def test_same_bits_sees_every_field(monkeypatch):
+    # n1, e1 and qnet_star can agree while one phase-2 energy moved by an ulp
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench = load("bench_optimizer")
+    cases = {name: run for name, run, _ in bench._cases()}
+    four = cases["design-sweep-wide, the four solves together"]()
+    one = [
+        cases[f"design-sweep-wide t={t:g} (m=4, n=80, n2=64)"]()[0] for t in (1e-7, 3e-7, 5e-6, 1e-1)
+    ]
+    assert bench._answer(four) == bench._answer(one)
+    sol = one[-1]
+    e2 = (np.nextafter(sol.plan.e2[0], np.inf), *sol.plan.e2[1:])
+    moved = replace(sol, plan=replace(sol.plan, e2=e2))
+    answers = {"parent": bench._answer([sol]), "change": bench._answer([moved])}
+    assert bench._compare(answers, "parent") == {
+        "same_n1": True,
+        "same_bits": False,
+        "max_rel_qnet_vs_parent": 0.0,
+    }
+    answers["change"] = bench._answer([sol])
+    assert bench._compare(answers, "parent")["same_bits"]

@@ -101,6 +101,13 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="finite"):
             TrainingPlan(n1=5, e1=e1, e2=e2)
 
+    def test_plan_reads_e2_once(self):
+        # the energies are checked and converted in one pass, so a one-shot
+        # iterable keeps its values, each a float
+        plan = TrainingPlan(n1=5, e1=0.0, e2=(e for e in np.array([1.0, 0.5, 0.0])))
+        assert plan.e2 == (1.0, 0.5, 0.0)
+        assert {type(e) for e in plan.e2} == {float}
+
     def test_plan_cost(self):
         plan = TrainingPlan(n1=5, e1=2.0, e2=(1.0, 0.5, 0.25))
         assert plan.cost == pytest.approx(10.0 + 1.75)

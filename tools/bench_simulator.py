@@ -18,7 +18,7 @@ that system run at m = 1, where its phase-2 pilots change nothing but
 the bill.  The "sweep row" cases run all six schemes of a row at the
 ISM and validate shapes as ``wetopt sweep`` does, in one
 ``channel_sim.run_schemes`` batch (six ``run_benchmark`` calls on a tree
-that predates it).
+that predates it).  Times are written to three significant figures.
 """
 
 from __future__ import annotations
@@ -138,14 +138,14 @@ def main(argv=None) -> int:
     what = "best wall time in seconds of one call, seed 1, 1e4 trials unless named"
     report = benchlib.report(what, numpy_version, ROUNDS, REPEATS, labels)
     report["rows"] = [
-        {"case": name, **{label: round(row[label], 4) for label in labels}}
+        {"case": name, **{label: benchlib.sig3(row[label]) for label in labels}}
         for name, row in best.items()
     ]
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for row in report["rows"]:
-        cells = "".join(f"  {label} {row[label]:8.4f}" for label in labels)
+        cells = "".join(f"  {label} {row[label]:9.3g}" for label in labels)
         print(f"{row['case']:44s}{cells}")
     return 0
 

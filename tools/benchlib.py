@@ -64,6 +64,11 @@ def alternate(script: str, trees, rounds: int):
             yield label, run_tree(script, src, cpu)
 
 
+def sig3(seconds: float) -> float:
+    """``seconds`` to three significant figures, as written to a report."""
+    return float(f"{seconds:.3g}")
+
+
 def report(what: str, numpy_version: str, rounds: int, repeats: int, labels) -> dict:
     """The fields every ``BENCH_*.json`` starts with."""
     return {
