@@ -7,7 +7,7 @@ probed bands.  The analytic optimum is cross-checked by simulating the
 full two-phase protocol.
 """
 
-from wetopt import SystemParams, TrainingPlan, optimizer, run_two_phase
+from wetopt import SystemParams, optimizer, run_two_phase
 
 p = SystemParams(m=10, n=866, n2=16, ps=0.06, eta=0.8, t=5e-5, beta=1e-6, n0=1e-19)
 
@@ -17,16 +17,14 @@ print("probed | phase-1 pilot | net power  | net power   |  gap")
 print("bands  | per band (pJ) | analytic   | simulated   | (std errs)")
 
 trials = 4000
-for i, n1 in enumerate((16, 40, 100, 200, 400, 866)):
-    sol = optimizer.solve_for_n1(n1, p)
-    e2 = tuple(
-        optimizer.optimal_phase2_energy(r, n1, sol.e1, p)
-        for r in range(1, p.n2 + 1)
-    )
-    rep = run_two_phase(TrainingPlan(n1=n1, e1=sol.e1, e2=e2), p, trials, seed=20 + i)
-    z = (rep.mean_qnet - sol.value) / rep.stderr
+grid = (16, 40, 100, 200, 400, 866)
+curve = optimizer.solve_curve(grid, p)  # every n1 of the grid in one lockstep pass
+for i, n1 in enumerate(grid):
+    plan, value = curve.plan(i, p), float(curve.value[i])
+    rep = run_two_phase(plan, p, trials, seed=20 + i)
+    z = (rep.mean_qnet - value) / rep.stderr
     print(
-        f"  {n1:4d} |   {sol.e1 * 1e12:9.4f}   | {sol.value / p.t * 1e6:7.3f} uW "
+        f"  {n1:4d} |   {plan.e1 * 1e12:9.4f}   | {value / p.t * 1e6:7.3f} uW "
         f"| {rep.mean_qnet / p.t * 1e6:7.3f} uW  | {z:+.2f}"
     )
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from . import asymptotics, channel_sim, optimizer, order_stats
 from .training_model import (
     SystemParams,
-    TrainingPlan,
     average_harvested_energy,
     net_harvested_energy,
 )
@@ -162,7 +161,7 @@ def _convert(key: str, value: str, source: str):
             typ = _SCALAR_KEYS[key]
             if typ is int:
                 as_float = float(value)
-                if as_float != int(as_float):
+                if not as_float.is_integer():  # also rejects inf and nan
                     raise ValueError("not an integer")
                 return int(as_float)
             return float(value)
@@ -179,7 +178,7 @@ def _convert(key: str, value: str, source: str):
 def _int_grid(grid: tuple[float, ...], name: str) -> tuple[int, ...]:
     out = []
     for x in grid:
-        if x != int(x):
+        if not x.is_integer():  # also rejects inf and nan
             raise ConfigError(f"{name} entries must be integers, got {x!r}")
         out.append(int(x))
     return tuple(out)
@@ -403,22 +402,18 @@ def _run_sweep_n1(cfg: ExperimentConfig) -> int:
         "pnet_sim_w",
     ]
     rows = []
+    curve = optimizer.solve_curve(grid, p)
     for i, n1 in enumerate(grid):
-        sol = optimizer.solve_for_n1(n1, p)
-        e2 = tuple(
-            optimizer.optimal_phase2_energy(r, n1, sol.e1, p)
-            for r in range(1, p.n2 + 1)
-        )
-        plan = TrainingPlan(n1=n1, e1=sol.e1, e2=e2)
+        plan, value = curve.plan(i, p), float(curve.value[i])
         report = channel_sim.run_two_phase(plan, p, cfg.trials, cfg.seed + i)
         rows.append(
             [
                 n1,
-                sol.label.kind,
-                sol.e1,
-                e2[0],
-                sol.value,
-                sol.value / p.t,
+                curve.label(i).kind,
+                plan.e1,
+                plan.e2[0],
+                value,
+                value / p.t,
                 report.mean_qnet,
                 report.stderr,
                 report.mean_qnet / p.t,

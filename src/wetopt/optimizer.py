@@ -24,18 +24,22 @@ So each n1's optimum is e1 = 0 where h(0) >= 0, and otherwise the one
 root of h, found by a bracketed Newton iteration on the piece that holds
 it.  :func:`poly_real_roots` is the tests' root oracle.
 
-The n1 sweep runs in lockstep on the gains of every n1 stacked into one
-(n1 count, n2) array: labels, h(0), a bisection over the crossings of the
-rows with h(0) < 0, their Newton iterations and their scores are numpy
-passes over blocks of rows.
-:func:`solve_for_n1` runs the same code on one row.
+The n1 sweep runs in lockstep on one (n1 count, n2) array of gains, the
+read-only view :func:`order_stats.stacked_gains` keeps per (n2, n, m):
+labels, h(0), a bisection over the crossings of the rows with h(0) < 0,
+their Newton iterations and their scores are numpy passes over blocks of
+rows, and the result is a :class:`Curve` of arrays, one entry per n1.
+:func:`solve_curve` runs the same code on any set of n1, and
+:func:`solve_for_n1` on one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from .training_model import (
 __all__ = [
     "CaseLabel",
     "CaseSolution",
+    "Curve",
     "RootFindingError",
     "Solution",
     "classify_esnr_case",
@@ -62,6 +67,7 @@ __all__ = [
     "optimize_training",
     "poly_real_roots",
     "solve_brute_force",
+    "solve_curve",
     "solve_for_n1",
     "solve_phase1_only",
     "solve_phase2_only",
@@ -117,14 +123,52 @@ class CaseSolution:
     candidates: tuple[float, ...]
 
 
+class Curve(NamedTuple):
+    """The per-n1 solve as arrays, one entry per n1: case code (-1 low, 0
+    high, j medium), best e1 and value in joules, the e1 tried besides 0
+    (NaN if none) and the row of gains."""
+
+    n1: np.ndarray
+    code: np.ndarray
+    e1: np.ndarray
+    value: np.ndarray
+    tried: np.ndarray
+    gains: np.ndarray
+
+    def label(self, i: int) -> CaseLabel:
+        return _label(int(self.code[i]))
+
+    def plan(self, i: int, p: SystemParams) -> TrainingPlan:
+        """Entry i's n1 and e1, with the water-filling e2 of each rank."""
+        e1 = float(self.e1[i])
+        rho = selected_powers(self.gains[i], e1 * (p.beta / p.n0), p.m)
+        e2 = _phase2_energies(rho, p) * (p.n0 / p.beta)
+        return TrainingPlan(int(self.n1[i]), e1, tuple(e2.tolist()))
+
+
+def _tried(e1: float) -> tuple[float, ...]:
+    return (0.0,) if e1 != e1 else (0.0, e1)
+
+
 @dataclass(frozen=True)
 class Solution:
-    """Global optimum: winning plan plus the per-n1 search trace."""
+    """Global optimum: winning plan plus the curve over every n1.
+
+    ``case_used_per_n1`` (read-only, n1 -> :class:`CaseLabel`) and
+    ``candidate_log`` (``[(n1, e1 tried), ...]``) derive from it when read.
+    """
 
     plan: TrainingPlan
     qnet_star: float
-    case_used_per_n1: dict[int, CaseLabel] = field(repr=False)
-    candidate_log: list[tuple[int, tuple[float, ...]]] = field(repr=False)
+    curve: Curve = field(repr=False, compare=False)
+
+    @cached_property
+    def case_used_per_n1(self) -> MappingProxyType[int, CaseLabel]:
+        return MappingProxyType(dict(zip(self.curve.n1.tolist(), map(_label, self.curve.code.tolist()))))
+
+    @cached_property
+    def candidate_log(self) -> list[tuple[int, tuple[float, ...]]]:
+        return list(zip(self.curve.n1.tolist(), map(_tried, self.curve.tried.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +351,6 @@ def poly_real_roots(coeffs) -> np.ndarray:
     return np.array(merged)
 
 
-def _stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> float | None:
-    """:func:`_stationary_rows` on one piece: its x = beta*e1/n0, or None
-    where h(0) >= 0."""
-    branch2, n1 = np.array([branch2]), np.array([n1])
-    piece = _piece_arrays(gains[None, :], branch2, n1, p)
-    if not _h(np.zeros(1), *piece)[0] < 0.0:
-        return None
-    return float(_stationary_rows(piece, branch2, n1)[0])
-
-
 def _piece_arrays(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
     # (g, b, d0) of h on pieces: the strongest branch2[i] ranks of row i
     # above the threshold, the rest below (g = 1 gives them b = 0)
@@ -468,60 +502,72 @@ def _roots_of_h(gains: np.ndarray, n1: np.ndarray, code: np.ndarray, p: SystemPa
 
 
 def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
-    """(case codes, e1, value, candidates) for each row of stacked gains,
-    one n1 per row: the best phase-1 energy, its value and the e1 tried.
+    """(case codes, e1, value, tried) for each row of stacked gains, one n1
+    per row: the best phase-1 energy, its value and the e1 tried besides
+    e1 = 0, NaN where there is none.
 
     Low rows take the phase-1 closed form.  Every other row scores x = 0,
     its optimum where h(0) >= 0; :func:`_roots_of_h` finds the rows where
     h(0) < 0 and the one root of h on each.  A root is kept only if it
     scores strictly above x = 0, so a tie goes to the smaller e1.  A block
-    of low rows skips all of this, and a block with no root scores
-    nothing more.  Energies and values leave in joules.
+    of low rows skips all of this, a block with no low row skips the
+    closed form, and a block with no root scores nothing more.  Energies
+    and values leave in joules.
     """
     codes = _case_codes(gains, p)
-    x, value = _phase1_closed_form(gains, n1, p)
     unit, rows = p.n0 / p.beta, (codes >= 0).nonzero()[0]
-    candidates = [(0.0, e) for e in (x * unit).tolist()]
+    if rows.size < codes.size:
+        x, value = _phase1_closed_form(gains, n1, p)
+    else:  # every row's x and value are set below
+        x, value = np.zeros(codes.size), np.zeros(codes.size)
+    tried = x * unit
     if rows.size:
-        # at x = 0 every rank's power is m, so every row has one value there
-        x[rows], value[rows] = 0.0, _net(gains[rows[:1]], np.zeros(1), n1[rows[:1]], p)
-        for r in rows.tolist():
-            candidates[r] = (0.0,)
+        # at x = 0 every rank's power is m, so every row has one value there:
+        # _net's n2 equal terms, summed as _net sums them
+        x[rows], value[rows] = 0.0, np.full(p.n2, p.m - _penalty(float(p.m), p)).sum()
+        tried[rows] = np.nan
         at, root = _roots_of_h(gains[rows], n1[rows], codes[rows], p)
         if at.size:
             at = rows[at]
             score = _net(gains[at], root, n1[at], p)
             better = score > value[at]
             x[at[better]], value[at[better]] = root[better], score[better]
-            for r, e in zip(at.tolist(), (root * unit).tolist()):
-                candidates[r] = (0.0, e)
-    return codes, x * unit, value * (p.eta_t_ps * p.beta), candidates
+            tried[at] = root * unit
+    return codes, x * unit, value * (p.eta_t_ps * p.beta), tried
 
 
-def _stacked_gains(p: SystemParams) -> tuple[list[int], np.ndarray]:
-    # every n1, ascending, and its gains as one row, after one fill of all
-    order_stats.gains_up_to(p.n2, p.n, p.m)
-    n1s = list(range(p.n2, p.n + 1))
-    return n1s, np.array([order_stats.gains_up_to(p.n2, n1, p.m) for n1 in n1s])
+def _curve(gains: np.ndarray, n1: np.ndarray, p: SystemParams) -> Curve:
+    # the lockstep entry: _solve_rows over blocks of _BLOCK_TARGET // n2 rows
+    step = max(1, _BLOCK_TARGET // p.n2)
+    if n1.size <= step:
+        return Curve(n1, *_solve_rows(gains, n1, p), gains)
+    parts = [_solve_rows(gains[i : i + step], n1[i : i + step], p) for i in range(0, n1.size, step)]
+    return Curve(n1, *map(np.concatenate, zip(*parts)), gains)
 
 
 # ---------------------------------------------------------------------------
 # the per-n1 solver and the outer search
 
 
-def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
-    """Best phase-1 energy and value for one fixed number of trained bands.
+def solve_curve(n1s, p: SystemParams) -> Curve:
+    """Best phase-1 energy and value for each number of trained bands in
+    ``n1s``, in the order given, each regime solved exactly (see the module
+    docstring): the lockstep sweep on their gains, read largest population
+    first so that one fill serves the rest."""
+    for n1 in n1s:
+        check_n1(n1, p)
+    gains = np.empty((len(n1s), p.n2))
+    for i in np.argsort(n1s)[::-1].tolist():
+        gains[i] = order_stats.gains_up_to(p.n2, n1s[i], p.m)
+    return _curve(gains, np.array(n1s, dtype=int), p)
 
-    Low ESNR: the objective is concave in e1 and the optimum closed form.
-    High ESNR: weak ranks may sink through the threshold as e1 grows (when
-    n1 is barely above n2).  Medium ESNR: ranks 1..j rise through it, which
-    splits the e1 axis into j+1 intervals.  Crossings cut pieces, each
-    solved exactly; this is the lockstep sweep's code on one row.
-    """
-    check_n1(n1, p)
-    gains = order_stats.gains_up_to(p.n2, n1, p.m)
-    codes, e1, value, candidates = _solve_rows(gains[None, :], np.array([n1]), p)
-    return CaseSolution(_label(int(codes[0])), float(e1[0]), float(value[0]), candidates[0])
+
+def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
+    """Best phase-1 energy and value for one fixed number of trained bands:
+    :func:`solve_curve` on ``[n1]``."""
+    curve = solve_curve([n1], p)
+    e1, value, tried = curve.e1.tolist()[0], curve.value.tolist()[0], curve.tried.tolist()[0]
+    return CaseSolution(curve.label(0), e1, value, _tried(tried))
 
 
 def optimize_training(p: SystemParams) -> Solution:
@@ -532,21 +578,9 @@ def optimize_training(p: SystemParams) -> Solution:
     (fewer trained bands at equal net energy).  The returned plan
     re-derives the per-rank phase-2 energies from the winning (n1, e1).
     """
-    n1s, gains = _stacked_gains(p)
-    step = max(1, _BLOCK_TARGET // p.n2)
-    best_n1, best_e1, best_value = -1, 0.0, -math.inf
-    cases, log = {}, []
-    for start in range(0, len(n1s), step):
-        block = n1s[start : start + step]
-        codes, e1, value, candidates = _solve_rows(gains[start : start + step], np.array(block), p)
-        i = int(np.argmax(value))
-        if value[i] > best_value:
-            best_n1, best_e1, best_value = block[i], float(e1[i]), float(value[i])
-        cases.update(zip(block, map(_label, codes.tolist())))
-        log.extend(zip(block, candidates))
-    rho = selected_powers(gains[best_n1 - p.n2], best_e1 * (p.beta / p.n0), p.m)
-    e2 = tuple((_phase2_energies(rho, p) * (p.n0 / p.beta)).tolist())
-    return Solution(TrainingPlan(best_n1, best_e1, e2), best_value, cases, log)
+    curve = _curve(order_stats.stacked_gains(p.n2, p.n, p.m), np.arange(p.n2, p.n + 1), p)
+    i = int(curve.value.argmax())
+    return Solution(curve.plan(i, p), float(curve.value[i]), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +594,10 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     form for every regime, so the same formula is swept over n1, as one
     array expression over the stacked gains.
     """
-    n1s, gains = _stacked_gains(p)
-    x, value = _phase1_closed_form(gains, np.array(n1s), p)
+    gains = order_stats.stacked_gains(p.n2, p.n, p.m)
+    x, value = _phase1_closed_form(gains, np.arange(p.n2, p.n + 1), p)
     i = int(np.argmax(value))
-    plan = TrainingPlan(n1=n1s[i], e1=float(x[i]) * (p.n0 / p.beta), e2=(0.0,) * p.n2)
+    plan = TrainingPlan(n1=p.n2 + i, e1=float(x[i]) * (p.n0 / p.beta), e2=(0.0,) * p.n2)
     return plan, float(value[i]) * (p.eta_t_ps * p.beta)
 
 

@@ -26,7 +26,8 @@ walks down from the nearest population held whole above it, past any
 populations the memo lacks, switches to the stored array of each
 population held whole that it passes, and never rewrites an entry that
 already holds the ranks asked for.  A fill holds one module-level lock; a
-hit reads one array without it.
+hit reads one array without it.  ``stacked_gains`` copies the rows of a
+range of populations once into one read-only array.
 
 On the quadrature route ``gains_up_to`` builds a whole gain triangle at
 once.  One adaptive pass integrates every rank of the largest population
@@ -82,6 +83,7 @@ __all__ = [
     "gain_quadrature",
     "gains_up_to",
     "ordered_cdf",
+    "stacked_gains",
 ]
 
 # The alternating closed-form sums are evaluated exactly (rationals), so the
@@ -491,6 +493,8 @@ def gain_monte_carlo(
 # reader needs no lock; fills hold _fill_lock.
 _memo: dict[tuple[int, int], np.ndarray] = {}
 _fill_lock = threading.Lock()
+# (rank_max, pop, dim) -> stacked_gains' copy of memo rows, stored complete
+_stacks: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def closed_form_domain(pop: int, dim: int) -> bool:
@@ -604,3 +608,22 @@ def _held_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
             _fill(rank_max, pop, dim)
         held = _memo[(pop, dim)]
     return held[:rank_max]
+
+
+def stacked_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
+    """Row ``k`` holds ``gains_up_to(rank_max, rank_max + k, dim)`` bit for
+    bit, for every population ``rank_max..pop``, in one read-only array.
+
+    The first call per key fills the memo, the largest population first,
+    and copies the rows once; a later call is one dict lookup.
+    """
+    stack = _stacks.get((rank_max, pop, dim))
+    if stack is None:
+        _validate_query(rank_max, pop, dim)
+        with _fill_lock:  # not reentrant: _fill and _memo are used directly
+            for n in range(pop, rank_max - 1, -1):
+                _fill(rank_max, n, dim)
+            stack = np.array([_memo[(n, dim)][:rank_max] for n in range(rank_max, pop + 1)])
+            stack.flags.writeable = False
+            _stacks[(rank_max, pop, dim)] = stack
+    return stack

@@ -25,9 +25,11 @@ def ism_params(m: int, t: float) -> SystemParams:
 
 @pytest.fixture
 def empty_memo(monkeypatch) -> dict:
-    """An empty gain memo for one test; the process-wide one returns after."""
+    """An empty gain memo, with no stacked views of it, for one test; the
+    process-wide ones return after."""
     memo: dict = {}
     monkeypatch.setattr(order_stats, "_memo", memo)
+    monkeypatch.setattr(order_stats, "_stacks", {})
     return memo
 
 

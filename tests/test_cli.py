@@ -208,10 +208,27 @@ class TestExitCodes:
         def boom(*a, **k):
             raise ArithmeticError("synthetic numeric failure")
 
-        monkeypatch.setattr(cli_mod.optimizer, "solve_for_n1", boom)
+        monkeypatch.setattr(cli_mod.optimizer, "solve_curve", boom)
         assert main(["sweep", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "sweep_n1" in err and "SystemParams" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("m", "inf"), ("trials", "1e400"), ("seed", "-inf"), ("n", "nan")]
+    )
+    def test_non_finite_integer_key_is_config_error(self, tmp_path, capsys, key, value):
+        # int(inf) raises OverflowError, which once escaped as a traceback
+        path, _ = small_sweep_config(tmp_path)
+        text = "".join(l for l in open(path) if not l.startswith(f"{key} ")) + f"{key} = {value}\n"
+        assert main(["sweep", "--config", write(tmp_path, text, "inf.conf")]) == 2
+        assert f"bad value for {key!r}: {value!r} (not an integer)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["2, 4, inf", "2, nan"])
+    def test_non_finite_integer_grid_is_config_error(self, tmp_path, capsys, grid):
+        path, _ = small_sweep_config(tmp_path)
+        text = open(path).read().replace("2, 4, 7, 10", grid)
+        assert main(["sweep", "--config", write(tmp_path, text, "inf.conf")]) == 2
+        assert "sweep_grid entries must be integers" in capsys.readouterr().err
 
     def test_unwritable_output_is_io_failure(self, tmp_path, capsys):
         path, _ = small_sweep_config(tmp_path)

@@ -14,6 +14,7 @@ from conftest import grid_oracle_best, random_instance
 from wetopt import channel_sim, optimizer, order_stats
 from wetopt.optimizer import (
     HIGH_ESNR,
+    CaseLabel,
     LOW_ESNR,
     MEDIUM_ESNR,
     classify_esnr_case,
@@ -399,7 +400,7 @@ class TestStationaryPolynomial:
             assert abs(npoly.polyval(x, poly) - exact) <= 1e-12 * clear * np.abs(terms).sum()
         roots = poly_real_roots(poly)
         (positive,) = roots[roots > 0.0]
-        x = optimizer._stationary_snrs(gains, branch2, self.N1, p)
+        x = stationary_snrs(gains, branch2, self.N1, p)
         assert type(x) is float
         assert x == pytest.approx(positive, rel=1e-9)
         terms = self._terms(x, gains, branch2, p)
@@ -425,7 +426,7 @@ class TestStationaryPolynomial:
         poly = piece_polynomial(gains, 100, self.N1, p)
         roots = poly_real_roots(poly)
         assert not np.any(roots > 0.0)
-        assert optimizer._stationary_snrs(gains, 100, self.N1, p) is None
+        assert stationary_snrs(gains, 100, self.N1, p) is None
 
     def test_newton_step_beyond_overflow(self):
         # t=1e-1, branch2=100: degree 202 with roots near x = -193 and 191,
@@ -563,20 +564,25 @@ class TestOptimizeTraining:
         assert seen == {LOW_ESNR, HIGH_ESNR, MEDIUM_ESNR}
 
     def test_reads_each_n1_gains_once(self, small_params, monkeypatch):
-        # classification and solve share one read of each n1's gains: a warm
-        # solve makes one gains_up_to call per n1, after the one fill
+        # classification and solve share one read of every n1's gains: a
+        # warm solve reads the stacked view once and makes no gains_up_to call
         p = small_params
         optimize_training(p)
-        pops = []
-        real = order_stats.gains_up_to
+        pops, stacks = [], []
+        real, stacked = order_stats.gains_up_to, order_stats.stacked_gains
 
         def counting(rank_max, pop, dim):
             pops.append(pop)
             return real(rank_max, pop, dim)
 
+        def counting_stacks(*args):
+            stacks.append(args)
+            return stacked(*args)
+
         monkeypatch.setattr(order_stats, "gains_up_to", counting)
+        monkeypatch.setattr(order_stats, "stacked_gains", counting_stacks)
         optimize_training(p)
-        assert pops == [p.n, *range(p.n2, p.n + 1)]
+        assert (pops, stacks) == ([], [(p.n2, p.n, p.m)])
 
     def test_candidate_log_covers_range(self, small_params):
         sol = optimize_training(small_params)
@@ -716,11 +722,11 @@ def rows_inside_optimize(p: SystemParams):
     real = optimizer._solve_rows
 
     def recording(gains, n1, q):
-        codes, e1, value, candidates = out = real(gains, n1, q)
+        codes, e1, value, tried = out = real(gains, n1, q)
         blocks.append(n1.tolist())
         for i, n in enumerate(n1.tolist()):
             label = optimizer._label(int(codes[i]))
-            rows[n] = (label, float(e1[i]), float(value[i]), candidates[i])
+            rows[n] = (label, float(e1[i]), float(value[i]), optimizer._tried(tried.tolist()[i]))
         return out
 
     optimizer._solve_rows = recording  # not monkeypatch: Hypothesis reruns the body
@@ -791,6 +797,9 @@ class TestLockstepSweep:
         p = params(m=2, n=4, n2=2, n0=params().eta_t_ps * 1e-12 / 0.9)  # ESNR 0.9
         assert esnr(p) == pytest.approx(0.9, rel=1e-15)
         monkeypatch.setattr(order_stats, "gains_up_to", lambda rank_max, pop, dim: np.array([5.7, 5.7]))
+        monkeypatch.setattr(  # the sweep inside newton_inside_optimize reads the stacked view
+            order_stats, "stacked_gains", lambda rank_max, pop, dim: np.full((pop - rank_max + 1, rank_max), 5.7)
+        )
         cut = crossings(2, p)
         assert cut.size == 2 and cut[0] == cut[1]
         sol = solve_for_n1(2, p)
@@ -834,6 +843,61 @@ class TestLockstepSweep:
             assert plan.n1 == best[1]
             assert value == pytest.approx(best[0], rel=1e-13)
             assert plan.e1 == pytest.approx(best[2], rel=1e-12, abs=1e-300)
+
+
+class TestSolutionCurve:
+    """``Solution`` keeps the per-n1 curve as arrays; its mapping of labels
+    and its candidate log are derived from them and equal the per-n1 solves."""
+
+    @pytest.mark.parametrize("t", [1e-7, 3e-7, 5e-6, 1e-1])
+    def test_derived_fields_equal_the_per_n1_solves(self, t):
+        p = ism_link(m=4, n=80, n2=64, t=t)
+        sol = optimize_training(p)
+        rows = {n1: solve_for_n1(n1, p) for n1 in range(p.n2, p.n + 1)}
+        labels = {n1: row.label for n1, row in rows.items()}
+        assert sol.case_used_per_n1 == labels and labels == sol.case_used_per_n1
+        assert sol.case_used_per_n1 != {**labels, p.n: CaseLabel(MEDIUM_ESNR, j=99)}
+        assert sol.candidate_log == [(n1, row.candidates) for n1, row in rows.items()]
+        assert list(sol.case_used_per_n1.items()) == list(labels.items())
+        assert list(sol.case_used_per_n1.values()) == list(labels.values())
+        assert sol.case_used_per_n1[sol.plan.n1] == rows[sol.plan.n1].label
+        assert sol.curve.n1.tolist() == list(rows)
+        assert sol.curve.e1.tolist() == [row.e1 for row in rows.values()]
+        assert sol.curve.value.tolist() == [row.value for row in rows.values()]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(m=4, n=80, n2=64, t=t) for t in (3e-7, 5e-6, 1e-1)] + [dict(m=4, n=400, n2=200, t=5e-7)],
+    )
+    def test_zero_energy_value_is_the_net_there(self, shape):
+        # rows that score e1 = 0 alone take one value, formed without _net;
+        # it must equal _net at e1 = 0 bit for bit
+        p = ism_link(**shape)
+        curve = optimize_training(p).curve
+        zero = np.isnan(curve.tried).nonzero()[0]
+        assert zero.size
+        for i in zero.tolist():
+            assert curve.value[i] == net_energy_given_phase1(int(curve.n1[i]), 0.0, p), i
+
+    def test_mapping_is_read_only(self, small_params):
+        sol = optimize_training(small_params)
+        with pytest.raises(TypeError):
+            sol.case_used_per_n1[small_params.n] = CaseLabel(LOW_ESNR)
+        assert sol.case_used_per_n1 is sol.case_used_per_n1
+
+    def test_repr_shows_plan_and_value_only(self, small_params):
+        sol = optimize_training(small_params)
+        assert repr(sol) == f"Solution(plan={sol.plan!r}, qnet_star={sol.qnet_star!r})"
+
+
+def stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> float | None:
+    """The solver's Newton iteration on one piece: its x = beta*e1/n0, or
+    None where h(0) >= 0."""
+    branch2, n1 = np.array([branch2]), np.array([n1])
+    piece = optimizer._piece_arrays(gains[None, :], branch2, n1, p)
+    if not optimizer._h(np.zeros(1), *piece)[0] < 0.0:
+        return None
+    return float(optimizer._stationary_rows(piece, branch2, n1)[0])
 
 
 def crossings(n1: int, p: SystemParams) -> np.ndarray:
@@ -989,7 +1053,8 @@ class TestPieceScreen:
         p = params_with_threshold(1e-6 * 0.5 * sum(top), t=1.0)
         n1s = np.array([3, 4, 5, 6, 12])
         gains = np.array([order_stats.gains_up_to(p.n2, n1, p.m) for n1 in n1s.tolist()])
-        codes, e1, value, candidates = optimizer._solve_rows(gains, n1s, p)
+        codes, e1, value, tried = optimizer._solve_rows(gains, n1s, p)
+        candidates = [optimizer._tried(e) for e in tried.tolist()]
         assert [optimizer._label(c).kind for c in codes.tolist()] == [LOW_ESNR] * 4 + [MEDIUM_ESNR]
 
         def unreachable(*args):
@@ -1000,8 +1065,9 @@ class TestPieceScreen:
         low = optimizer._solve_rows(gains[:4], n1s[:4], p)
         assert low[0].tolist() == codes[:4].tolist()
         assert (low[1].tolist(), low[2].tolist()) == (e1[:4].tolist(), value[:4].tolist())
-        assert low[3] == candidates[:4]
-        for n1, c in zip(n1s[:4].tolist(), low[3]):
+        low_candidates = [optimizer._tried(e) for e in low[3].tolist()]
+        assert low_candidates == candidates[:4]
+        for n1, c in zip(n1s[:4].tolist(), low_candidates):
             assert solve_for_n1(n1, p).candidates == c
         monkeypatch.undo()
         assert candidates[4] == solve_for_n1(12, p).candidates

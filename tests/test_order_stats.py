@@ -470,6 +470,92 @@ class TestTriangle:
             assert value == empty_memo[(45, 4)][i % 4]
 
 
+def stack_by_rows(rank_max: int, pop: int, dim: int) -> np.ndarray:
+    """The stacked view as the optimizer once built it: one fill at ``pop``,
+    then one ``gains_up_to`` call per population, ascending."""
+    gains_up_to(rank_max, pop, dim)
+    return np.array([gains_up_to(rank_max, n, dim) for n in range(rank_max, pop + 1)])
+
+
+class TestStackedGains:
+    """``stacked_gains``: the memo's rows of a range of populations, copied
+    once into one read-only array."""
+
+    # closed form throughout; quadrature throughout; populations up to 30
+    # closed form and 31..40 on the triangle
+    KEYS = [(3, 12, 4), (16, 120, 10), (8, 40, 4)]
+
+    @pytest.mark.parametrize("rank_max, pop, dim", KEYS)
+    def test_bits_equal_the_rows(self, rank_max, pop, dim, empty_memo):
+        stack = order_stats.stacked_gains(rank_max, pop, dim)
+        rows = on_empty_memo(stack_by_rows, rank_max, pop, dim)
+        assert stack.shape == (pop - rank_max + 1, rank_max)
+        assert stack.tobytes() == rows.tobytes()
+        here = np.array([gains_up_to(rank_max, n, dim) for n in range(rank_max, pop + 1)])
+        assert stack.tobytes() == here.tobytes()
+
+    @pytest.mark.usefixtures("empty_memo")
+    def test_read_only_and_served_again(self):
+        stack = order_stats.stacked_gains(8, 40, 4)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 1.0
+        assert order_stats.stacked_gains(8, 40, 4) is stack
+
+    @pytest.mark.parametrize("rank_max, pop, dim", KEYS + [(4, 60, 4)])
+    def test_cold_build_integrates_as_the_rows_did(self, rank_max, pop, dim, monkeypatch, empty_memo):
+        # a population 50 held whole beforehand: the rows read past it
+        calls = count_quadratures(monkeypatch)
+        gain(1, 50, 4)
+        order_stats.stacked_gains(rank_max, pop, dim)
+        built = len(calls)
+        with mock.patch.object(order_stats, "_memo", {}):
+            gain(1, 50, 4)
+            stack_by_rows(rank_max, pop, dim)
+        assert built == len(calls) - built
+
+    @pytest.mark.usefixtures("empty_memo")
+    def test_warm_solve_reads_no_gains(self, monkeypatch):
+        from wetopt.optimizer import optimize_training
+        from wetopt.training_model import SystemParams
+
+        link = dict(m=4, n=80, n2=64, ps=0.06, eta=0.8, beta=1e-6, n0=1e-19)
+        optimize_training(SystemParams(t=1e-7, **link))
+
+        def unreachable(*args):
+            raise AssertionError("a warm solve read the gains again")
+
+        stack = order_stats._stacks[(64, 80, 4)]
+        for name in ("gains_up_to", "gain", "_held_gains", "_fill"):
+            monkeypatch.setattr(order_stats, name, unreachable)
+        optimize_training(SystemParams(t=1e-1, **link))
+        assert order_stats._stacks[(64, 80, 4)] is stack
+
+    def test_concurrent_builds_integrate_once(self, monkeypatch, empty_memo):
+        calls = count_quadratures(monkeypatch)
+        workers = 8
+        start = threading.Barrier(workers)
+        results: list = [None] * workers
+
+        def work(i):
+            start.wait(timeout=30)
+            results[i] = order_stats.stacked_gains(4, 60, 4).tobytes()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert set(results) == {on_empty_memo(stack_by_rows, 4, 60, 4).tobytes()}
+
+
 class TestMemoProperty:
     """Random query orders against one memo: stable bits, one source each."""
 

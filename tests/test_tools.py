@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wetopt
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -21,7 +23,7 @@ def load(name: str):
     return module
 
 
-@pytest.mark.usefixtures("empty_memo")  # a cold case empties the memo it sees
+@pytest.mark.usefixtures("empty_memo")  # a cold case swaps out the memos it sees
 @pytest.mark.parametrize("script", ["bench_optimizer", "bench_simulator"])
 def test_every_case_runs(script, monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))  # the scripts import benchlib beside them
@@ -63,3 +65,24 @@ def test_same_bits_sees_every_field(monkeypatch):
     }
     answers["change"] = bench._answer([sol])
     assert bench._compare(answers, "parent")["same_bits"]
+
+
+def test_interleaved_a_a_run(monkeypatch):
+    # one tree against itself through the long-lived workers: every pair
+    # times both sides, and the answers agree to the bit
+    monkeypatch.syspath_prepend(str(TOOLS))
+    benchlib = load("benchlib")
+    src = str(Path(wetopt.__file__).resolve().parents[1])
+    names = [
+        "design-sweep-wide t=1e-07 (m=4, n=80, n2=64)",
+        "design-sweep-wide, the four solves together, caches evicted",
+    ]
+    trees = [("a", src), ("b", src)]
+    _, times, answers = benchlib.interleave(str(TOOLS / "bench_optimizer.py"), trees, 4, names)
+    for name in names:
+        assert [len(times[name][label]) for label in "ab"] == [4, 4], name
+        assert answers[name]["a"] == answers[name]["b"], name
+        row = benchlib.summary(times[name], ["a", "b"])
+        assert 0 <= row["b_wins"] <= 4
+        for label in "ab":
+            assert 0 < row[label]["q1"] <= row[label]["median"] <= row[label]["q3"]

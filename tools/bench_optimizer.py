@@ -3,24 +3,30 @@
 Usage::
 
     python tools/bench_optimizer.py --tree parent=../parent/src --tree change=src \
-        --out BENCH_optimizer.json
+        --out BENCH_optimizer.json [--pairs 100]
 
-Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
-to one CPU with one BLAS thread, rounds alternating the trees), and each
-case reports the best of all its repeats.  A warm case runs once untimed
-first, so the gain memo is full; a cold case empties the memo before
-every run, so it pays the gain quadrature as a first call does.  The
-cases are the four ``design-sweep-wide`` block lengths, one by one and
-the four together (as one ``perfbench`` op runs them), the ISM link
-(``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at ``n=5000`` cold
-and warm, a wide high design (``m=4, n=200, n2=100``), a wide medium one
-(``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings per ``n1``) and
-the acceptance c09 shape (``m=1, n=2000, n2=1``).  Times are written to
-three significant figures.  Each tree's answers (``n1*``, ``e1*``,
-``qnet_star``) are written beside the times, with a digest of the repr
-of every solve's ``n1``, ``e1``, ``e2`` and ``qnet_star``: ``same_bits``
-says whether all trees agree to the bit, so a speed-up that moved an
-answer shows.
+Each tree is timed as :func:`benchlib.interleave` runs it: one
+long-lived worker per tree, all pinned to one CPU with one BLAS thread;
+every case runs once untimed in each worker, then, case by case,
+``--pairs`` times per tree, the order of the trees alternating from pair
+to pair.  Each case reports every tree's median and quartiles, to three
+significant figures, and how many pairs the last tree won against the
+first.  A warm case finds the gain memo full after its untimed run; a
+cold case runs every op on empty gain memos, swapped in for that op
+alone, so it pays the gain quadrature as a first call does and leaves
+the warm cases warm.  The cases are the four ``design-sweep-wide`` block
+lengths, one by one and the four together (as one ``perfbench`` op runs
+them), the four together again after a 64 MB pass that evicts the CPU
+caches (as ``perfbench`` runs them between the reference's solves), the
+ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
+``n=5000`` cold and warm, a wide high design (``m=4, n=200, n2=100``), a
+wide medium one (``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings
+per ``n1``) and the acceptance c09 shape (``m=1, n=2000, n2=1``).  Each
+tree's answers (``n1*``, ``e1*``, ``qnet_star``) are written beside the
+times, with a digest of the repr of every solve's ``n1``, ``e1``,
+``e2``, ``qnet_star``, labels per ``n1`` and candidate log:
+``same_bits`` says whether all trees agree to the bit, so a speed-up
+that moved an answer shows.
 """
 
 from __future__ import annotations
@@ -28,17 +34,15 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-import time
 
 import benchlib
 
-ROUNDS = 2  # fresh interpreters per tree, alternating trees
-REPEATS = 3  # timed runs per case in each interpreter
+PAIRS = 100  # timed ops per tree and case
 
 
 def _cases():
-    """(name, zero-argument callable returning a tuple of Solutions, cold)
-    per case."""
+    """(name, zero-argument callable returning a tuple of Solutions, evict)
+    per case; ``evict`` asks for the cache-evicting pass before each op."""
     from wetopt import SystemParams, optimizer, order_stats
 
     link = dict(ps=0.06, eta=0.8, beta=1e-6, n0=1e-19)
@@ -47,11 +51,21 @@ def _cases():
         p = SystemParams(**shape, **link)
 
         def run():
-            if cold:
-                order_stats._memo.clear()
-            return (optimizer.optimize_training(p),)
+            if not cold:
+                return (optimizer.optimize_training(p),)
+            # empty memos for this op alone, so the warm cases stay warm; a
+            # tree from before the stacked gain view has no _stacks
+            names = [name for name in ("_memo", "_stacks") if hasattr(order_stats, name)]
+            held = {name: getattr(order_stats, name) for name in names}
+            for name in held:
+                setattr(order_stats, name, {})
+            try:
+                return (optimizer.optimize_training(p),)
+            finally:
+                for name, memo in held.items():
+                    setattr(order_stats, name, memo)
 
-        return name, run, cold
+        return name, run, False
 
     wide_t = (1e-7, 3e-7, 5e-6, 1e-1)
     wide = [
@@ -59,12 +73,13 @@ def _cases():
         for t in wide_t
     ]
     four = [SystemParams(m=4, n=80, n2=64, t=t, **link) for t in wide_t]
-    together = (
-        "design-sweep-wide, the four solves together",
-        lambda: tuple(optimizer.optimize_training(p) for p in four),
-        False,
-    )
-    return wide + [together] + [
+
+    def together():
+        return tuple(optimizer.optimize_training(p) for p in four)
+
+    return wide + [
+        ("design-sweep-wide, the four solves together", together, False),
+        ("design-sweep-wide, the four solves together, caches evicted", together, True),
         case("ISM n=866 warm", m=10, n=866, n2=16, t=5e-5),
         case("m=10, n=5000, n2=16 cold", True, m=10, n=5000, n2=16, t=5e-5),
         case("m=10, n=5000, n2=16 warm", m=10, n=5000, n2=16, t=5e-5),
@@ -74,28 +89,13 @@ def _cases():
     ]
 
 
-def child() -> None:
-    """Time every case in this interpreter; print one JSON object."""
-    import numpy as np
-    import wetopt
-
-    out = {"numpy": np.__version__, "wetopt_file": wetopt.__file__, "cases": {}}
-    for name, run, cold in _cases():
-        if not cold:
-            run()  # warm-up: memo fills, allocator
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            sols = run()
-            best = min(best, time.perf_counter() - start)
-        out["cases"][name] = {"seconds": best, "answer": _answer(sols)}
-    print(json.dumps(out))
-
-
 def _answer(sols) -> dict:
     """Each solve's n1*, e1* and qnet_star, and a digest of the repr of
-    every solve's n1, e1, e2 and qnet_star."""
-    fields = [(s.plan.n1, s.plan.e1, s.plan.e2, s.qnet_star) for s in sols]
+    every solve's n1, e1, e2, qnet_star, labels per n1 and candidate log."""
+    fields = [
+        (s.plan.n1, s.plan.e1, s.plan.e2, s.qnet_star, dict(s.case_used_per_n1), s.candidate_log)
+        for s in sols
+    ]
     return {
         "n1": [s.plan.n1 for s in sols],
         "e1": [s.plan.e1 for s in sols],
@@ -118,39 +118,29 @@ def _compare(answers: dict[str, dict], first: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_optimizer.json")
+    args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_optimizer.json", PAIRS)
     if args.child:
-        child()
+        benchlib.serve(_cases(), _answer)
         return 0
-    best: dict[str, dict[str, float]] = {}
-    answers: dict[str, dict[str, dict]] = {}
-    numpy_version = None
-    for label, result in benchlib.alternate(__file__, trees, ROUNDS):
-        numpy_version = result["numpy"]
-        for name, case in result["cases"].items():
-            row = best.setdefault(name, {})
-            row[label] = min(row.get(label, float("inf")), case["seconds"])
-            answers.setdefault(name, {})[label] = case["answer"]
+    numpy_version, times, answers = benchlib.interleave(__file__, trees, args.pairs)
+    names = list(times)
     labels = [label for label, _ in trees]
     first = labels[0]
-    what = "best wall time in seconds of one optimize_training call"
-    report = benchlib.report(what, numpy_version, ROUNDS, REPEATS, labels)
-    report["rows"] = [
-        {"case": name, **{label: benchlib.sig3(row[label]) for label in labels}}
-        for name, row in best.items()
-    ]
+    what = "wall time in seconds of one op, median and quartiles over interleaved pairs"
+    report = benchlib.report(what, numpy_version, labels, pairs=args.pairs)
+    report["rows"] = [{"case": name, **benchlib.summary(times[name], labels)} for name in names]
     report["answers"] = [
-        {"case": name, **answers[name], **_compare(answers[name], first)} for name in best
+        {"case": name, **answers[name], **_compare(answers[name], first)} for name in names
     ]
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    wins = f"{labels[-1]}_wins"
     for row, answer in zip(report["rows"], report["answers"]):
-        cells = "".join(f"  {label} {row[label]:9.3g}" for label in labels)
-        drift = answer[f"max_rel_qnet_vs_{first}"]
+        cells = "".join(f"  {label} {row[label]['median']:9.3g}" for label in labels)
         print(
-            f"{row['case']:46s}{cells}  same n1 {answer['same_n1']}"
-            f"  same bits {answer['same_bits']}  qnet drift {drift:.1e}"
+            f"{row['case']:62s}{cells}  wins {row[wins]}/{args.pairs}"
+            f"  same bits {answer['same_bits']}"
         )
     return 0
 

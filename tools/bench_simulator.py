@@ -136,7 +136,7 @@ def main(argv=None) -> int:
             row[label] = min(row.get(label, float("inf")), seconds)
     labels = [label for label, _ in trees]
     what = "best wall time in seconds of one call, seed 1, 1e4 trials unless named"
-    report = benchlib.report(what, numpy_version, ROUNDS, REPEATS, labels)
+    report = benchlib.report(what, numpy_version, labels, rounds=ROUNDS, repeats_per_round=REPEATS)
     report["rows"] = [
         {"case": name, **{label: benchlib.sig3(row[label]) for label in labels}}
         for name, row in best.items()
