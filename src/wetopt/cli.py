@@ -409,7 +409,7 @@ def _run_sweep_n1(cfg: ExperimentConfig) -> int:
         rows.append(
             [
                 n1,
-                curve.label(i).kind,
+                optimizer._label(int(curve.code[i])).kind,
                 plan.e1,
                 plan.e2[0],
                 value,

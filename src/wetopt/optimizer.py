@@ -24,13 +24,11 @@ So each n1's optimum is e1 = 0 where h(0) >= 0, and otherwise the one
 root of h, found by a bracketed Newton iteration on the piece that holds
 it.  :func:`poly_real_roots` is the tests' root oracle.
 
-The n1 sweep runs in lockstep on one (n1 count, n2) array of gains, the
-read-only view :func:`order_stats.stacked_gains` keeps per (n2, n, m):
-labels, h(0), a bisection over the crossings of the rows with h(0) < 0,
-their Newton iterations and their scores are numpy passes over blocks of
-rows, and the result is a :class:`Curve` of arrays, one entry per n1.
-:func:`solve_curve` runs the same code on any set of n1, and
-:func:`solve_for_n1` on one.
+The n1 sweep runs in lockstep on the (n1 count, n2) gain array of
+:func:`order_stats.stacked_gains`: labels, h(0), a bisection over the
+crossings of the rows with h(0) < 0, their Newton iterations and their
+scores are numpy passes over blocks of rows that fill a :class:`Curve`.
+:func:`solve_curve` runs the same code on any set of n1.
 """
 
 from __future__ import annotations
@@ -135,9 +133,6 @@ class Curve(NamedTuple):
     tried: np.ndarray
     gains: np.ndarray
 
-    def label(self, i: int) -> CaseLabel:
-        return _label(int(self.code[i]))
-
     def plan(self, i: int, p: SystemParams) -> TrainingPlan:
         """Entry i's n1 and e1, with the water-filling e2 of each rank."""
         e1 = float(self.e1[i])
@@ -150,17 +145,24 @@ def _tried(e1: float) -> tuple[float, ...]:
     return (0.0,) if e1 != e1 else (0.0, e1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Global optimum: winning plan plus the curve over every n1.
 
     ``case_used_per_n1`` (read-only, n1 -> :class:`CaseLabel`) and
-    ``candidate_log`` (``[(n1, e1 tried), ...]``) derive from it when read.
+    ``candidate_log`` (``[(n1, e1 tried), ...]``) derive from the curve
+    when read; equality compares them with the plan and ``qnet_star``.
     """
 
     plan: TrainingPlan
     qnet_star: float
-    curve: Curve = field(repr=False, compare=False)
+    curve: Curve = field(repr=False)
+
+    def __eq__(self, other):
+        if type(other) is not Solution:
+            return NotImplemented
+        return (self.plan, self.qnet_star, self.case_used_per_n1, self.candidate_log) == (
+            other.plan, other.qnet_star, other.case_used_per_n1, other.candidate_log)
 
     @cached_property
     def case_used_per_n1(self) -> MappingProxyType[int, CaseLabel]:
@@ -537,12 +539,11 @@ def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
 
 
 def _curve(gains: np.ndarray, n1: np.ndarray, p: SystemParams) -> Curve:
-    # the lockstep entry: _solve_rows over blocks of _BLOCK_TARGET // n2 rows
+    # the lockstep entry: _solve_rows over blocks of _BLOCK_TARGET // n2 rows;
+    # one block is not joined (the copies cost about 2% of a warm solve)
     step = max(1, _BLOCK_TARGET // p.n2)
-    if n1.size <= step:
-        return Curve(n1, *_solve_rows(gains, n1, p), gains)
     parts = [_solve_rows(gains[i : i + step], n1[i : i + step], p) for i in range(0, n1.size, step)]
-    return Curve(n1, *map(np.concatenate, zip(*parts)), gains)
+    return Curve(n1, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), gains)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +551,8 @@ def _curve(gains: np.ndarray, n1: np.ndarray, p: SystemParams) -> Curve:
 
 
 def solve_curve(n1s, p: SystemParams) -> Curve:
-    """Best phase-1 energy and value for each number of trained bands in
-    ``n1s``, in the order given, each regime solved exactly (see the module
-    docstring): the lockstep sweep on their gains, read largest population
-    first so that one fill serves the rest."""
+    """Best phase-1 energy and value for each n1 in ``n1s``, in the order
+    given; the gains are read largest population first."""
     for n1 in n1s:
         check_n1(n1, p)
     gains = np.empty((len(n1s), p.n2))
@@ -565,9 +564,9 @@ def solve_curve(n1s, p: SystemParams) -> Curve:
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     """Best phase-1 energy and value for one fixed number of trained bands:
     :func:`solve_curve` on ``[n1]``."""
-    curve = solve_curve([n1], p)
-    e1, value, tried = curve.e1.tolist()[0], curve.value.tolist()[0], curve.tried.tolist()[0]
-    return CaseSolution(curve.label(0), e1, value, _tried(tried))
+    c = solve_curve([n1], p)
+    e1, value, tried = float(c.e1[0]), float(c.value[0]), _tried(float(c.tried[0]))
+    return CaseSolution(_label(int(c.code[0])), e1, value, tried)
 
 
 def optimize_training(p: SystemParams) -> Solution:

@@ -26,8 +26,8 @@ walks down from the nearest population held whole above it, past any
 populations the memo lacks, switches to the stored array of each
 population held whole that it passes, and never rewrites an entry that
 already holds the ranks asked for.  A fill holds one module-level lock; a
-hit reads one array without it.  ``stacked_gains`` copies the rows of a
-range of populations once into one read-only array.
+hit reads one array without it.  ``stacked_gains`` copies a range of
+populations once into one read-only array.
 
 On the quadrature route ``gains_up_to`` builds a whole gain triangle at
 once.  One adaptive pass integrates every rank of the largest population
@@ -493,8 +493,8 @@ def gain_monte_carlo(
 # reader needs no lock; fills hold _fill_lock.
 _memo: dict[tuple[int, int], np.ndarray] = {}
 _fill_lock = threading.Lock()
-# (rank_max, pop, dim) -> stacked_gains' copy of memo rows, stored complete
-_stacks: dict[tuple[int, int, int], np.ndarray] = {}
+# (rank_max, dim) -> stacked_gains' rows up to the largest population asked
+_stacks: dict[tuple[int, int], np.ndarray] = {}
 
 
 def closed_form_domain(pop: int, dim: int) -> bool:
@@ -611,19 +611,19 @@ def _held_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
 
 
 def stacked_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
-    """Row ``k`` holds ``gains_up_to(rank_max, rank_max + k, dim)`` bit for
-    bit, for every population ``rank_max..pop``, in one read-only array.
+    """``gains_up_to(rank_max, n, dim)`` of every population ``n`` in
+    ``rank_max..pop`` as the rows of one read-only array.
 
-    The first call per key fills the memo, the largest population first,
-    and copies the rows once; a later call is one dict lookup.
+    One array is kept per ``(rank_max, dim)``, for the largest ``pop``
+    asked; a smaller ``pop`` gets a view of its first rows.
     """
-    stack = _stacks.get((rank_max, pop, dim))
-    if stack is None:
+    stack = _stacks.get((rank_max, dim))
+    size = pop - rank_max + 1
+    if stack is None or not 0 < size <= len(stack):
         _validate_query(rank_max, pop, dim)
-        with _fill_lock:  # not reentrant: _fill and _memo are used directly
-            for n in range(pop, rank_max - 1, -1):
-                _fill(rank_max, n, dim)
-            stack = np.array([_memo[(n, dim)][:rank_max] for n in range(rank_max, pop + 1)])
-            stack.flags.writeable = False
-            _stacks[(rank_max, pop, dim)] = stack
-    return stack
+        # largest population first: its fill serves the ones below
+        rows = [gains_up_to(rank_max, n, dim) for n in range(pop, rank_max - 1, -1)]
+        stack = np.array(rows[::-1])
+        stack.flags.writeable = False
+        _stacks[(rank_max, dim)] = stack  # a racing smaller build may replace it: same bits
+    return stack[:size]

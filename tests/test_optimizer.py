@@ -17,6 +17,7 @@ from wetopt.optimizer import (
     CaseLabel,
     LOW_ESNR,
     MEDIUM_ESNR,
+    Solution,
     classify_esnr_case,
     net_energy_given_phase1,
     optimal_phase2_energy,
@@ -888,6 +889,23 @@ class TestSolutionCurve:
     def test_repr_shows_plan_and_value_only(self, small_params):
         sol = optimize_training(small_params)
         assert repr(sol) == f"Solution(plan={sol.plan!r}, qnet_star={sol.qnet_star!r})"
+
+    def test_equality_compares_the_derived_fields(self, small_params):
+        # as when the mapping and the log were fields: equal solves compare
+        # equal, a curve that changes either does not, and none is hashable
+        sol, again = optimize_training(small_params), optimize_training(small_params)
+        assert sol == again and sol.curve is not again.curve
+        assert sol != optimize_training(replace(small_params, t=small_params.t * 2))
+        last = sol.curve.code.size - 1
+        code = sol.curve.code.copy()
+        code[last] = 99 if code[last] != 99 else 98
+        assert sol != Solution(sol.plan, sol.qnet_star, sol.curve._replace(code=code))
+        tried = sol.curve.tried.copy()
+        tried[last] = 1.5 if tried[last] != 1.5 else 2.5
+        assert sol != Solution(sol.plan, sol.qnet_star, sol.curve._replace(tried=tried))
+        assert Solution(sol.plan, sol.qnet_star, sol.curve._replace(gains=None)) == sol
+        with pytest.raises(TypeError):
+            hash(sol)
 
 
 def stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> float | None:

@@ -479,7 +479,8 @@ def stack_by_rows(rank_max: int, pop: int, dim: int) -> np.ndarray:
 
 class TestStackedGains:
     """``stacked_gains``: the memo's rows of a range of populations, copied
-    once into one read-only array."""
+    once per (rank_max, dim) into one read-only array; a smaller population
+    range is a view of its first rows."""
 
     # closed form throughout; quadrature throughout; populations up to 30
     # closed form and 31..40 on the triangle
@@ -495,12 +496,39 @@ class TestStackedGains:
         assert stack.tobytes() == here.tobytes()
 
     @pytest.mark.usefixtures("empty_memo")
-    def test_read_only_and_served_again(self):
+    def test_read_only_and_served_again(self, monkeypatch):
         stack = order_stats.stacked_gains(8, 40, 4)
         assert not stack.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0] = 1.0
-        assert order_stats.stacked_gains(8, 40, 4) is stack
+
+        def unreachable(*args):
+            raise AssertionError("a served range read the gains again")
+
+        monkeypatch.setattr(order_stats, "gains_up_to", unreachable)
+        for pop in (40, 20, 8):
+            view = order_stats.stacked_gains(8, pop, 4)
+            assert not view.flags.writeable
+            assert np.shares_memory(view, stack)
+            assert view.tobytes() == stack[: pop - 7].tobytes()
+        assert list(order_stats._stacks) == [(8, 4)]
+
+    @pytest.mark.usefixtures("empty_memo")
+    def test_a_larger_range_replaces_the_smaller(self):
+        small = order_stats.stacked_gains(8, 20, 4)
+        large = order_stats.stacked_gains(8, 40, 4)
+        assert list(order_stats._stacks) == [(8, 4)]
+        assert order_stats._stacks[(8, 4)].shape == (33, 8)
+        assert large[:13].tobytes() == small.tobytes()
+        assert large.tobytes() == on_empty_memo(stack_by_rows, 8, 40, 4).tobytes()
+
+    @pytest.mark.usefixtures("empty_memo")
+    def test_bad_queries_raise_and_keep_the_stack(self):
+        stack = order_stats.stacked_gains(8, 40, 4)
+        for rank_max, pop, dim in [(8, 7, 4), (8, 0, 4), (0, 40, 4), (8, 40, 0)]:
+            with pytest.raises(ValueError):
+                order_stats.stacked_gains(rank_max, pop, dim)
+        assert order_stats.stacked_gains(8, 40, 4).tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("rank_max, pop, dim", KEYS + [(4, 60, 4)])
     def test_cold_build_integrates_as_the_rows_did(self, rank_max, pop, dim, monkeypatch, empty_memo):
@@ -525,11 +553,11 @@ class TestStackedGains:
         def unreachable(*args):
             raise AssertionError("a warm solve read the gains again")
 
-        stack = order_stats._stacks[(64, 80, 4)]
+        stack = order_stats._stacks[(64, 4)]
         for name in ("gains_up_to", "gain", "_held_gains", "_fill"):
             monkeypatch.setattr(order_stats, name, unreachable)
         optimize_training(SystemParams(t=1e-1, **link))
-        assert order_stats._stacks[(64, 80, 4)] is stack
+        assert order_stats._stacks[(64, 4)] is stack
 
     def test_concurrent_builds_integrate_once(self, monkeypatch, empty_memo):
         calls = count_quadratures(monkeypatch)

@@ -3,12 +3,12 @@
 Usage::
 
     python tools/bench_optimizer.py --tree parent=../parent/src --tree change=src \
-        --out BENCH_optimizer.json [--pairs 100]
+        --out BENCH_optimizer.json
 
 Each tree is timed as :func:`benchlib.interleave` runs it: one
 long-lived worker per tree, all pinned to one CPU with one BLAS thread;
 every case runs once untimed in each worker, then, case by case,
-``--pairs`` times per tree, the order of the trees alternating from pair
+``PAIRS`` times per tree, the order of the trees alternating from pair
 to pair.  Each case reports every tree's median and quartiles, to three
 significant figures, and how many pairs the last tree won against the
 first.  A warm case finds the gain memo full after its untimed run; a
@@ -118,16 +118,16 @@ def _compare(answers: dict[str, dict], first: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_optimizer.json", PAIRS)
+    args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_optimizer.json")
     if args.child:
         benchlib.serve(_cases(), _answer)
         return 0
-    numpy_version, times, answers = benchlib.interleave(__file__, trees, args.pairs)
+    numpy_version, times, answers = benchlib.interleave(__file__, trees, PAIRS)
     names = list(times)
     labels = [label for label, _ in trees]
     first = labels[0]
     what = "wall time in seconds of one op, median and quartiles over interleaved pairs"
-    report = benchlib.report(what, numpy_version, labels, pairs=args.pairs)
+    report = benchlib.report(what, numpy_version, labels, pairs=PAIRS)
     report["rows"] = [{"case": name, **benchlib.summary(times[name], labels)} for name in names]
     report["answers"] = [
         {"case": name, **answers[name], **_compare(answers[name], first)} for name in names
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     for row, answer in zip(report["rows"], report["answers"]):
         cells = "".join(f"  {label} {row[label]['median']:9.3g}" for label in labels)
         print(
-            f"{row['case']:62s}{cells}  wins {row[wins]}/{args.pairs}"
+            f"{row['case']:62s}{cells}  wins {row[wins]}/{PAIRS}"
             f"  same bits {answer['same_bits']}"
         )
     return 0

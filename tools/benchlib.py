@@ -31,17 +31,14 @@ BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 EVICT_BYTES = 64 << 20  # larger than the last-level cache of the hosts measured
 
 
-def parse_args(argv, description: str, default_out: str, pairs: int | None = None):
-    """``(args, [(label, src), ...])``; the tree list is empty with ``--child``.
-    A script that interleaves its trees passes its default ``pairs``."""
+def parse_args(argv, description: str, default_out: str):
+    """``(args, [(label, src), ...])``; the tree list is empty with ``--child``."""
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
         "--tree", action="append", default=[], metavar="LABEL=SRC",
         help="a column label and the src directory holding its wetopt",
     )
     parser.add_argument("--out", default=default_out)
-    if pairs is not None:
-        parser.add_argument("--pairs", type=int, default=pairs, help="timed ops per tree and case")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
