@@ -21,8 +21,8 @@ The last two split the e1 axis where ranks cross the threshold, but the
 objective stays C1 across the crossings: its slope is a negative multiple
 of one increasing function h of the phase-1 pilot SNR x = beta * e1 / n0.
 So each n1's optimum is e1 = 0 where h(0) >= 0, and otherwise the one
-root of h, found by a bracketed Newton iteration on the piece that holds
-it.  :func:`poly_real_roots` is the tests' root oracle.
+root of h, found by a Newton iteration from an upper bound on the piece
+that holds it.  :func:`poly_real_roots` is the tests' root oracle.
 
 The n1 sweep runs in lockstep on the (n1 count, n2) gain array of
 :func:`order_stats.stacked_gains`: labels, h(0), a bisection over the
@@ -75,8 +75,8 @@ LOW_ESNR = "low_esnr"
 HIGH_ESNR = "high_esnr"
 MEDIUM_ESNR = "medium_esnr"
 
-# Newton-or-bisection steps per piece before raising; pieces have taken at
-# most ten, bisection alone would take about 52 + log2(bracket / root)
+# passes per block before raising; blocks have taken at most 17, and
+# bisection alone would take about 52 + log2(bracket / root)
 _ROOT_STEPS = 200
 
 # a lockstep block holds _BLOCK_TARGET // n2 n1 rows, at least one, so each
@@ -369,9 +369,18 @@ def _h(x: np.ndarray, g: np.ndarray, b: np.ndarray, d0: np.ndarray):
 
 
 def _h_given(x1: np.ndarray, t: np.ndarray, b: np.ndarray, d0: np.ndarray):
-    # h per row from x1 = x + 1 and t = x + g, which Newton's slope shares
-    u = x1[:, None] / t
-    return x1**2 + (b * u * u).sum(axis=1) - d0
+    # h per row (per point, with a points axis) from x1 = x + 1 and t = x + g
+    u = x1[..., None] / t
+    return x1**2 + (b * u * u).sum(axis=-1) - d0
+
+
+def _h0(gains: np.ndarray, above: bool, n1: np.ndarray, p: SystemParams):
+    # h(0) per row on piece 0, from the sum of e = gain/m - 1 over the row:
+    # at x = 0, b_i/g_i^2 = e_i/n1 and d0 = gamma (m e_i above + e_i below)/n1
+    # summed over ranks, with every rank above (rho* < m) or none; where
+    # rho* = m, gamma (m - 1) = 1 makes the two weights equal
+    gamma = esnr(p)
+    return 1.0 + (gains / p.m - 1.0).sum(axis=1) * (1.0 - gamma * p.m if above else -gamma) / n1
 
 
 def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
@@ -379,63 +388,58 @@ def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
 
     ``piece`` is the (g, b, d0) of :func:`_piece_arrays`: on row i the
     strongest ``branch2[i]`` ranks are above the refinement threshold, the
-    rest below.  With g_i = m/gain_i and b_i = g_i (1-g_i)/n1 the piece's
-    objective Q is -(n1/gamma) [d0/(x+1) + x - sum b_i/(x+g_i)] up to
-    constants, so
-    h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = -(gamma/n1) (x+1)^2 Q'(x).
-    The factor does not depend on the piece, and the exact objective is C1
-    across the crossings: at rho* a rank's net, rho/m below and
-    rho - 2 sqrt((m-1)/gamma) + m/(gamma rho) above, is 1/sqrt(gamma (m-1))
-    on both sides, with slope 1/m on both.  So the pieces' h join into one
-    continuous function of x.  Ordered gains have
-    sum_{r<=n1} (gain_r - m)^2 <= n1 m (Jensen), so
-    h'(x) = 2(x+1) [1 - (1/n1) sum g_i (1-g_i)^2/(x+g_i)^3] >= 2(x+1)(1-1/m)
-    on x >= 0, with m >= 2 wherever phase 2 is on: h increases on every
-    piece and so on all of [0, inf).  On one piece its root, if
-    h(0) < 0, lies in [0, sqrt(d0 + sum_{b_i<0} |b_i|)].
-    Newton steps from the right end that leave the bracket fall back to
-    bisection, and one below half an ulp moves one ulp, until h is 0 or the
-    bracket ends are adjacent floats (then the end with the smaller |h|).
-    Each step forms x + 1 and x + g_i once, for h and h' both.  The terms
-    of h' are divided by x + g_i three times, since its cube overflows
-    once x passes about 5e102.  All rows step in lockstep and leave once
-    certified; a row's arithmetic does not depend on the others.  The
-    caller forms the pieces and h(0) and passes only rows with h(0) < 0;
+    rest below.  With g_i = m/gain_i and b_i = g_i (1-g_i)/n1,
+    h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = -(gamma/n1) (x+1)^2 Q'(x)
+    for the piece's objective Q; the pieces' h join into one continuous
+    function increasing on [0, inf), and each is convex there (README).  As
+    b_i ((x+1)/(x+g_i))^2 >= b_i for either sign of b_i, the root lies
+    below sqrt(d0 - sum b_i) - 1, where Newton starts; from there its
+    iterates fall to the root.  A pass forms x + 1 and x + g_i once, for h
+    and h', and divides h''s terms by x + g_i three times, as the cube
+    overflows past x = 5e102.  A row is near its root once its
+    steps shrink so fast (s_k^3 <= ulp s_k-1^2) that the next iterate
+    should lie within an ulp of it, or a step is not positive (rounding
+    has carried x to or past it).  While any row is near, each pass also
+    evaluates h at the floats beside x.  A sign change beside x certifies
+    the answer: the float where h = 0, else the end with the smaller |h|
+    of two adjacent floats where h changes sign.  Otherwise the root lies
+    past the neighbour toward it, which becomes an end of the row's
+    bracket (at first [0, 2 sqrt(d0 - sum b_i) - 1]), and the row stays
+    near; its next point is its Newton step, at least one float past that
+    neighbour, or the bracket's midpoint if the step leaves the bracket.
+    Rows step in lockstep and leave once certified; a row's arithmetic
+    does not depend on the others.
     ``branch2`` and ``n1`` name a row in the error raised.
     """
     g, b, d0 = piece
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
-    out = np.full(d0.size, np.nan)
-    live = np.arange(d0.size)
-    lo, hi = np.zeros(live.size), np.sqrt(d0 - np.minimum(b, 0.0).sum(axis=1))
-    x = hi
+    out, live = np.full(d0.size, np.nan), np.arange(d0.size)
+    x = np.sqrt(d0 - b.sum(axis=1)) - 1.0
+    lo, hi, last, near = np.zeros(x.size), 2.0 * x + 1.0, np.nan, False
     for _ in range(_ROOT_STEPS):
-        if not live.size:
-            return out
-        x1, t = x + 1.0, x[:, None] + g
+        window = np.any(near)
+        w = np.stack([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]) if window else x
+        x1, t = w + 1.0, w[..., None] + g
         hx = _h_given(x1, t, b, d0)
-        neg = hx < 0.0
-        lo, hi = np.where(neg, x, lo), np.where(neg, hi, x)
-        nxt = x - hx / (2.0 * x1 * (1.0 - (curve / t / t / t).sum(axis=1)))
-        nxt = np.where(nxt == x, np.nextafter(x, np.where(neg, hi, lo)), nxt)
-        bisect = ~((lo < nxt) & (nxt < hi))
-        ends, zero = bisect, hx == 0.0  # a bracket can end only where a row bisects
-        if bisect.any():
-            nxt = np.where(bisect, lo + 0.5 * (hi - lo), nxt)
-            ends = bisect & ~((lo < nxt) & (nxt < hi)) & ~zero
-        done = ends | zero
-        if done.any():
-            out[live[zero]] = x[zero]
-            i = ends.nonzero()[0]
-            if i.size:
-                nearer = np.abs(_h(hi[i], g[i], b[i], d0[i])) < np.abs(_h(lo[i], g[i], b[i], d0[i]))
-                out[live[i]] = np.where(nearer, hi[i], lo[i])
-            keep = ~done
-            live, nxt, lo, hi = live[keep], nxt[keep], lo[keep], hi[keep]
+        if window:
+            hw, x1, t, hx = hx, x1[1], t[1], hx[1]
+            up = hx <= 0.0  # the pair beside x toward the sign change
+            (w_lo, w_hi), (h_lo, h_hi) = np.where(up, w[1:], w[:-1]), np.where(up, hw[1:], hw[:-1])
+            ends = (h_lo <= 0.0) & (h_hi >= 0.0) | (hx == 0.0)
+            out[live[ends]] = np.where(np.abs(h_hi) < np.abs(h_lo), w_hi, w_lo)[ends]
+            if ends.all():
+                return out
+            lo, hi = np.where(up, w[2], lo), np.where(up, hi, w[0])  # else the root is past x's neighbour
+        step = hx / (2.0 * x1 * (1.0 - (curve / t / t / t).sum(axis=1)))
+        nxt, q, pred = x - step, step / last, near
+        last, near = np.fmax(np.abs(step), 1e-300), step * q * q <= np.spacing(x)  # no 0/0 at h = 0
+        if window:  # at least one float past the neighbour, then inside the bracket
+            nxt = np.where(up, np.fmax(nxt, np.nextafter(lo, np.inf)), np.fmin(nxt, np.nextafter(hi, -np.inf)))
+            bisect, keep = ~((lo < nxt) & (nxt < hi)), ~ends
+            nxt, near = np.where(bisect, lo + 0.5 * (hi - lo), nxt), near | pred
+            live, nxt, lo, hi, last, near = live[keep], nxt[keep], lo[keep], hi[keep], last[keep], near[keep]
             g, b, curve, d0 = g[keep], b[keep], curve[keep], d0[keep]
         x = nxt
-    if not live.size:
-        return out
     raise ArithmeticError(
         f"stationary point not bracketed to adjacent floats in {_ROOT_STEPS} "
         f"steps at n1={n1[live[0]]}, branch2={branch2[live[0]]}: "
@@ -447,57 +451,48 @@ def _roots_of_h(gains: np.ndarray, n1: np.ndarray, code: np.ndarray, p: SystemPa
     """(rows, x) for stacked gains of high or medium rows: the rows where
     h has a root x > 0, and that root.
 
-    In x a rank's expected power over beta, (x*g + m)/(x + 1), moves
-    monotonically from m toward g, so it crosses rho* once, at
-    x = (rho* - m)/(g - rho*), if rho* lies strictly between the two.  A
-    row's K crossings cut its x axis into pieces (0, c1), ..., (cK, inf).
-    On piece k the strongest branch2 ranks sit above the threshold:
+    A rank's expected power over beta, (x*g + m)/(x + 1), moves from m
+    toward g, so it crosses rho* once, at x = (rho* - m)/(g - rho*), if rho*
+    lies strictly between the two.  A row's K crossings cut its x axis into
+    pieces; on piece k the strongest branch2 ranks sit above the threshold:
     n2 - k in high (the k weakest have sunk), k in medium (ranks 1..k have
-    risen), or j where rho* = m and nothing crosses.  The pieces' h of
-    :func:`_stationary_rows` form one continuous increasing function, so
-    only rows with h(0) < 0 have a root.  Piece 0's arrays are built once,
-    for every row, and give h(0).  On the rows where it is negative and
-    that have a crossing, a bisection over the sorted crossings finds k,
-    the number of them where h < 0 (at a crossing, h of the piece it
-    starts), and a row with k > 0 has its arrays rebuilt on piece k and
-    its h(0) taken there.  Newton then runs once per row, on those arrays.
+    risen), or j where rho* = m and nothing crosses.  h increases, so only
+    rows with h(0) < 0 have a root.  h(0) on piece 0 comes from one sum
+    over each row's gains, and piece 0's arrays are built only for the rows
+    where it is negative.  On those with a crossing, a bisection over the
+    sorted crossings finds k, the number of them where h < 0, and a row with
+    k > 0 has its arrays rebuilt on piece k.  Newton then runs once per row.
     """
     rho, m, n2 = _threshold(esnr(p), p.m), p.m, gains.shape[1]
-    crosses = ((m < rho) & (rho < gains)) | ((gains < rho) & (rho < m))
-    top = crosses.sum(axis=1)
-    branch2 = np.where(code == 0, n2, code - top)  # on piece 0
-    piece = _piece_arrays(gains, branch2, n1, p)
-    live = (_h(np.zeros(n1.size), *piece) < 0.0).nonzero()[0]
+    # the rows are all high (rho* < m) or all medium: on piece 0 every rank is
+    # above the threshold, none is, or the j above it where rho* = m
+    branch2 = n2 if rho < m else code if rho == m else 0
+    live = (_h0(gains, rho < m, n1, p) < 0.0).nonzero()[0]
     if not live.size:
         return live, np.zeros(0)
-    n1, branch2, top = n1[live], branch2[live], top[live]
-    piece = [a[live] for a in piece]
-    i = top.nonzero()[0]  # the rows with a crossing
+    gains, n1, branch2 = gains[live], n1[live], np.broadcast_to(branch2, code.shape)[live]
+    crosses = (rho < gains) if m < rho else (gains < rho) if rho < m else np.zeros(gains.shape, dtype=bool)
+    top = crosses.sum(axis=1)
+    i, moved = top.nonzero()[0], False  # the rows with a crossing
     if i.size:
-        gains = gains[live]
-        sign = np.where(code[live] == 0, -1, 1)  # branch2's change per crossing passed
+        k = np.zeros(live.size, dtype=int)  # the crossings where h < 0; their count lies in [k, top]
+        sign = -1 if rho < m else 1  # branch2's change per crossing passed
         cut = np.full((i.size, n2), np.inf)
-        np.divide(rho - m, gains[i] - rho, out=cut, where=crosses[live[i]])
+        np.divide(rho - m, gains[i] - rho, out=cut, where=crosses[i])
         cut.sort(axis=1)
         c = np.arange(i.size)  # the rows of cut that i's rows own
-        k = np.zeros(live.size, dtype=int)  # the count sought lies in [k, top]
         for _ in range(int(top.max()).bit_length()):  # ceil(log2(K + 1))
             mid = (k[i] + top[i] + 1) // 2
-            at_mid = _piece_arrays(gains[i], branch2[i] + sign[i] * mid, n1[i], p)
+            at_mid = _piece_arrays(gains[i], branch2[i] + sign * mid, n1[i], p)
             neg = _h(cut[c, mid - 1], *at_mid) < 0.0
             k[i], top[i] = np.where(neg, mid, k[i]), np.where(neg, top[i], mid - 1)
             going = k[i] < top[i]
             i, c = i[going], c[going]
-        moved = k.nonzero()[0]
-        if moved.size:
-            branch2 = branch2 + sign * k
-            rebuilt = _piece_arrays(gains[moved], branch2[moved], n1[moved], p)
-            for a, r in zip(piece, rebuilt):
-                a[moved] = r
-            keep = np.ones(live.size, dtype=bool)
-            keep[moved] = _h(np.zeros(moved.size), *rebuilt) < 0.0
-            live, n1, branch2 = live[keep], n1[keep], branch2[keep]
-            piece = [a[keep] for a in piece]
+        branch2, moved = branch2 + sign * k, k.any()
+    piece = _piece_arrays(gains, branch2, n1, p)
+    if moved:  # a row on piece k > 0 keeps h(0) < 0 there
+        keep = (k == 0) | (_h(np.zeros(n1.size), *piece) < 0.0)
+        live, n1, branch2, piece = live[keep], n1[keep], branch2[keep], [a[keep] for a in piece]
     root = _stationary_rows(piece, branch2, n1)
     found = root > 0.0
     return live[found], root[found]
@@ -565,8 +560,7 @@ def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     """Best phase-1 energy and value for one fixed number of trained bands:
     :func:`solve_curve` on ``[n1]``."""
     c = solve_curve([n1], p)
-    e1, value, tried = float(c.e1[0]), float(c.value[0]), _tried(float(c.tried[0]))
-    return CaseSolution(_label(int(c.code[0])), e1, value, tried)
+    return CaseSolution(_label(int(c.code[0])), float(c.e1[0]), float(c.value[0]), _tried(float(c.tried[0])))
 
 
 def optimize_training(p: SystemParams) -> Solution:

@@ -273,29 +273,35 @@ def _survivals(v: np.ndarray, rank_max: int, pop: int, dim: int) -> np.ndarray:
 def _upper_cutoff(pop: int, dim: int) -> float:
     """Point beyond which the rank-1 survival is below the cutoff.
 
-    Doubling from the Erlang mean, then bisection onto the crossing.  The
-    rank-1 survival is ``1 - P^pop = -expm1(pop log P)``, one Erlang tail
-    per step rather than a row of ``pop + 1`` binomial weights.
+    Doubling from the Erlang mean, then 64 bisection steps onto the
+    crossing.  The rank-1 survival is ``1 - P^pop = -expm1(pop log P)``.  One
+    Erlang tail call tests eight rungs of the ladder, or the 15 midpoints
+    the next four steps may visit, each formed as those steps form it; a
+    point's tail has the bits of a one-point call, so the walk ends where
+    one step per call would.
     """
 
-    def below(v: float) -> bool:
-        logp = _erlang_log_tails(np.array([v]), dim)[0][0]
-        return -math.expm1(pop * logp) < _SURVIVAL_CUTOFF
+    def below(v: np.ndarray) -> list[bool]:
+        return [-math.expm1(pop * x) < _SURVIVAL_CUTOFF for x in _erlang_log_tails(v, dim)[0].tolist()]
 
-    v = float(dim)
-    for _ in range(200):
-        if below(v):
+    for j in range(0, 200, 8):
+        rungs = dim * 2.0 ** np.arange(j, j + 8)
+        if True in (hits := below(rungs)):
             break
-        v *= 2.0
     else:  # pragma: no cover - survival always reaches the cutoff
         raise QuadratureError(f"survival cutoff not reached for pop={pop} dim={dim}")
-    lo, hi = v / 2.0, v
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi = float(rungs[hits.index(True)])
+    lo = hi / 2.0
+    for _ in range(16):
+        ends, tree = np.array([lo, hi]), []  # per level: the sorted ends, then their midpoints
+        for _ in range(4):
+            tree.append(0.5 * (ends[:-1] + ends[1:]))
+            ends = np.append(np.column_stack((ends[:-1], tree[-1])).ravel(), hi)
+        points = np.concatenate(tree)
+        hits, points, n = below(points), points.tolist(), 0
+        for level in range(4):  # node n of a level is the midpoint of its n-th interval
+            k = (1 << level) - 1 + n
+            lo, hi, n = (lo, points[k], 2 * n) if hits[k] else (points[k], hi, 2 * n + 1)
     return hi
 
 

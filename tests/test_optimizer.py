@@ -1000,10 +1000,10 @@ class TestPieceScreen:
         monkeypatch.setattr(optimizer, "_piece_arrays", counting(pieces, 0))
         monkeypatch.setattr(optimizer, "_stationary_rows", counting(newton, 1))
         sol, solved = newton_inside_optimize(p)
-        # no live row has a crossing below its root, so the one block builds
-        # piece 0 once, for h(0) and Newton both, and a block without a live
-        # row never enters Newton
-        assert blocks == [[1, int(live > 0)]]
+        # h(0) comes from a sum over the gains; no live row has a crossing
+        # below its root, so a block builds piece 0 once, for Newton, and a
+        # block without a live row builds no piece and never enters Newton
+        assert blocks == [[int(live > 0), int(live > 0)]]
         screened = [n1 for n1, label in sol.case_used_per_n1.items() if label.kind != LOW_ESNR]
         assert len(screened) == rows
         assert len(solved) == live
@@ -1089,6 +1089,126 @@ class TestPieceScreen:
             assert solve_for_n1(n1, p).candidates == c
         monkeypatch.undo()
         assert candidates[4] == solve_for_n1(12, p).candidates
+
+
+def certified(x: np.ndarray, piece) -> np.ndarray:
+    """Per row, whether x is the solver's answer on its piece: h(x) = 0, or
+    x is the end with the smaller |h| (the lower end on a tie) of two
+    adjacent floats where h changes sign."""
+    hx, up, down = (optimizer._h(v, *piece) for v in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)))
+    lower = (hx < 0.0) & (up >= 0.0) & (np.abs(hx) <= np.abs(up))
+    upper = (down < 0.0) & (hx > 0.0) & (np.abs(hx) < np.abs(down))
+    return (hx == 0.0) | lower | upper
+
+
+def newton_rows(p: SystemParams, spy=None):
+    """``optimize_training(p)``'s calls of :func:`optimizer._stationary_rows`:
+    ``(pieces, roots)`` per call; ``spy``, if given, is swapped in for
+    ``optimizer._h_given`` during the calls."""
+    calls = []
+    real, real_h = optimizer._stationary_rows, optimizer._h_given
+
+    def stationary(piece, branch2, n1):
+        optimizer._h_given = spy or real_h
+        try:
+            calls.append(([a.copy() for a in piece], real(piece, branch2, n1)))
+        finally:
+            optimizer._h_given = real_h
+        return calls[-1][1]
+
+    optimizer._stationary_rows = stationary  # not monkeypatch: Hypothesis reruns the body
+    try:
+        optimize_training(p)
+    finally:
+        optimizer._stationary_rows = real
+    return calls
+
+
+class TestCertifiedNewton:
+    """Newton starts at the bound sqrt(d0 - sum b_i) - 1 on the root, and a
+    row leaves in the pass that finds h = 0, or a sign change of h between
+    adjacent floats, beside the iterate."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    @example(p=ism_link(m=4, n=80, n2=64, t=1e-1))
+    @example(p=ism_link(m=10, n=866, n2=16, t=5e-5))
+    @example(p=ism_link(m=4, n=80, n2=64, t=5e-6))
+    def test_every_root_is_certified(self, p):
+        for piece, root in newton_rows(p):
+            ok = certified(root, piece)
+            assert ok.all(), root[~ok]
+
+    @pytest.mark.parametrize(
+        "shape, live", [(dict(m=4, n=80, n2=64, t=1e-1), 16), (dict(m=10, n=866, n2=16, t=5e-5), 850)]
+    )
+    def test_start_is_an_upper_bound(self, shape, live):
+        # b_i ((x+1)/(x+g_i))^2 >= b_i for either sign of b_i, so
+        # h(x) >= (x+1)^2 + sum b_i - d0, which is 0 at the first iterate
+        first = []
+
+        def recording(x1, t, b, d0):
+            if not first:
+                first.append(x1 - 1.0)
+            return real(x1, t, b, d0)
+
+        real = optimizer._h_given
+        [(piece, root)] = newton_rows(ism_link(**shape), recording)
+        g, b, d0 = piece
+        start = first[0]
+        assert np.array_equal(start, np.sqrt(d0 - b.sum(axis=1)) - 1.0) and root.size == live
+        assert np.all(root <= start) and np.all(optimizer._h(start, *piece) >= 0.0)
+        assert np.all(start - root <= 1e-2 * root)
+
+    def test_high_esnr_block_in_three_passes(self):
+        # t = 1e-1 starts about 1e-7 relative above each root: two Newton
+        # passes, then h at the predicted root and its neighbours certifies
+        # every row, within the pin of at most 5 passes
+        sizes = []
+
+        def counting(x1, t, b, d0):
+            sizes.append(x1.shape)
+            return real(x1, t, b, d0)
+
+        real = optimizer._h_given
+        [(piece, root)] = newton_rows(ism_link(m=4, n=80, n2=64, t=1e-1), counting)
+        assert root.size == 16 and certified(root, piece).all()
+        assert sizes == [(16,), (16,), (3, 16)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    @example(p=ism_link(m=4, n=80, n2=64, t=1e-1))
+    @example(p=ism_link(m=10, n=866, n2=16, t=5e-5))
+    @example(p=ism_link(m=4, n=80, n2=64, t=3e-7))
+    @example(p=ism_link(m=4, n=80, n2=64, t=5e-6))
+    @example(p=params(m=2, n0=0.06 * 0.8 * 1e-3 * 1e-12))  # ESNR 1 puts rho* at m = 2
+    def test_h0_from_sums_is_h_at_zero(self, p):
+        # the live test reads h(0) from a sum over the gains; it must have
+        # the sign of h(0) on the piece arrays, and be within a few rounding
+        # units of it
+        seen, branch2s = [], []
+        real = optimizer._h0
+
+        def checking(gains, above, n1, q):
+            # piece 0: every rank above the threshold, none, or where rho* = m the j above it
+            j = optimizer._case_codes(gains, q) if optimizer._threshold(esnr(q), q.m) == q.m else 0
+            branch2s.append(np.broadcast_to(q.n2 if above else j, n1.shape))
+            sums = real(gains, above, n1, q)
+            piece = optimizer._piece_arrays(gains, branch2s[-1], n1, q)
+            seen.append((sums, optimizer._h(np.zeros(n1.size), *piece),
+                         1.0 + (1.0 + esnr(q) * q.m) * np.abs(gains / q.m - 1.0).sum(axis=1) / n1))
+            return sums
+
+        optimizer._h0 = checking  # not monkeypatch: Hypothesis reruns the body
+        try:
+            optimize_training(p)
+        finally:
+            optimizer._h0 = real
+        if optimizer._threshold(esnr(p), p.m) == p.m:  # the rows' own counts above, 1 to 3
+            assert branch2s and all(b.min() >= 1 and b.max() == p.n2 for b in branch2s)
+        for sums, direct, scale in seen:
+            assert np.array_equal(sums < 0.0, direct < 0.0)
+            assert np.all(np.abs(sums - direct) <= 16 * np.finfo(float).eps * scale)
 
 
 class TestRestrictedSchemes:

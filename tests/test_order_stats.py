@@ -105,6 +105,24 @@ def scipy_survivals(v: float, rank_max: int, pop: int, dim: int) -> np.ndarray:
     return np.minimum(suffix[1 : rank_max + 1], 1.0)
 
 
+def one_point_cutoff(pop: int, dim: int) -> float:
+    """The rank-1 survival's cutoff point as a walk of one-point tail calls:
+    doubling from dim, then 64 bisection steps."""
+
+    def below(v: float) -> bool:
+        logp = order_stats._erlang_log_tails(np.array([v]), dim)[0][0]
+        return -math.expm1(pop * logp) < order_stats._SURVIVAL_CUTOFF
+
+    v = float(dim)
+    while not below(v):
+        v *= 2.0
+    lo, hi = v / 2.0, v
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
+
+
 class TestErlangCdf:
     def test_zero_at_origin(self):
         for m in (1, 2, 7):
@@ -260,6 +278,26 @@ class TestQuadrature:
         row = order_stats._survivals(np.array([cutoff, cutoff * (1 - 1e-9)]), 1, pop, dim)[:, 0]
         assert row[0] < order_stats._SURVIVAL_CUTOFF * (1 + 1e-10)
         assert row[1] >= order_stats._SURVIVAL_CUTOFF
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 10, 64, 256, 4096])
+    def test_cutoff_has_the_one_point_walk_bits(self, dim):
+        # the batched ladder and bisection visit the points the walk below
+        # visits, one Erlang tail call per point, and end on the same bits
+        for pop in (1, 3, 40, 120, 866, 10000):
+            assert order_stats._upper_cutoff(pop, dim) == one_point_cutoff(pop, dim), pop
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(min_value=1, max_value=4096),
+        log_ratios=st.lists(st.floats(min_value=-3.0, max_value=60.0), min_size=2, max_size=40),
+    )
+    def test_batched_tails_have_the_one_point_bits(self, dim, log_ratios):
+        # points on both sides of dim, as the ladder and the bisection pass them
+        v = dim * np.exp(np.array(log_ratios))
+        batch = order_stats._erlang_log_tails(v, dim)
+        for i, x in enumerate(v.tolist()):
+            one = order_stats._erlang_log_tails(np.array([x]), dim)
+            assert (batch[0][i], batch[1][i]) == (one[0][0], one[1][0]), x
 
     def test_reports_non_convergence(self, monkeypatch):
         # a budget of one interval: the first G10K21 estimate misses the

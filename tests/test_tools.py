@@ -86,3 +86,17 @@ def test_interleaved_a_a_run(monkeypatch):
         assert 0 <= row["b_wins"] <= 4
         for label in "ab":
             assert 0 < row[label]["q1"] <= row[label]["median"] <= row[label]["q3"]
+
+
+def test_interleaved_simulator_a_a_run(monkeypatch):
+    # the simulator bench through the long-lived workers, one tree against
+    # itself: every pair times both sides, and the reports agree to the bit
+    monkeypatch.syspath_prepend(str(TOOLS))
+    benchlib = load("benchlib")
+    src = str(Path(wetopt.__file__).resolve().parents[1])
+    names = ["NoCsi validate n=50, 4000 trials", "Phase2Only ISM"]
+    _, times, answers = benchlib.interleave(str(TOOLS / "bench_simulator.py"), [("a", src), ("b", src)], 3, names)
+    for name in names:
+        assert [len(times[name][label]) for label in "ab"] == [3, 3], name
+        assert answers[name]["a"] == answers[name]["b"], name
+        assert 0 <= benchlib.summary(times[name], ["a", "b"])["b_wins"] <= 3

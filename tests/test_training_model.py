@@ -1,6 +1,8 @@
 """Closed-form expected powers and energy accounting."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +102,34 @@ class TestSystemParams:
     def test_plan_rejects_non_finite_energies(self, e1, e2):
         with pytest.raises(ValueError, match="finite"):
             TrainingPlan(n1=5, e1=e1, e2=e2)
+
+    @pytest.mark.parametrize(
+        "e2, error, message",
+        [
+            ((-1.0, "a"), ValueError, "phase-2 energies"),
+            (("a", -1.0), TypeError, "must be real number, not str"),
+            ((math.nan, None), ValueError, "phase-2 energies"),
+            ((1.0, None), TypeError, "not NoneType"),
+            ((1.0, 1j), TypeError, "not complex"),
+            (([1.0],), TypeError, "not list"),
+            (("1.0",), TypeError, "not str"),
+            ((10**400,), OverflowError, "too large"),
+            ((Fraction(-1, 10**400),), ValueError, "phase-2 energies"),
+            ((Decimal("sNaN"),), ValueError, "signaling NaN"),
+            ((2.0, Decimal("-0.1")), ValueError, "phase-2 energies"),
+        ],
+    )
+    def test_plan_raises_the_first_bad_energys_error(self, e2, error, message):
+        # entries are checked in order, each as a real number, then as
+        # finite and >= 0 in its own type; the first bad one names the error
+        with pytest.raises(error, match=message):
+            TrainingPlan(n1=5, e1=0.0, e2=iter(e2))
+
+    def test_plan_takes_real_energies_as_floats(self):
+        e2 = (True, 2, np.float32(0.5), np.int64(3), Fraction(1, 3), Decimal("0.1"), 2**53 + 1, -0.0)
+        plan = TrainingPlan(n1=5, e1=0.0, e2=e2)
+        assert plan.e2 == (1.0, 2.0, 0.5, 3.0, 1 / 3, 0.1, 2.0**53, 0.0)
+        assert {type(e) for e in plan.e2} == {float}
 
     def test_plan_reads_e2_once(self):
         # the energies are checked and converted in one pass, so a one-shot

@@ -5,35 +5,40 @@ Usage::
     python tools/bench_simulator.py --tree parent=../parent/src --tree change=src \
         --out BENCH_simulator.json
 
-Each tree is timed as :mod:`benchlib` runs it (fresh interpreters pinned
-to one CPU with one BLAS thread, rounds alternating the trees), and each
-case reports the best of all its repeats.  The cases
-are the ROADMAP baseline's simulator rows at ISM (``m=10, n=866, n2=16``,
-``t=5e-5``, 1e4 trials) with ``PerfectCsi`` and ``Phase1Only`` beside
-them; the six scheme runs of one ``wetopt sweep`` (``sweep_T``) row at the
-``validate-ism-schemes`` shape (``m=10, n=50, n2=16``, ``t=5e-5``, 4000
-trials); ``run_two_phase`` on one small system at growing antenna counts,
-which shows whether a trial's cost grows with m; and the m = 10 plan of
-that system run at m = 1, where its phase-2 pilots change nothing but
-the bill.  The "sweep row" cases run all six schemes of a row at the
-ISM and validate shapes as ``wetopt sweep`` does, in one
-``channel_sim.run_schemes`` batch (six ``run_benchmark`` calls on a tree
-that predates it).  Times are written to three significant figures.
+Each tree is timed as :func:`benchlib.interleave` runs it: one
+long-lived worker per tree, all pinned to one CPU with one BLAS thread;
+every case runs once untimed in each worker, then, case by case,
+``PAIRS`` times per tree, the order of the trees alternating from pair
+to pair.  Each case reports every tree's median and quartiles, to three
+significant figures, and how many pairs the last tree won against the
+first.  The cases are the ROADMAP baseline's simulator rows at ISM
+(``m=10, n=866, n2=16``, ``t=5e-5``, 1e4 trials) with ``PerfectCsi`` and
+``Phase1Only`` beside them; the six scheme runs of one ``wetopt sweep``
+(``sweep_T``) row at the ``validate-ism-schemes`` shape (``m=10, n=50,
+n2=16``, ``t=5e-5``, 4000 trials); ``run_two_phase`` on one small system
+at growing antenna counts, which shows whether a trial's cost grows with
+m; and the m = 10 plan of that system run at m = 1, where its phase-2
+pilots change nothing but the bill.  The "sweep row" cases run all six
+schemes of a row at the ISM and validate shapes as ``wetopt sweep`` does,
+in one ``channel_sim.run_schemes`` batch (six ``run_benchmark`` calls on
+a tree that predates it).  A digest of the repr of each case's reports
+is written beside the times: ``same_bits`` says whether all trees
+simulated the same numbers.  Two trees with the same simulator make an
+A/A run, whose win counts and median ratios show the bench's own spread.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
-import time
 
 import benchlib
 
 TRIALS = 10_000
 VALIDATE_TRIALS = 4000  # as the validate-ism-schemes workload runs them
 SEED = 1
-ROUNDS = 2  # fresh interpreters per tree, alternating trees
-REPEATS = 3  # timed runs per case in each interpreter
+PAIRS = 50  # timed ops per tree and case
 SCALING_M = (10, 100, 1000)
 
 
@@ -54,7 +59,8 @@ def _sweep_row(channel_sim, optimizer, p, trials):
 
 
 def _cases():
-    """(name, zero-argument callable) per timed case; set-up is not timed."""
+    """(name, zero-argument callable, evict) per timed case; set-up is not
+    timed, and no case asks for the cache-evicting pass."""
     from wetopt import SystemParams, channel_sim, optimizer
 
     link = dict(ps=0.06, eta=0.8, beta=1e-6, n0=1e-19)
@@ -102,51 +108,34 @@ def _cases():
         f"run_two_phase m=1 (n=16, n2=4, n1={trained.n1}, the m=10 plan's e2 > 0)",
         lambda: channel_sim.run_two_phase(trained, one, TRIALS, SEED),
     ))
-    return cases
+    return [(name, run, False) for name, run in cases]
 
 
-def child() -> None:
-    """Time every case in this interpreter; print one JSON object."""
-    import numpy as np
-    import wetopt
-
-    out = {"numpy": np.__version__, "wetopt_file": wetopt.__file__, "cases": {}}
-    for name, run in _cases():
-        run()  # warm-up: lazy imports, memo fills, allocator
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
-        out["cases"][name] = best
-    print(json.dumps(out))
+def _answer(out) -> str:
+    """A digest of the repr of a case's report or reports."""
+    return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
     args, trees = benchlib.parse_args(argv, __doc__.splitlines()[0], "BENCH_simulator.json")
     if args.child:
-        child()
+        benchlib.serve(_cases(), _answer)
         return 0
-    best: dict[str, dict[str, float]] = {}
-    numpy_version = None
-    for label, result in benchlib.alternate(__file__, trees, ROUNDS):
-        numpy_version = result["numpy"]
-        for name, seconds in result["cases"].items():
-            row = best.setdefault(name, {})
-            row[label] = min(row.get(label, float("inf")), seconds)
+    numpy_version, times, answers = benchlib.interleave(__file__, trees, PAIRS)
     labels = [label for label, _ in trees]
-    what = "best wall time in seconds of one call, seed 1, 1e4 trials unless named"
-    report = benchlib.report(what, numpy_version, labels, rounds=ROUNDS, repeats_per_round=REPEATS)
+    what = "wall time in seconds of one call, median and quartiles over interleaved pairs, seed 1"
+    report = benchlib.report(what, numpy_version, labels, pairs=PAIRS, trials=TRIALS)
     report["rows"] = [
-        {"case": name, **{label: benchlib.sig3(row[label]) for label in labels}}
-        for name, row in best.items()
+        {"case": name, **benchlib.summary(times[name], labels), "same_bits": len(set(answers[name].values())) == 1}
+        for name in times
     ]
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    wins = f"{labels[-1]}_wins"
     for row in report["rows"]:
-        cells = "".join(f"  {label} {row[label]:9.3g}" for label in labels)
-        print(f"{row['case']:44s}{cells}")
+        cells = "".join(f"  {label} {row[label]['median']:9.3g}" for label in labels)
+        print(f"{row['case']:62s}{cells}  wins {row[wins]}/{PAIRS}  same bits {row['same_bits']}")
     return 0
 
 

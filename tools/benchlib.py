@@ -1,19 +1,14 @@
 """Driver shared by the ``tools/bench_*.py`` scripts.
 
-A script names one or more ``LABEL=SRC`` trees.  Each tree's code runs in
-interpreters that import ``wetopt`` from that tree (the script itself
-with ``--child``), pinned to one CPU with one BLAS thread, in one of two
-ways:
-
-* :func:`alternate`: each tree's cases run in fresh interpreters, rounds
-  alternating the order of the trees;
-* :func:`interleave`: one long-lived worker per tree, all pinned to the
-  same CPU.  Every case runs once in each worker untimed, then, case by
-  case, ``pairs`` times per tree, one op per worker in turn, the order of
-  the trees alternating from pair to pair; a case may make a 64 MB pass
-  before each op, which evicts the CPU caches.  :func:`summary` gives each
-  tree's median and quartiles and the last tree's win count against the
-  first.
+A script names one or more ``LABEL=SRC`` trees.  :func:`interleave` runs
+each tree's code in one long-lived worker (the script itself with
+``--child``) that imports ``wetopt`` from that tree, all workers pinned
+to the same CPU with one BLAS thread.  Every case runs once in each
+worker untimed, then, case by case, ``pairs`` times per tree, one op per
+worker in turn, the order of the trees alternating from pair to pair; a
+case may make a 64 MB pass before each op, which evicts the CPU caches.
+:func:`summary` gives each tree's median and quartiles and the last
+tree's win count against the first.
 """
 
 from __future__ import annotations
@@ -61,28 +56,6 @@ def _check_tree(result: dict, src: str) -> None:
     expected = os.path.join(os.path.abspath(src), "wetopt", "__init__.py")
     if os.path.realpath(result["wetopt_file"]) != os.path.realpath(expected):
         raise RuntimeError(f"imported {result['wetopt_file']}, not the tree at {src}")
-
-
-def run_tree(script: str, src: str, cpu: int) -> dict:
-    """The JSON object the last stdout line of ``script --child`` holds."""
-    command = [sys.executable, os.path.abspath(script), "--child"]
-    # the child is pinned before it starts, so numpy's threads inherit the CPU
-    proc = subprocess.run(
-        command, env=_child_env(src), capture_output=True, text=True, check=True,
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-    )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    _check_tree(result, src)
-    return result
-
-
-def alternate(script: str, trees, rounds: int):
-    """Yield ``(label, child result)`` per tree and round, the order
-    reversed every other round, all on the highest CPU this process may use."""
-    cpu = max(os.sched_getaffinity(0))
-    for round_ in range(rounds):
-        for label, src in trees if round_ % 2 == 0 else trees[::-1]:
-            yield label, run_tree(script, src, cpu)
 
 
 def serve(cases, answer) -> None:
