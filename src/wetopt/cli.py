@@ -184,8 +184,9 @@ def _int_grid(grid: tuple[float, ...], name: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Load and validate one experiment configuration file."""
+def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentConfig:
+    """Load and validate one experiment configuration file; a ``seed``,
+    ``trials`` or ``out`` given (as on the command line) replaces the file's."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = _parse_lines(handle, path)
@@ -193,6 +194,7 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
     values = {key: _convert(key, val, path) for key, val in raw.items()}
+    values.update((key, val) for key, val in (("seed", seed), ("trials", trials), ("out", out)) if val is not None)
 
     for linear, db in _UNIT_PAIRS:
         if linear in values and db in values:
@@ -629,13 +631,7 @@ _COMMAND_EXPERIMENTS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.out is not None:
-            cfg = replace(cfg, output_path=args.out)
+        cfg = parse_config(args.config, seed=args.seed, trials=args.trials, out=args.out)
         if args.command == "echo-config":
             for line in cfg.canonical_lines():
                 print(line)

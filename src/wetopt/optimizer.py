@@ -25,10 +25,10 @@ root of h, found by a Newton iteration from an upper bound on the piece
 that holds it.  :func:`poly_real_roots` is the tests' root oracle.
 
 The n1 sweep runs in lockstep on the (n1 count, n2) gain array of
-:func:`order_stats.stacked_gains`: labels, h(0), a bisection over the
-crossings of the rows with h(0) < 0, their Newton iterations and their
-scores are numpy passes over blocks of rows that fill a :class:`Curve`.
-:func:`solve_curve` runs the same code on any set of n1.
+:func:`order_stats.stacked_gains` and its t-independent row data, built on
+the array's first solve and kept until the array is replaced; a solve at a
+new t makes only t-dependent numpy passes over blocks of rows, filling a
+:class:`Curve`.  :func:`solve_curve` runs the same code on any set of n1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +82,8 @@ _ROOT_STEPS = 200
 # a lockstep block holds _BLOCK_TARGET // n2 n1 rows, at least one, so each
 # of its (rows x n2) arrays holds at most _BLOCK_TARGET elements, or n2
 _BLOCK_TARGET = 1 << 18
+
+_held_rows: dict[tuple[int, int], SimpleNamespace] = {}  # (n2, m) -> row data of stacked_gains' array
 
 
 class RootFindingError(RuntimeError):
@@ -136,9 +138,12 @@ class Curve(NamedTuple):
     def plan(self, i: int, p: SystemParams) -> TrainingPlan:
         """Entry i's n1 and e1, with the water-filling e2 of each rank."""
         e1 = float(self.e1[i])
-        rho = selected_powers(self.gains[i], e1 * (p.beta / p.n0), p.m)
-        e2 = _phase2_energies(rho, p) * (p.n0 / p.beta)
-        return TrainingPlan(int(self.n1[i]), e1, tuple(e2.tolist()))
+        if e1 == 0.0:  # every rank's power is m: one energy, in math by the same operations
+            e2 = (max(math.sqrt(esnr(p) * (p.m - 1)) - 1.0, 0.0) * (p.n0 / p.beta),) * p.n2
+        else:
+            rho = selected_powers(self.gains[i], e1 * (p.beta / p.n0), p.m)
+            e2 = tuple((_phase2_energies(rho, p) * (p.n0 / p.beta)).tolist())
+        return TrainingPlan(int(self.n1[i]), e1, e2)
 
 
 def _tried(e1: float) -> tuple[float, ...]:
@@ -224,14 +229,34 @@ def net_energy_given_phase1(n1: int, e1: float | np.ndarray, p: SystemParams) ->
     return float(net) if net.ndim == 0 else net
 
 
-def _phase1_closed_form(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
-    # (x, value) per row of gains with phase 2 off, the low-ESNR optimum; a
-    # surplus below n1/gamma does not pay (x = 0) and is raised to it for sqrt
-    surplus, gamma = (gains / p.m - 1.0).sum(axis=1), esnr(p)
-    floor = n1 / gamma
+def _phase1_closed_form(surplus: np.ndarray, n1: np.ndarray, p: SystemParams):
+    # (x, value) per row with phase 2 off, the low-ESNR optimum, from its surplus sum(gain/m - 1),
+    # which does not pay below n1/gamma (x = 0) and is raised to it for sqrt
+    gamma, floor = esnr(p), n1 / esnr(p)
     s = np.maximum(surplus, floor)
     value = p.n2 + (np.sqrt(s) - np.sqrt(floor)) ** 2
     return np.where(surplus < floor, 0.0, np.sqrt(gamma * s / n1) - 1.0), value
+
+
+def _row_data(gains: np.ndarray, m: int) -> SimpleNamespace:
+    # each row's t-independent data: gains, surplus sum(gain/m - 1), strongest and weakest
+    # gain, excess sum(gain - m), and g = m/gain and g (1 - g) on piece 0 of the high regime
+    g = m / gains
+    return SimpleNamespace(gains=gains, surplus=(gains / m - 1.0).sum(axis=1), top=gains[:, 0].copy(),
+                           bottom=gains[:, -1].copy(), excess=(gains - m).sum(axis=1), g=g, gg=g * (1.0 - g))
+
+
+def _take(data: SimpleNamespace, rows) -> SimpleNamespace:
+    return SimpleNamespace(**{k: a[rows] for k, a in vars(data).items()})  # the data of some rows
+
+
+def _stacked_rows(p: SystemParams) -> SimpleNamespace:
+    # row data of the array behind stacked_gains(n2, n, m), n1 = n2..n first; rebuilt if replaced
+    view = order_stats.stacked_gains(p.n2, p.n, p.m)
+    stack, held = view if view.base is None else view.base, _held_rows.get((p.n2, p.m))
+    if held is None or held.gains is not stack:
+        held = _held_rows[(p.n2, p.m)] = _row_data(stack, p.m)
+    return held
 
 
 def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
@@ -243,14 +268,14 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     count of ranks strictly above the threshold.
     """
     check_n1(n1, p)
-    return _label(int(_case_codes(order_stats.gains_up_to(p.n2, n1, p.m)[None, :], p)[0]))
+    return _label(int(_case_codes(_row_data(order_stats.gains_up_to(p.n2, n1, p.m)[None, :], p.m), p)[0]))
 
 
-def _case_codes(gains: np.ndarray, p: SystemParams) -> np.ndarray:
-    # classify_esnr_case per row of stacked gains: -1 low, 0 high, j medium
+def _case_codes(data: SimpleNamespace, p: SystemParams) -> np.ndarray:
+    # classify_esnr_case per row of row data: -1 low, 0 high, j medium
     rho = _threshold(esnr(p), p.m)
-    medium = 0 if rho < p.m else (gains > rho).sum(axis=1)
-    return np.where(rho >= gains[:, 0], -1, medium)
+    medium = 0 if rho < p.m else (data.gains > rho).sum(axis=1)
+    return np.where(rho >= data.top, -1, medium)
 
 
 @lru_cache(maxsize=None)
@@ -374,13 +399,13 @@ def _h_given(x1: np.ndarray, t: np.ndarray, b: np.ndarray, d0: np.ndarray):
     return x1**2 + (b * u * u).sum(axis=-1) - d0
 
 
-def _h0(gains: np.ndarray, above: bool, n1: np.ndarray, p: SystemParams):
-    # h(0) per row on piece 0, from the sum of e = gain/m - 1 over the row:
+def _h0(surplus: np.ndarray, above: bool, n1: np.ndarray, p: SystemParams):
+    # h(0) per row on piece 0, from the row surplus, the sum of e = gain/m - 1:
     # at x = 0, b_i/g_i^2 = e_i/n1 and d0 = gamma (m e_i above + e_i below)/n1
     # summed over ranks, with every rank above (rho* < m) or none; where
     # rho* = m, gamma (m - 1) = 1 makes the two weights equal
     gamma = esnr(p)
-    return 1.0 + (gains / p.m - 1.0).sum(axis=1) * (1.0 - gamma * p.m if above else -gamma) / n1
+    return 1.0 + surplus * (1.0 - gamma * p.m if above else -gamma) / n1
 
 
 def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
@@ -399,44 +424,44 @@ def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
     overflows past x = 5e102.  A row is near its root once its
     steps shrink so fast (s_k^3 <= ulp s_k-1^2) that the next iterate
     should lie within an ulp of it, or a step is not positive (rounding
-    has carried x to or past it).  While any row is near, each pass also
-    evaluates h at the floats beside x.  A sign change beside x certifies
+    has carried x to or past it), and stays near; each pass also evaluates
+    h at the floats beside a near row's x.  A sign change beside x certifies
     the answer: the float where h = 0, else the end with the smaller |h|
     of two adjacent floats where h changes sign.  Otherwise the root lies
     past the neighbour toward it, which becomes an end of the row's
-    bracket (at first [0, 2 sqrt(d0 - sum b_i) - 1]), and the row stays
-    near; its next point is its Newton step, at least one float past that
-    neighbour, or the bracket's midpoint if the step leaves the bracket.
-    Rows step in lockstep and leave once certified; a row's arithmetic
-    does not depend on the others.
+    bracket (at first [0, 2 sqrt(d0 - sum b_i) - 1]); its next point is its
+    Newton step, at least one float past that neighbour, or the bracket's
+    midpoint if it leaves the bracket.  Rows step in lockstep and leave once
+    certified; a row's arithmetic does not depend on the others.
     ``branch2`` and ``n1`` name a row in the error raised.
     """
     g, b, d0 = piece
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
     out, live = np.full(d0.size, np.nan), np.arange(d0.size)
     x = np.sqrt(d0 - b.sum(axis=1)) - 1.0
-    lo, hi, last, near = np.zeros(x.size), 2.0 * x + 1.0, np.nan, False
+    lo, hi, last, near = np.zeros(x.size), 2.0 * x + 1.0, np.nan, np.zeros(x.size, dtype=bool)
     for _ in range(_ROOT_STEPS):
-        window = np.any(near)
-        w = np.stack([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]) if window else x
-        x1, t = w + 1.0, w[..., None] + g
-        hx = _h_given(x1, t, b, d0)
-        if window:
-            hw, x1, t, hx = hx, x1[1], t[1], hx[1]
-            up = hx <= 0.0  # the pair beside x toward the sign change
+        n = near.nonzero()[0]
+        r = n if n.size < x.size else slice(None)  # the near rows; views of all once every row is near
+        if n.size:  # h also at the floats beside a near row's x, in one call once every row is near
+            w = np.stack([np.nextafter(x[r], -np.inf), x[r], np.nextafter(x[r], np.inf)])
+            hw = _h_given(w + 1.0, w[..., None] + g[r], b[r], d0[r])
+            up = hw[1] <= 0.0  # the pair beside x toward the sign change
             (w_lo, w_hi), (h_lo, h_hi) = np.where(up, w[1:], w[:-1]), np.where(up, hw[1:], hw[:-1])
-            ends = (h_lo <= 0.0) & (h_hi >= 0.0) | (hx == 0.0)
-            out[live[ends]] = np.where(np.abs(h_hi) < np.abs(h_lo), w_hi, w_lo)[ends]
-            if ends.all():
+            ends = (h_lo <= 0.0) & (h_hi >= 0.0) | (hw[1] == 0.0)
+            out[live[r][ends]] = np.where(np.abs(h_hi) < np.abs(h_lo), w_hi, w_lo)[ends]
+            if ends.all() and n.size == x.size:
                 return out
-            lo, hi = np.where(up, w[2], lo), np.where(up, hi, w[0])  # else the root is past x's neighbour
+            lo[r], hi[r] = low, high = np.where(up, w[2], lo[r]), np.where(up, hi[r], w[0])
+        x1, t = x + 1.0, x[:, None] + g
+        hx = hw[1] if n.size == x.size else _h_given(x1, t, b, d0)
         step = hx / (2.0 * x1 * (1.0 - (curve / t / t / t).sum(axis=1)))
-        nxt, q, pred = x - step, step / last, near
-        last, near = np.fmax(np.abs(step), 1e-300), step * q * q <= np.spacing(x)  # no 0/0 at h = 0
-        if window:  # at least one float past the neighbour, then inside the bracket
-            nxt = np.where(up, np.fmax(nxt, np.nextafter(lo, np.inf)), np.fmin(nxt, np.nextafter(hi, -np.inf)))
-            bisect, keep = ~((lo < nxt) & (nxt < hi)), ~ends
-            nxt, near = np.where(bisect, lo + 0.5 * (hi - lo), nxt), near | pred
+        nxt, q = x - step, step / last
+        last, near = np.fmax(np.abs(step), 1e-300), (step * q * q <= np.spacing(x)) | near  # no 0/0 at h = 0
+        if n.size:  # at least one float past the neighbour, then inside the bracket
+            s = np.where(up, np.fmax(nxt[r], np.nextafter(low, np.inf)), np.fmin(nxt[r], np.nextafter(high, -np.inf)))
+            nxt[r] = np.where((low < s) & (s < high), s, low + 0.5 * (high - low))
+            keep = np.bincount(n[ends], minlength=x.size) == 0  # the rows not certified
             live, nxt, lo, hi, last, near = live[keep], nxt[keep], lo[keep], hi[keep], last[keep], near[keep]
             g, b, curve, d0 = g[keep], b[keep], curve[keep], d0[keep]
         x = nxt
@@ -447,8 +472,8 @@ def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
     )
 
 
-def _roots_of_h(gains: np.ndarray, n1: np.ndarray, code: np.ndarray, p: SystemParams):
-    """(rows, x) for stacked gains of high or medium rows: the rows where
+def _roots_of_h(data: SimpleNamespace, n1: np.ndarray, code: np.ndarray, p: SystemParams):
+    """(rows, x) for the row data of high or medium rows: the rows where
     h has a root x > 0, and that root.
 
     A rank's expected power over beta, (x*g + m)/(x + 1), moves from m
@@ -457,39 +482,40 @@ def _roots_of_h(gains: np.ndarray, n1: np.ndarray, code: np.ndarray, p: SystemPa
     pieces; on piece k the strongest branch2 ranks sit above the threshold:
     n2 - k in high (the k weakest have sunk), k in medium (ranks 1..k have
     risen), or j where rho* = m and nothing crosses.  h increases, so only
-    rows with h(0) < 0 have a root.  h(0) on piece 0 comes from one sum
-    over each row's gains, and piece 0's arrays are built only for the rows
-    where it is negative.  On those with a crossing, a bisection over the
-    sorted crossings finds k, the number of them where h < 0, and a row with
-    k > 0 has its arrays rebuilt on piece k.  Newton then runs once per row.
+    rows with h(0) < 0, read from each row's surplus, have a root.  A high
+    row has a crossing where its weakest gain is below rho*, every medium
+    row has one; there a bisection over the sorted crossings finds k, the
+    number where h < 0, and a row with k > 0 is built on piece k (piece 0
+    of high is read from the row data).  Newton then runs once per row.
     """
-    rho, m, n2 = _threshold(esnr(p), p.m), p.m, gains.shape[1]
+    rho, m, n2 = _threshold(esnr(p), p.m), p.m, data.gains.shape[1]
     # the rows are all high (rho* < m) or all medium: on piece 0 every rank is
     # above the threshold, none is, or the j above it where rho* = m
     branch2 = n2 if rho < m else code if rho == m else 0
-    live = (_h0(gains, rho < m, n1, p) < 0.0).nonzero()[0]
+    live = (_h0(data.surplus, rho < m, n1, p) < 0.0).nonzero()[0]
     if not live.size:
         return live, np.zeros(0)
-    gains, n1, branch2 = gains[live], n1[live], np.broadcast_to(branch2, code.shape)[live]
-    crosses = (rho < gains) if m < rho else (gains < rho) if rho < m else np.zeros(gains.shape, dtype=bool)
-    top = crosses.sum(axis=1)
-    i, moved = top.nonzero()[0], False  # the rows with a crossing
+    n1, branch2 = n1[live], np.broadcast_to(branch2, code.shape)[live]
+    i, moved = (data.bottom[live] < rho).nonzero()[0] if rho < m else np.arange(live.size * (m < rho)), False
     if i.size:
-        k = np.zeros(live.size, dtype=int)  # the crossings where h < 0; their count lies in [k, top]
+        gains = data.gains[live[i]]
+        crosses, (k, top) = (gains < rho) if rho < m else (rho < gains), np.zeros((2, live.size), dtype=int)
+        top[i] = crosses.sum(axis=1)  # the crossings where h < 0; their count lies in [k, top]
         sign = -1 if rho < m else 1  # branch2's change per crossing passed
-        cut = np.full((i.size, n2), np.inf)
-        np.divide(rho - m, gains[i] - rho, out=cut, where=crosses[i])
+        cut = np.full(crosses.shape, np.inf)
+        np.divide(rho - m, gains - rho, out=cut, where=crosses)
         cut.sort(axis=1)
-        c = np.arange(i.size)  # the rows of cut that i's rows own
+        c = np.arange(i.size)  # the rows of cut and gains that i's rows own
         for _ in range(int(top.max()).bit_length()):  # ceil(log2(K + 1))
             mid = (k[i] + top[i] + 1) // 2
-            at_mid = _piece_arrays(gains[i], branch2[i] + sign * mid, n1[i], p)
+            at_mid = _piece_arrays(gains[c], branch2[i] + sign * mid, n1[i], p)
             neg = _h(cut[c, mid - 1], *at_mid) < 0.0
             k[i], top[i] = np.where(neg, mid, k[i]), np.where(neg, top[i], mid - 1)
             going = k[i] < top[i]
             i, c = i[going], c[going]
         branch2, moved = branch2 + sign * k, k.any()
-    piece = _piece_arrays(gains, branch2, n1, p)
+    piece = (_piece_arrays(data.gains[live], branch2, n1, p) if moved or m <= rho  # else the held high piece 0
+             else (data.g[live], data.gg[live] / n1[:, None], esnr(p) * data.excess[live] / n1))
     if moved:  # a row on piece k > 0 keeps h(0) < 0 there
         keep = (k == 0) | (_h(np.zeros(n1.size), *piece) < 0.0)
         live, n1, branch2, piece = live[keep], n1[keep], branch2[keep], [a[keep] for a in piece]
@@ -498,47 +524,51 @@ def _roots_of_h(gains: np.ndarray, n1: np.ndarray, code: np.ndarray, p: SystemPa
     return live[found], root[found]
 
 
-def _solve_rows(gains: np.ndarray, n1: np.ndarray, p: SystemParams):
-    """(case codes, e1, value, tried) for each row of stacked gains, one n1
+def _solve_rows(data: SimpleNamespace, n1: np.ndarray, p: SystemParams):
+    """(case codes, e1, value, tried) for each row of the row data, one n1
     per row: the best phase-1 energy, its value and the e1 tried besides
     e1 = 0, NaN where there is none.
 
     Low rows take the phase-1 closed form.  Every other row scores x = 0,
     its optimum where h(0) >= 0; :func:`_roots_of_h` finds the rows where
     h(0) < 0 and the one root of h on each.  A root is kept only if it
-    scores strictly above x = 0, so a tie goes to the smaller e1.  A block
-    of low rows skips all of this, a block with no low row skips the
-    closed form, and a block with no root scores nothing more.  Energies
-    and values leave in joules.
+    scores strictly above x = 0 (compared in reduced units), so a tie goes
+    to the smaller e1.  A block of low rows skips all of this, a block with
+    no low row skips the closed form, and a block with no root scores
+    nothing more.  Energies and values are formed in joules.
     """
-    codes = _case_codes(gains, p)
-    unit, rows = p.n0 / p.beta, (codes >= 0).nonzero()[0]
-    if rows.size < codes.size:
-        x, value = _phase1_closed_form(gains, n1, p)
-    else:  # every row's x and value are set below
-        x, value = np.zeros(codes.size), np.zeros(codes.size)
-    tried = x * unit
+    codes = _case_codes(data, p)
+    unit, scale, rows = p.n0 / p.beta, p.eta_t_ps * p.beta, (codes >= 0).nonzero()[0]
+    if rows.size < codes.size:  # the low rows' closed form; the other rows are set below
+        x, value = _phase1_closed_form(data.surplus, n1, p)
+        x, value, tried = x * unit, value * scale, x * unit
     if rows.size:
-        # at x = 0 every rank's power is m, so every row has one value there:
-        # _net's n2 equal terms, summed as _net sums them
-        x[rows], value[rows] = 0.0, np.full(p.n2, p.m - _penalty(float(p.m), p)).sum()
-        tried[rows] = np.nan
-        at, root = _roots_of_h(gains[rows], n1[rows], codes[rows], p)
-        if at.size:
+        m, gamma = float(p.m), esnr(p)  # x = 0 puts every rank at m: _net is n2 equal terms
+        y = max(math.sqrt(gamma * (p.m - 1)) - 1.0, 0.0)  # _phase2_energies(m), in math
+        zero = np.full(p.n2, m - ((m - 1.0) * m / (y * m + m) + y / gamma)).sum()  # summed as _net sums
+        if rows.size == codes.size:
+            x, value, tried = np.zeros(rows.size), np.full(rows.size, zero * scale), np.full(rows.size, np.nan)
+            at, root = _roots_of_h(data, n1, codes, p)
+        else:
+            x[rows], value[rows], tried[rows] = 0.0, zero * scale, np.nan
+            at, root = _roots_of_h(_take(data, rows), n1[rows], codes[rows], p)
             at = rows[at]
-            score = _net(gains[at], root, n1[at], p)
-            better = score > value[at]
-            x[at[better]], value[at[better]] = root[better], score[better]
+        if at.size:
+            score = _net(data.gains[at], root, n1[at], p)
+            better = score > zero
+            x[at[better]], value[at[better]] = root[better] * unit, score[better] * scale
             tried[at] = root * unit
-    return codes, x * unit, value * (p.eta_t_ps * p.beta), tried
+    return codes, x, value, tried
 
 
-def _curve(gains: np.ndarray, n1: np.ndarray, p: SystemParams) -> Curve:
-    # the lockstep entry: _solve_rows over blocks of _BLOCK_TARGET // n2 rows;
-    # one block is not joined (the copies cost about 2% of a warm solve)
+def _curve(data: SimpleNamespace, n1: np.ndarray, p: SystemParams) -> Curve:
+    # the lockstep entry: _solve_rows over blocks of _BLOCK_TARGET // n2 of the first n1.size
+    # rows of the row data; one block is not joined (the copies cost about 2% of a warm solve)
     step = max(1, _BLOCK_TARGET // p.n2)
-    parts = [_solve_rows(gains[i : i + step], n1[i : i + step], p) for i in range(0, n1.size, step)]
-    return Curve(n1, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), gains)
+    blocks = [slice(i, min(i + step, n1.size)) for i in range(0, n1.size, step)]
+    whole = blocks == [slice(0, len(data.gains))]  # one block of all the rows: no copies
+    parts = [_solve_rows(data if whole else _take(data, rows), n1[rows], p) for rows in blocks]
+    return Curve(n1, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), data.gains[: n1.size])
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +583,7 @@ def solve_curve(n1s, p: SystemParams) -> Curve:
     gains = np.empty((len(n1s), p.n2))
     for i in np.argsort(n1s)[::-1].tolist():
         gains[i] = order_stats.gains_up_to(p.n2, n1s[i], p.m)
-    return _curve(gains, np.array(n1s, dtype=int), p)
+    return _curve(_row_data(gains, p.m), np.array(n1s, dtype=int), p)
 
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
@@ -571,7 +601,7 @@ def optimize_training(p: SystemParams) -> Solution:
     (fewer trained bands at equal net energy).  The returned plan
     re-derives the per-rank phase-2 energies from the winning (n1, e1).
     """
-    curve = _curve(order_stats.stacked_gains(p.n2, p.n, p.m), np.arange(p.n2, p.n + 1), p)
+    curve = _curve(_stacked_rows(p), np.arange(p.n2, p.n + 1), p)
     i = int(curve.value.argmax())
     return Solution(curve.plan(i, p), float(curve.value[i]), curve)
 
@@ -587,8 +617,7 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
     form for every regime, so the same formula is swept over n1, as one
     array expression over the stacked gains.
     """
-    gains = order_stats.stacked_gains(p.n2, p.n, p.m)
-    x, value = _phase1_closed_form(gains, np.arange(p.n2, p.n + 1), p)
+    x, value = _phase1_closed_form(_stacked_rows(p).surplus[: p.n - p.n2 + 1], np.arange(p.n2, p.n + 1), p)
     i = int(np.argmax(value))
     plan = TrainingPlan(n1=p.n2 + i, e1=float(x[i]) * (p.n0 / p.beta), e2=(0.0,) * p.n2)
     return plan, float(value[i]) * (p.eta_t_ps * p.beta)

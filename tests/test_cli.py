@@ -230,6 +230,20 @@ class TestExitCodes:
         assert main(["sweep", "--config", write(tmp_path, text, "inf.conf")]) == 2
         assert "sweep_grid entries must be integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--trials", "0", "trials must be >= 1, got 0"), ("--seed", "-3", "seed must be >= 0, got -3")],
+    )
+    def test_bad_override_is_config_error(self, tmp_path, capsys, option, value, message):
+        # a command-line override gets the checks the same value gets in the file
+        path, _ = small_sweep_config(tmp_path)
+        assert main(["sweep", "--config", path, option, value]) == 2
+        assert message in capsys.readouterr().err
+        key = option[2:]
+        text = "".join(l for l in open(path) if not l.startswith(f"{key} ")) + f"{key} = {value}\n"
+        assert main(["sweep", "--config", write(tmp_path, text, "bad.conf")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unwritable_output_is_io_failure(self, tmp_path, capsys):
         path, _ = small_sweep_config(tmp_path)
         text = open(path).read()

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1001,9 +1002,10 @@ class TestPieceScreen:
         monkeypatch.setattr(optimizer, "_stationary_rows", counting(newton, 1))
         sol, solved = newton_inside_optimize(p)
         # h(0) comes from a sum over the gains; no live row has a crossing
-        # below its root, so a block builds piece 0 once, for Newton, and a
-        # block without a live row builds no piece and never enters Newton
-        assert blocks == [[int(live > 0), int(live > 0)]]
+        # below its root, so a block builds no piece: it reads piece 0 of the
+        # high regime from the row data, for Newton, and a block without a
+        # live row never enters Newton
+        assert blocks == [[0, int(live > 0)]]
         screened = [n1 for n1, label in sol.case_used_per_n1.items() if label.kind != LOW_ESNR]
         assert len(screened) == rows
         assert len(solved) == live
@@ -1071,7 +1073,7 @@ class TestPieceScreen:
         p = params_with_threshold(1e-6 * 0.5 * sum(top), t=1.0)
         n1s = np.array([3, 4, 5, 6, 12])
         gains = np.array([order_stats.gains_up_to(p.n2, n1, p.m) for n1 in n1s.tolist()])
-        codes, e1, value, tried = optimizer._solve_rows(gains, n1s, p)
+        codes, e1, value, tried = optimizer._solve_rows(optimizer._row_data(gains, p.m), n1s, p)
         candidates = [optimizer._tried(e) for e in tried.tolist()]
         assert [optimizer._label(c).kind for c in codes.tolist()] == [LOW_ESNR] * 4 + [MEDIUM_ESNR]
 
@@ -1080,7 +1082,7 @@ class TestPieceScreen:
 
         for name in ("_piece_arrays", "_h", "_stationary_rows"):
             monkeypatch.setattr(optimizer, name, unreachable)
-        low = optimizer._solve_rows(gains[:4], n1s[:4], p)
+        low = optimizer._solve_rows(optimizer._row_data(gains[:4], p.m), n1s[:4], p)
         assert low[0].tolist() == codes[:4].tolist()
         assert (low[1].tolist(), low[2].tolist()) == (e1[:4].tolist(), value[:4].tolist())
         low_candidates = [optimizer._tried(e) for e in low[3].tolist()]
@@ -1183,17 +1185,18 @@ class TestCertifiedNewton:
     @example(p=ism_link(m=4, n=80, n2=64, t=5e-6))
     @example(p=params(m=2, n0=0.06 * 0.8 * 1e-3 * 1e-12))  # ESNR 1 puts rho* at m = 2
     def test_h0_from_sums_is_h_at_zero(self, p):
-        # the live test reads h(0) from a sum over the gains; it must have
-        # the sign of h(0) on the piece arrays, and be within a few rounding
-        # units of it
+        # the live test reads h(0) from the row surplus, a sum over the
+        # gains; it must have the sign of h(0) on the piece arrays, and be
+        # within a few rounding units of it
         seen, branch2s = [], []
         real = optimizer._h0
 
-        def checking(gains, above, n1, q):
+        def checking(surplus, above, n1, q):
+            gains = np.array([order_stats.gains_up_to(q.n2, n, q.m) for n in n1.tolist()])
             # piece 0: every rank above the threshold, none, or where rho* = m the j above it
-            j = optimizer._case_codes(gains, q) if optimizer._threshold(esnr(q), q.m) == q.m else 0
+            j = optimizer._case_codes(optimizer._row_data(gains, q.m), q) if optimizer._threshold(esnr(q), q.m) == q.m else 0
             branch2s.append(np.broadcast_to(q.n2 if above else j, n1.shape))
-            sums = real(gains, above, n1, q)
+            sums = real(surplus, above, n1, q)
             piece = optimizer._piece_arrays(gains, branch2s[-1], n1, q)
             seen.append((sums, optimizer._h(np.zeros(n1.size), *piece),
                          1.0 + (1.0 + esnr(q) * q.m) * np.abs(gains / q.m - 1.0).sum(axis=1) / n1))
@@ -1210,6 +1213,83 @@ class TestCertifiedNewton:
             assert np.array_equal(sums < 0.0, direct < 0.0)
             assert np.all(np.abs(sums - direct) <= 16 * np.finfo(float).eps * scale)
 
+
+WIDE_T = (1e-7, 3e-7, 5e-6, 1e-1)  # design-sweep-wide: low, medium, ten crossings, high
+
+
+def counting_row_data(monkeypatch) -> list:
+    """The gains arrays that :func:`optimizer._row_data` builds row data for."""
+    built, real = [], optimizer._row_data
+
+    def counting(gains, m):
+        built.append(gains)
+        return real(gains, m)
+
+    monkeypatch.setattr(optimizer, "_row_data", counting)
+    return built
+
+
+def curve_bytes(curve) -> list[bytes]:
+    return [a.tobytes() for a in (curve.n1, curve.code, curve.e1, curve.value, curve.tried, curve.gains)]
+
+
+class TestRowData:
+    """Each stacked gain view keeps its t-independent row data: built on
+    the view's first solve, read by every later one, and dropped with it."""
+
+    def test_built_once_per_stacked_view(self, empty_memo, monkeypatch):
+        built = counting_row_data(monkeypatch)
+        for t in WIDE_T:
+            optimize_training(ism_link(m=4, n=80, n2=64, t=t))
+            solve_phase1_only(ism_link(m=4, n=80, n2=64, t=t))
+        optimize_training(ism_link(m=4, n=70, n2=64, t=1e-1))  # a prefix of the same view
+        assert len(built) == 1 and built[0] is order_stats.stacked_gains(64, 80, 4).base
+
+    def test_solve_curve_builds_its_own(self, monkeypatch):
+        p = ism_link(m=4, n=80, n2=64, t=1e-1)
+        optimize_training(p)
+        built = counting_row_data(monkeypatch)
+        curve = optimizer.solve_curve([70, 64, 80], p)
+        assert len(built) == 1 and curve.gains.base is built[0]
+        assert curve.gains.tolist() == [
+            order_stats.gains_up_to(64, n1, 4).tolist() for n1 in (70, 64, 80)]
+        optimizer.solve_curve([70, 64, 80], p)
+        assert len(built) == 2
+
+    def test_emptied_memo_drops_it(self, empty_memo, monkeypatch):
+        p = ism_link(m=4, n=80, n2=64, t=1e-1)
+        before = optimize_training(p)
+        held = optimizer._held_rows[(64, 4)]
+        assert held.gains is order_stats.stacked_gains(64, 80, 4).base
+        # row data with no usable surplus beside the old view: with it no row
+        # would reach Newton, so the new view must not read it
+        stale = SimpleNamespace(**{**vars(held), "surplus": held.surplus * np.nan})
+        monkeypatch.setitem(optimizer._held_rows, (64, 4), stale)
+        monkeypatch.setattr(order_stats, "_memo", {})
+        monkeypatch.setattr(order_stats, "_stacks", {})
+        built = counting_row_data(monkeypatch)
+        after = optimize_training(p)
+        assert len(built) == 1 and built[0] is order_stats.stacked_gains(64, 80, 4).base
+        assert not np.isnan(before.curve.tried).all()
+        assert after == before and curve_bytes(after.curve) == curve_bytes(before.curve)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(m=4, n=80, n2=64, t=t) for t in WIDE_T]
+        + [dict(m=10, n=866, n2=16, t=5e-5), dict(m=4, n=400, n2=200, t=5e-7), dict(m=2, n=30, n2=3, t=1e-3)],
+    )
+    def test_warm_solve_is_a_fresh_one(self, shape):
+        # the held row data against row data built afresh for a copy of the
+        # gains, through the same lockstep entry
+        p = ism_link(**shape)
+        optimize_training(p)
+        warm = optimize_training(p)
+        gains = np.array(order_stats.stacked_gains(p.n2, p.n, p.m))
+        curve = optimizer._curve(optimizer._row_data(gains, p.m), np.arange(p.n2, p.n + 1), p)
+        i = int(curve.value.argmax())
+        assert warm == Solution(curve.plan(i, p), float(curve.value[i]), curve)
+        assert curve_bytes(warm.curve) == curve_bytes(curve)
+        assert solve_phase1_only(p) == solve_phase1_only(replace(p, t=p.t))
 
 class TestRestrictedSchemes:
     def test_phase1_only_never_beats_joint(self, small_params):

@@ -21,7 +21,9 @@ caches (as ``perfbench`` runs them between the reference's solves), the
 ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
 ``n=5000`` cold and warm, a wide high design (``m=4, n=200, n2=100``), a
 wide medium one (``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings
-per ``n1``) and the acceptance c09 shape (``m=1, n=2000, n2=1``).  Each
+per ``n1``), the four ``design-sweep-wide`` block lengths on that wide
+stack together (a ``t`` sweep where ``n2`` is large) and the acceptance
+c09 shape (``m=1, n=2000, n2=1``).  Each
 tree's answers (``n1*``, ``e1*``, ``qnet_star``) are written beside the
 times, with a digest of the repr of every solve's ``n1``, ``e1``,
 ``e2``, ``qnet_star``, labels per ``n1`` and candidate log:
@@ -73,9 +75,13 @@ def _cases():
         for t in wide_t
     ]
     four = [SystemParams(m=4, n=80, n2=64, t=t, **link) for t in wide_t]
+    stack = [SystemParams(m=4, n=400, n2=200, t=t, **link) for t in wide_t]
 
     def together():
         return tuple(optimizer.optimize_training(p) for p in four)
+
+    def wide_stack():
+        return tuple(optimizer.optimize_training(p) for p in stack)
 
     return wide + [
         ("design-sweep-wide, the four solves together", together, False),
@@ -85,6 +91,7 @@ def _cases():
         case("m=10, n=5000, n2=16 warm", m=10, n=5000, n2=16, t=5e-5),
         case("m=4, n=200, n2=100 warm", m=4, n=200, n2=100, t=5e-5),
         case("m=4, n=400, n2=200, t=5e-7 warm", m=4, n=400, n2=200, t=5e-7),
+        ("wide-stack t sweep, the four design-sweep-wide t at m=4, n=400, n2=200", wide_stack, False),
         case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
     ]
 
