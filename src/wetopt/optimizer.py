@@ -19,10 +19,22 @@ into three ESNR regimes, labels of one problem:
 
 The last two split the e1 axis where ranks cross the threshold, but the
 objective stays C1 across the crossings: its slope is a negative multiple
-of one increasing function h of the phase-1 pilot SNR x = beta * e1 / n0.
+of one function h of the phase-1 pilot SNR x = beta * e1 / n0.  With
+e_i = gain_i - m, S+ = sum max(e_i, 0) and S2 = sum e_i^2 over a row's
+ranks, S2 < n1 m^2 and S+ < n1 (m-1), which each row-data build checks
+(raising ArithmeticError naming the n1 of a row that breaks one), put
+every root of h on piece 0:
+(a) h' >= 2 (x+1) (1 - S2 / (n1 m^2)), so h increases;
+(b) medium means gamma (m-1) <= 1, so h(0) >= 1 - S+ / (m (m-1) n1) > 0;
+(c) high crossings only sink, the weakest gain's first, at x_c + 1 =
+    (m - g_w) / (rho* - g_w) >= sqrt(gamma (m-1)); on [0, x_c] each rank's
+    net rho + m / (gamma rho) has slope in [1/m, 1] in rho, so
+    h(x_c) >= gamma [(m-1) - S+ / n1] > 0;
+(d) sum_{r<=n1} e_r = 0 and Jensen give S+ <= n1 m^m e^-m / (m-1)!, at most
+    0.541 n1 (m-1), and S2 <= n1 m, so ordered gains meet both with room.
 So each n1's optimum is e1 = 0 where h(0) >= 0, and otherwise the one
-root of h, found by a Newton iteration from an upper bound on the piece
-that holds it.  :func:`poly_real_roots` is the tests' root oracle.
+root of h, found on piece 0 by a Newton iteration from an upper bound on
+it.  :func:`poly_real_roots` is the tests' root oracle.
 
 The n1 sweep runs in lockstep on the (n1 count, n2) gain array of
 :func:`order_stats.stacked_gains` and its t-independent row data, built on
@@ -238,16 +250,18 @@ def _phase1_closed_form(surplus: np.ndarray, n1: np.ndarray, p: SystemParams):
     return np.where(surplus < floor, 0.0, np.sqrt(gamma * s / n1) - 1.0), value
 
 
-def _row_data(gains: np.ndarray, m: int) -> SimpleNamespace:
-    # each row's t-independent data: gains, surplus sum(gain/m - 1), strongest and weakest
-    # gain, excess sum(gain - m), and g = m/gain and g (1 - g) on piece 0 of the high regime
-    g = m / gains
+def _row_data(gains: np.ndarray, n1: np.ndarray, m: int) -> SimpleNamespace:
+    # each row's t-independent data: gains, surplus sum(gain/m - 1), strongest gain, excess sum(gain - m),
+    # g = m/gain and g (1 - g) on the high piece 0; raises if a row breaks a bound (module docstring)
+    e, g = gains - m, m / gains
+    if m > 1:
+        s_plus, s2 = np.maximum(e, 0.0).sum(axis=1), (e * e).sum(axis=1)
+        bad = (~((s_plus < n1 * (m - 1)) & (s2 < n1 * m * m))).nonzero()[0]
+        if bad.size:
+            raise ArithmeticError(f"gains of n1={n1[bad[0]]} break S+ < n1 (m-1) or S2 < n1 m^2 at m={m}: "
+                                  f"S+ = {s_plus[bad[0]]!r}, S2 = {s2[bad[0]]!r}")
     return SimpleNamespace(gains=gains, surplus=(gains / m - 1.0).sum(axis=1), top=gains[:, 0].copy(),
-                           bottom=gains[:, -1].copy(), excess=(gains - m).sum(axis=1), g=g, gg=g * (1.0 - g))
-
-
-def _take(data: SimpleNamespace, rows) -> SimpleNamespace:
-    return SimpleNamespace(**{k: a[rows] for k, a in vars(data).items()})  # the data of some rows
+                           excess=e.sum(axis=1), g=g, gg=g * (1.0 - g))
 
 
 def _stacked_rows(p: SystemParams) -> SimpleNamespace:
@@ -255,7 +269,7 @@ def _stacked_rows(p: SystemParams) -> SimpleNamespace:
     view = order_stats.stacked_gains(p.n2, p.n, p.m)
     stack, held = view if view.base is None else view.base, _held_rows.get((p.n2, p.m))
     if held is None or held.gains is not stack:
-        held = _held_rows[(p.n2, p.m)] = _row_data(stack, p.m)
+        held = _held_rows[(p.n2, p.m)] = _row_data(stack, np.arange(p.n2, p.n2 + len(stack)), p.m)
     return held
 
 
@@ -268,13 +282,15 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     count of ranks strictly above the threshold.
     """
     check_n1(n1, p)
-    return _label(int(_case_codes(_row_data(order_stats.gains_up_to(p.n2, n1, p.m)[None, :], p.m), p)[0]))
+    gains = order_stats.gains_up_to(p.n2, n1, p.m)[None, :]
+    return _label(int(_case_codes(_row_data(gains, np.array([n1]), p.m), p)[0]))
 
 
 def _case_codes(data: SimpleNamespace, p: SystemParams) -> np.ndarray:
-    # classify_esnr_case per row of row data: -1 low, 0 high, j medium
+    # classify_esnr_case per row of row data: -1 low, 0 high, j medium; ranks above rho*
+    # are counted only where some row is medium
     rho = _threshold(esnr(p), p.m)
-    medium = 0 if rho < p.m else (data.gains > rho).sum(axis=1)
+    medium = 0 if rho < p.m or rho >= data.top.max() else (data.gains > rho).sum(axis=1)
     return np.where(rho >= data.top, -1, medium)
 
 
@@ -378,45 +394,25 @@ def poly_real_roots(coeffs) -> np.ndarray:
     return np.array(merged)
 
 
-def _piece_arrays(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
-    # (g, b, d0) of h on pieces: the strongest branch2[i] ranks of row i
-    # above the threshold, the rest below (g = 1 gives them b = 0)
-    above = np.arange(gains.shape[1]) < branch2[:, None]
-    d0 = esnr(p) * np.where(above, gains - p.m, gains / p.m - 1.0).sum(axis=1) / n1
-    g = np.where(above, p.m / gains, 1.0)
-    b = g * (1.0 - g) / n1[:, None]
-    return g, b, d0
-
-
-def _h(x: np.ndarray, g: np.ndarray, b: np.ndarray, d0: np.ndarray):
-    # h per row at x, on the pieces of :func:`_piece_arrays`
-    return _h_given(x + 1.0, x[:, None] + g, b, d0)
-
-
 def _h_given(x1: np.ndarray, t: np.ndarray, b: np.ndarray, d0: np.ndarray):
     # h per row (per point, with a points axis) from x1 = x + 1 and t = x + g
     u = x1[..., None] / t
     return x1**2 + (b * u * u).sum(axis=-1) - d0
 
 
-def _h0(surplus: np.ndarray, above: bool, n1: np.ndarray, p: SystemParams):
-    # h(0) per row on piece 0, from the row surplus, the sum of e = gain/m - 1:
-    # at x = 0, b_i/g_i^2 = e_i/n1 and d0 = gamma (m e_i above + e_i below)/n1
-    # summed over ranks, with every rank above (rho* < m) or none; where
-    # rho* = m, gamma (m - 1) = 1 makes the two weights equal
-    gamma = esnr(p)
-    return 1.0 + surplus * (1.0 - gamma * p.m if above else -gamma) / n1
+def _h0(surplus: np.ndarray, n1: np.ndarray, p: SystemParams):
+    # h(0) per row on piece 0 of the high regime, every rank above the threshold, from the row
+    # surplus, the sum of e = gain/m - 1: at x = 0, b_i/g_i^2 = e_i/n1 and d0 = gamma m e_i/n1
+    return 1.0 + surplus * (1.0 - esnr(p) * p.m) / n1
 
 
-def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
-    """Root of h on pieces where h(0) < 0, in x = beta*e1/n0.
+def _stationary_rows(piece, n1: np.ndarray):
+    """Root of h on one piece per row where h(0) < 0, in x = beta*e1/n0.
 
-    ``piece`` is the (g, b, d0) of :func:`_piece_arrays`: on row i the
-    strongest ``branch2[i]`` ranks are above the refinement threshold, the
-    rest below.  With g_i = m/gain_i and b_i = g_i (1-g_i)/n1,
+    ``piece`` is the (g, b, d0) of h on row i's piece: with g_i = m/gain_i
+    and b_i = g_i (1-g_i)/n1 over the ranks above the refinement threshold,
     h(x) = (x+1)^2 + sum b_i ((x+1)/(x+g_i))^2 - d0 = -(gamma/n1) (x+1)^2 Q'(x)
-    for the piece's objective Q; the pieces' h join into one continuous
-    function increasing on [0, inf), and each is convex there (README).  As
+    for the piece's objective Q, convex on [0, inf) (README).  As
     b_i ((x+1)/(x+g_i))^2 >= b_i for either sign of b_i, the root lies
     below sqrt(d0 - sum b_i) - 1, where Newton starts; from there its
     iterates fall to the root.  A pass forms x + 1 and x + g_i once, for h
@@ -433,7 +429,7 @@ def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
     Newton step, at least one float past that neighbour, or the bracket's
     midpoint if it leaves the bracket.  Rows step in lockstep and leave once
     certified; a row's arithmetic does not depend on the others.
-    ``branch2`` and ``n1`` name a row in the error raised.
+    ``n1`` names a row in the error raised.
     """
     g, b, d0 = piece
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
@@ -465,61 +461,25 @@ def _stationary_rows(piece, branch2: np.ndarray, n1: np.ndarray):
             live, nxt, lo, hi, last, near = live[keep], nxt[keep], lo[keep], hi[keep], last[keep], near[keep]
             g, b, curve, d0 = g[keep], b[keep], curve[keep], d0[keep]
         x = nxt
-    raise ArithmeticError(
-        f"stationary point not bracketed to adjacent floats in {_ROOT_STEPS} "
-        f"steps at n1={n1[live[0]]}, branch2={branch2[live[0]]}: "
-        f"[{float(lo[0])!r}, {float(hi[0])!r}]"
-    )
+    raise ArithmeticError(f"stationary point not bracketed to adjacent floats in {_ROOT_STEPS} steps at "
+                          f"n1={n1[live[0]]}: [{float(lo[0])!r}, {float(hi[0])!r}]")
 
 
-def _roots_of_h(data: SimpleNamespace, n1: np.ndarray, code: np.ndarray, p: SystemParams):
-    """(rows, x) for the row data of high or medium rows: the rows where
-    h has a root x > 0, and that root.
-
-    A rank's expected power over beta, (x*g + m)/(x + 1), moves from m
-    toward g, so it crosses rho* once, at x = (rho* - m)/(g - rho*), if rho*
-    lies strictly between the two.  A row's K crossings cut its x axis into
-    pieces; on piece k the strongest branch2 ranks sit above the threshold:
-    n2 - k in high (the k weakest have sunk), k in medium (ranks 1..k have
-    risen), or j where rho* = m and nothing crosses.  h increases, so only
-    rows with h(0) < 0, read from each row's surplus, have a root.  A high
-    row has a crossing where its weakest gain is below rho*, every medium
-    row has one; there a bisection over the sorted crossings finds k, the
-    number where h < 0, and a row with k > 0 is built on piece k (piece 0
-    of high is read from the row data).  Newton then runs once per row.
+def _roots_of_h(data: SimpleNamespace, n1: np.ndarray, p: SystemParams):
+    """(rows, x) for a block's row data: the rows where h has a root
+    x > 0, and that root.  By (a)-(c) of the module docstring, which the
+    row data's bounds make hold, only a high row (rho* < m) with h(0) < 0
+    has one, and it lies on piece 0, every rank above the threshold, before
+    the first crossing x_c, as h(x_c) >= gamma [(m-1) - S+/n1] > 0; Newton
+    runs once per such row on the piece the row data holds.  A low row
+    beside high ones has every gain below m, so h(0) > 1 there.
     """
-    rho, m, n2 = _threshold(esnr(p), p.m), p.m, data.gains.shape[1]
-    # the rows are all high (rho* < m) or all medium: on piece 0 every rank is
-    # above the threshold, none is, or the j above it where rho* = m
-    branch2 = n2 if rho < m else code if rho == m else 0
-    live = (_h0(data.surplus, rho < m, n1, p) < 0.0).nonzero()[0]
+    rho = _threshold(esnr(p), p.m)
+    live = (_h0(data.surplus, n1, p) < 0.0).nonzero()[0] if rho < p.m else np.zeros(0, dtype=int)
     if not live.size:
         return live, np.zeros(0)
-    n1, branch2 = n1[live], np.broadcast_to(branch2, code.shape)[live]
-    i, moved = (data.bottom[live] < rho).nonzero()[0] if rho < m else np.arange(live.size * (m < rho)), False
-    if i.size:
-        gains = data.gains[live[i]]
-        crosses, (k, top) = (gains < rho) if rho < m else (rho < gains), np.zeros((2, live.size), dtype=int)
-        top[i] = crosses.sum(axis=1)  # the crossings where h < 0; their count lies in [k, top]
-        sign = -1 if rho < m else 1  # branch2's change per crossing passed
-        cut = np.full(crosses.shape, np.inf)
-        np.divide(rho - m, gains - rho, out=cut, where=crosses)
-        cut.sort(axis=1)
-        c = np.arange(i.size)  # the rows of cut and gains that i's rows own
-        for _ in range(int(top.max()).bit_length()):  # ceil(log2(K + 1))
-            mid = (k[i] + top[i] + 1) // 2
-            at_mid = _piece_arrays(gains[c], branch2[i] + sign * mid, n1[i], p)
-            neg = _h(cut[c, mid - 1], *at_mid) < 0.0
-            k[i], top[i] = np.where(neg, mid, k[i]), np.where(neg, top[i], mid - 1)
-            going = k[i] < top[i]
-            i, c = i[going], c[going]
-        branch2, moved = branch2 + sign * k, k.any()
-    piece = (_piece_arrays(data.gains[live], branch2, n1, p) if moved or m <= rho  # else the held high piece 0
-             else (data.g[live], data.gg[live] / n1[:, None], esnr(p) * data.excess[live] / n1))
-    if moved:  # a row on piece k > 0 keeps h(0) < 0 there
-        keep = (k == 0) | (_h(np.zeros(n1.size), *piece) < 0.0)
-        live, n1, branch2, piece = live[keep], n1[keep], branch2[keep], [a[keep] for a in piece]
-    root = _stationary_rows(piece, branch2, n1)
+    n1 = n1[live]
+    root = _stationary_rows((data.g[live], data.gg[live] / n1[:, None], esnr(p) * data.excess[live] / n1), n1)
     found = root > 0.0
     return live[found], root[found]
 
@@ -548,11 +508,9 @@ def _solve_rows(data: SimpleNamespace, n1: np.ndarray, p: SystemParams):
         zero = np.full(p.n2, m - ((m - 1.0) * m / (y * m + m) + y / gamma)).sum()  # summed as _net sums
         if rows.size == codes.size:
             x, value, tried = np.zeros(rows.size), np.full(rows.size, zero * scale), np.full(rows.size, np.nan)
-            at, root = _roots_of_h(data, n1, codes, p)
         else:
             x[rows], value[rows], tried[rows] = 0.0, zero * scale, np.nan
-            at, root = _roots_of_h(_take(data, rows), n1[rows], codes[rows], p)
-            at = rows[at]
+        at, root = _roots_of_h(data, n1, p)
         if at.size:
             score = _net(data.gains[at], root, n1[at], p)
             better = score > zero
@@ -567,7 +525,8 @@ def _curve(data: SimpleNamespace, n1: np.ndarray, p: SystemParams) -> Curve:
     step = max(1, _BLOCK_TARGET // p.n2)
     blocks = [slice(i, min(i + step, n1.size)) for i in range(0, n1.size, step)]
     whole = blocks == [slice(0, len(data.gains))]  # one block of all the rows: no copies
-    parts = [_solve_rows(data if whole else _take(data, rows), n1[rows], p) for rows in blocks]
+    parts = [_solve_rows(data if whole else SimpleNamespace(**{k: a[rows] for k, a in vars(data).items()}),
+                         n1[rows], p) for rows in blocks]
     return Curve(n1, *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), data.gains[: n1.size])
 
 
@@ -583,7 +542,8 @@ def solve_curve(n1s, p: SystemParams) -> Curve:
     gains = np.empty((len(n1s), p.n2))
     for i in np.argsort(n1s)[::-1].tolist():
         gains[i] = order_stats.gains_up_to(p.n2, n1s[i], p.m)
-    return _curve(_row_data(gains, p.m), np.array(n1s, dtype=int), p)
+    n1 = np.array(n1s, dtype=int)
+    return _curve(_row_data(gains, n1, p.m), n1, p)
 
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:

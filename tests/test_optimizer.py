@@ -790,36 +790,36 @@ class TestLockstepSweep:
         assert {row[1:3] for row in rows.values()} == {(0.0, p.eta_t_ps * p.beta * p.n2)}
         assert (sol.plan.n1, sol.plan.e1) == (400, 0.0)
 
-    def test_tied_crossings_below_the_root(self, monkeypatch):
-        # two ranks with one gain cross the threshold at one energy.  The
-        # gains are stronger than order statistics allow, which puts the
-        # root of h past that crossing; the zero-length piece between the
-        # equal crossings holds no sign change, so the solve is still the
-        # maximum of a dense scan
-        p = params(m=2, n=4, n2=2, n0=params().eta_t_ps * 1e-12 / 0.9)  # ESNR 0.9
-        assert esnr(p) == pytest.approx(0.9, rel=1e-15)
-        monkeypatch.setattr(order_stats, "gains_up_to", lambda rank_max, pop, dim: np.array([5.7, 5.7]))
-        monkeypatch.setattr(  # the sweep inside newton_inside_optimize reads the stacked view
-            order_stats, "stacked_gains", lambda rank_max, pop, dim: np.full((pop - rank_max + 1, rank_max), 5.7)
+    @pytest.mark.parametrize(
+        "gains, holds",
+        [([5.7, 5.7], (False, False)), ([3.0] * 4, (False, True)), ([5.9, 0.1, 0.1, 0.1], (True, False))],
+        ids=["both", "s_plus", "s2"],
+    )
+    def test_gains_past_the_bounds_raise_naming_n1(self, gains, holds, monkeypatch):
+        # gains stronger than order statistics allow can break S+ < n1 (m-1)
+        # or S2 < n1 m^2, which put every root of h on piece 0.  With
+        # [5.7, 5.7] at ESNR 0.7 the bisection the bounds replaced returned
+        # e1 = 0 where a dense scan found 3.6% more net at x = 0.29
+        gains = np.array(gains)
+        n2 = gains.size
+        p = params(m=2, n=n2 + 2, n2=n2, n0=params().eta_t_ps * 1e-12 / 0.7)  # ESNR 0.7
+        assert esnr(p) == pytest.approx(0.7, rel=1e-15)
+        e = gains - p.m
+        assert (np.maximum(e, 0.0).sum() < n2 * (p.m - 1), (e * e).sum() < n2 * p.m**2) == holds
+        monkeypatch.setattr(order_stats, "gains_up_to", lambda rank_max, pop, dim: gains)
+        monkeypatch.setattr(  # optimize_training reads the stacked view; its first row is n1 = n2
+            order_stats, "stacked_gains", lambda rank_max, pop, dim: np.tile(gains, (pop - rank_max + 1, 1)).copy()
         )
-        cut = crossings(2, p)
-        assert cut.size == 2 and cut[0] == cut[1]
-        sol = solve_for_n1(2, p)
-        assert sol.label.kind == MEDIUM_ESNR and sol.e1 * p.beta / p.n0 > 10 * cut[0]
-        assert len(sol.candidates) == 2 and sol.candidates[1] == sol.e1
-        # h < 0 at both crossings, so Newton ran on the piece past them
-        assert (2, 2) in newton_inside_optimize(p)[1]
-        grid = np.linspace(0.0, 4.0 * sol.e1, 400_001)
-        scan = net_energy_given_phase1(2, grid, p)
-        assert scan.max() <= sol.value <= scan.max() * (1 + 1e-12)
-        assert abs(grid[np.argmax(scan)] - sol.e1) <= grid[1]
+        for solve in (solve_for_n1, classify_esnr_case, lambda n1, q: optimize_training(q)):
+            with pytest.raises(ArithmeticError, match=rf"^gains of n1={n2} break S\+ < n1 \(m-1\) or S2 < n1 m\^2"):
+                solve(n2, p)
 
     def test_newton_step_cap_raises_naming_n1(self, monkeypatch):
         # high ESNR: n1 = 3 has no stationary point, n1 = 4 the first one
         p = params()
         assert solve_for_n1(3, p).candidates == (0.0,)
         monkeypatch.setattr(optimizer, "_ROOT_STEPS", 1)
-        message = r"not bracketed to adjacent floats in 1 steps at n1={}, branch2=3: \["
+        message = r"not bracketed to adjacent floats in 1 steps at n1={}: \["
         with pytest.raises(ArithmeticError, match=message.format(12)):
             solve_for_n1(12, p)
         with pytest.raises(ArithmeticError, match=message.format(4)):
@@ -909,14 +909,31 @@ class TestSolutionCurve:
             hash(sol)
 
 
+def piece_arrays(gains: np.ndarray, branch2: np.ndarray, n1: np.ndarray, p: SystemParams):
+    """The oracle's (g, b, d0) of h on pieces: the strongest branch2[i]
+    ranks of row i above the threshold, the rest below (g = 1 gives them
+    b = 0)."""
+    above = np.arange(gains.shape[1]) < branch2[:, None]
+    d0 = esnr(p) * np.where(above, gains - p.m, gains / p.m - 1.0).sum(axis=1) / n1
+    g = np.where(above, p.m / gains, 1.0)
+    b = g * (1.0 - g) / n1[:, None]
+    return g, b, d0
+
+
+def h_on(x: np.ndarray, g: np.ndarray, b: np.ndarray, d0: np.ndarray) -> np.ndarray:
+    """h per row at x, on the pieces of :func:`piece_arrays`, with the
+    solver's arithmetic."""
+    return optimizer._h_given(x + 1.0, x[:, None] + g, b, d0)
+
+
 def stationary_snrs(gains: np.ndarray, branch2: int, n1: int, p: SystemParams) -> float | None:
     """The solver's Newton iteration on one piece: its x = beta*e1/n0, or
     None where h(0) >= 0."""
-    branch2, n1 = np.array([branch2]), np.array([n1])
-    piece = optimizer._piece_arrays(gains[None, :], branch2, n1, p)
-    if not optimizer._h(np.zeros(1), *piece)[0] < 0.0:
+    n1 = np.array([n1])
+    piece = piece_arrays(gains[None, :], np.array([branch2]), n1, p)
+    if not h_on(np.zeros(1), *piece)[0] < 0.0:
         return None
-    return float(optimizer._stationary_rows(piece, branch2, n1)[0])
+    return float(optimizer._stationary_rows(piece, n1)[0])
 
 
 def crossings(n1: int, p: SystemParams) -> np.ndarray:
@@ -940,7 +957,7 @@ def h_at(n1: int, p: SystemParams, x, inside=None) -> np.ndarray:
         axis=1,
     )
     rows = np.broadcast_to(gains, (x.size, gains.size))
-    return optimizer._h(x, *optimizer._piece_arrays(rows, above, np.full(x.size, n1), p))
+    return h_on(x, *piece_arrays(rows, above, np.full(x.size, n1), p))
 
 
 def h_scale(n1: int, p: SystemParams, x) -> np.ndarray:
@@ -952,14 +969,14 @@ def h_scale(n1: int, p: SystemParams, x) -> np.ndarray:
 
 
 def newton_inside_optimize(p: SystemParams):
-    """``optimize_training(p)`` and the rows ``(n1, branch2)`` that reach
+    """``optimize_training(p)`` and the n1 of the rows that reach
     :func:`optimizer._stationary_rows`."""
     solved = []
     real = optimizer._stationary_rows
 
-    def stationary(piece, branch2, n1):
-        solved.extend(zip(n1.tolist(), branch2.tolist()))
-        return real(piece, branch2, n1)
+    def stationary(piece, n1):
+        solved.extend(n1.tolist())
+        return real(piece, n1)
 
     optimizer._stationary_rows = stationary  # not monkeypatch: Hypothesis reruns the body
     try:
@@ -984,34 +1001,30 @@ class TestPieceScreen:
     )
     def test_newton_sees_only_live_pieces(self, shape, rows, live, monkeypatch):
         p = ism_link(**shape)
-        blocks = []  # per block: [piece builds, Newton calls]
-        solve, pieces, newton = optimizer._solve_rows, optimizer._piece_arrays, optimizer._stationary_rows
+        blocks = []  # per block: Newton calls
+        solve, newton = optimizer._solve_rows, optimizer._stationary_rows
 
-        def counting(real, slot):
-            def wrapper(*args):
-                blocks[-1][slot] += 1
-                return real(*args)
-            return wrapper
+        def counting(*args):
+            blocks[-1] += 1
+            return newton(*args)
 
         def block(*args):
-            blocks.append([0, 0])
+            blocks.append(0)
             return solve(*args)
 
         monkeypatch.setattr(optimizer, "_solve_rows", block)
-        monkeypatch.setattr(optimizer, "_piece_arrays", counting(pieces, 0))
-        monkeypatch.setattr(optimizer, "_stationary_rows", counting(newton, 1))
+        monkeypatch.setattr(optimizer, "_stationary_rows", counting)
         sol, solved = newton_inside_optimize(p)
-        # h(0) comes from a sum over the gains; no live row has a crossing
-        # below its root, so a block builds no piece: it reads piece 0 of the
-        # high regime from the row data, for Newton, and a block without a
-        # live row never enters Newton
-        assert blocks == [[0, int(live > 0)]]
+        # h(0) comes from a sum over the gains, and every live root lies on
+        # piece 0 of the high regime, read from the row data, for Newton; a
+        # block without a live row never enters Newton
+        assert blocks == [int(live > 0)]
         screened = [n1 for n1, label in sol.case_used_per_n1.items() if label.kind != LOW_ESNR]
         assert len(screened) == rows
         assert len(solved) == live
         # each live row once, and only rows with h(0) < 0
-        assert len({n1 for n1, _ in solved}) == live
-        assert all(h_at(n1, p, [0.0], [1e-12])[0] < 0.0 for n1, _ in solved)
+        assert len(set(solved)) == live
+        assert all(h_at(n1, p, [0.0], [1e-12])[0] < 0.0 for n1 in solved)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=oracle_systems())
@@ -1073,16 +1086,16 @@ class TestPieceScreen:
         p = params_with_threshold(1e-6 * 0.5 * sum(top), t=1.0)
         n1s = np.array([3, 4, 5, 6, 12])
         gains = np.array([order_stats.gains_up_to(p.n2, n1, p.m) for n1 in n1s.tolist()])
-        codes, e1, value, tried = optimizer._solve_rows(optimizer._row_data(gains, p.m), n1s, p)
+        codes, e1, value, tried = optimizer._solve_rows(optimizer._row_data(gains, n1s, p.m), n1s, p)
         candidates = [optimizer._tried(e) for e in tried.tolist()]
         assert [optimizer._label(c).kind for c in codes.tolist()] == [LOW_ESNR] * 4 + [MEDIUM_ESNR]
 
         def unreachable(*args):
             raise AssertionError("an all-low block reached the piece path")
 
-        for name in ("_piece_arrays", "_h", "_stationary_rows"):
+        for name in ("_roots_of_h", "_h0", "_stationary_rows"):
             monkeypatch.setattr(optimizer, name, unreachable)
-        low = optimizer._solve_rows(optimizer._row_data(gains[:4], p.m), n1s[:4], p)
+        low = optimizer._solve_rows(optimizer._row_data(gains[:4], n1s[:4], p.m), n1s[:4], p)
         assert low[0].tolist() == codes[:4].tolist()
         assert (low[1].tolist(), low[2].tolist()) == (e1[:4].tolist(), value[:4].tolist())
         low_candidates = [optimizer._tried(e) for e in low[3].tolist()]
@@ -1097,7 +1110,7 @@ def certified(x: np.ndarray, piece) -> np.ndarray:
     """Per row, whether x is the solver's answer on its piece: h(x) = 0, or
     x is the end with the smaller |h| (the lower end on a tie) of two
     adjacent floats where h changes sign."""
-    hx, up, down = (optimizer._h(v, *piece) for v in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)))
+    hx, up, down = (h_on(v, *piece) for v in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)))
     lower = (hx < 0.0) & (up >= 0.0) & (np.abs(hx) <= np.abs(up))
     upper = (down < 0.0) & (hx > 0.0) & (np.abs(hx) < np.abs(down))
     return (hx == 0.0) | lower | upper
@@ -1110,10 +1123,10 @@ def newton_rows(p: SystemParams, spy=None):
     calls = []
     real, real_h = optimizer._stationary_rows, optimizer._h_given
 
-    def stationary(piece, branch2, n1):
+    def stationary(piece, n1):
         optimizer._h_given = spy or real_h
         try:
-            calls.append(([a.copy() for a in piece], real(piece, branch2, n1)))
+            calls.append(([a.copy() for a in piece], real(piece, n1)))
         finally:
             optimizer._h_given = real_h
         return calls[-1][1]
@@ -1159,7 +1172,7 @@ class TestCertifiedNewton:
         g, b, d0 = piece
         start = first[0]
         assert np.array_equal(start, np.sqrt(d0 - b.sum(axis=1)) - 1.0) and root.size == live
-        assert np.all(root <= start) and np.all(optimizer._h(start, *piece) >= 0.0)
+        assert np.all(root <= start) and np.all(h_on(start, *piece) >= 0.0)
         assert np.all(start - root <= 1e-2 * root)
 
     def test_high_esnr_block_in_three_passes(self):
@@ -1183,22 +1196,19 @@ class TestCertifiedNewton:
     @example(p=ism_link(m=10, n=866, n2=16, t=5e-5))
     @example(p=ism_link(m=4, n=80, n2=64, t=3e-7))
     @example(p=ism_link(m=4, n=80, n2=64, t=5e-6))
-    @example(p=params(m=2, n0=0.06 * 0.8 * 1e-3 * 1e-12))  # ESNR 1 puts rho* at m = 2
     def test_h0_from_sums_is_h_at_zero(self, p):
-        # the live test reads h(0) from the row surplus, a sum over the
-        # gains; it must have the sign of h(0) on the piece arrays, and be
-        # within a few rounding units of it
-        seen, branch2s = [], []
+        # the live test reads h(0) on piece 0 of the high regime from the row
+        # surplus, a sum over the gains; it must have the sign of h(0) on the
+        # oracle's piece arrays, and be within a few rounding units of it
+        # (medium rows, which never reach it, are in TestPieceZeroBounds)
+        seen = []
         real = optimizer._h0
 
-        def checking(surplus, above, n1, q):
+        def checking(surplus, n1, q):
             gains = np.array([order_stats.gains_up_to(q.n2, n, q.m) for n in n1.tolist()])
-            # piece 0: every rank above the threshold, none, or where rho* = m the j above it
-            j = optimizer._case_codes(optimizer._row_data(gains, q.m), q) if optimizer._threshold(esnr(q), q.m) == q.m else 0
-            branch2s.append(np.broadcast_to(q.n2 if above else j, n1.shape))
-            sums = real(surplus, above, n1, q)
-            piece = optimizer._piece_arrays(gains, branch2s[-1], n1, q)
-            seen.append((sums, optimizer._h(np.zeros(n1.size), *piece),
+            sums = real(surplus, n1, q)
+            piece = piece_arrays(gains, np.full(n1.shape, q.n2), n1, q)  # every rank above the threshold
+            seen.append((sums, h_on(np.zeros(n1.size), *piece),
                          1.0 + (1.0 + esnr(q) * q.m) * np.abs(gains / q.m - 1.0).sum(axis=1) / n1))
             return sums
 
@@ -1207,11 +1217,69 @@ class TestCertifiedNewton:
             optimize_training(p)
         finally:
             optimizer._h0 = real
-        if optimizer._threshold(esnr(p), p.m) == p.m:  # the rows' own counts above, 1 to 3
-            assert branch2s and all(b.min() >= 1 and b.max() == p.n2 for b in branch2s)
         for sums, direct, scale in seen:
             assert np.array_equal(sums < 0.0, direct < 0.0)
             assert np.all(np.abs(sums - direct) <= 16 * np.finfo(float).eps * scale)
+
+
+def piece_zero_bounds(p: SystemParams) -> tuple[int, int]:
+    """Asserts the optimizer's bounds on every row of ``p``'s ordered gains,
+    with room, and what they give on the oracle's h: h(0) >= 0 on every
+    medium row, and h(x_c) >= gamma [(m-1) - S+/n1] at the first crossing
+    x_c of every live high row that has one.  Returns the counts of the
+    medium rows and of the live high rows with a crossing."""
+    if p.m == 1:  # no threshold: every row is low
+        return 0, 0
+    gamma, rho, counts = esnr(p), optimizer._threshold(esnr(p), p.m), [0, 0]
+    for n1, gains in enumerate(order_stats.stacked_gains(p.n2, p.n, p.m), start=p.n2):  # every n1 in one read
+        e = gains - p.m
+        s_plus = np.maximum(e, 0.0).sum()
+        assert s_plus / (n1 * (p.m - 1)) < 0.55 and (e * e).sum() / (n1 * p.m**2) < 0.5, n1
+        label = classify_esnr_case(n1, p)
+        if label.kind == LOW_ESNR:
+            continue
+        # piece 0: every rank above the threshold, none, or where rho* = m the j above it
+        above = p.n2 if rho < p.m else label.j if rho == p.m else 0
+        piece = piece_arrays(gains[None, :], np.array([above]), np.array([n1]), p)
+        h0 = h_on(np.zeros(1), *piece)[0]
+        if label.kind == MEDIUM_ESNR:
+            assert h0 >= 0.0, n1
+            counts[0] += 1
+        elif h0 < 0.0 and gains[-1] < rho:
+            x_c = (p.m - rho) / (rho - gains[-1])
+            assert h_on(np.array([x_c]), *piece)[0] >= gamma * ((p.m - 1) - s_plus / n1), n1
+            counts[1] += 1
+    return counts[0], counts[1]
+
+
+class TestPieceZeroBounds:
+    """Ordered gains meet S+ < n1 (m-1) and S2 < n1 m^2 with room, so no
+    medium row is live and every live high row's root lies on piece 0."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=oracle_systems())
+    @example(p=ism_link(m=10, n=866, n2=16, t=5e-5))
+    def test_bounds_hold_on_ordered_gains(self, p):
+        piece_zero_bounds(p)
+
+    def test_threshold_at_m(self):
+        # ESNR 1 puts rho* at m = 2: the medium rows' h(0) is the same with
+        # or without the j ranks above m on piece 0
+        p = params(m=2, n0=0.06 * 0.8 * 1e-3 * 1e-12)
+        assert optimizer._threshold(esnr(p), p.m) == p.m
+        medium, _ = piece_zero_bounds(p)
+        assert medium == p.n - p.n2 + 1
+        j = [classify_esnr_case(n1, p).j for n1 in range(p.n2, p.n + 1)]  # the rows' own counts above, 1 to 3
+        assert min(j) >= 1 and max(j) == p.n2
+
+    @pytest.mark.parametrize("n1, gamma", [(17, 12.0), (18, 7.0), (19, 5.0), (20, 4.3)])
+    def test_live_high_row_with_a_crossing(self, n1, gamma):
+        # n1 just above n2 = 16 at m = 2 leaves the weakest gain below rho*
+        # at these ESNRs while h(0) < 0: its root lies before the crossing
+        p = params(m=2, n=n1, n2=16, n0=params().eta_t_ps * 1e-12 / gamma)
+        assert piece_zero_bounds(p)[1] == 1
+        root = solve_for_n1(n1, p).candidates[1] * p.beta / p.n0
+        assert 0.0 < root < crossings(n1, p)[0]
 
 
 WIDE_T = (1e-7, 3e-7, 5e-6, 1e-1)  # design-sweep-wide: low, medium, ten crossings, high
@@ -1221,9 +1289,9 @@ def counting_row_data(monkeypatch) -> list:
     """The gains arrays that :func:`optimizer._row_data` builds row data for."""
     built, real = [], optimizer._row_data
 
-    def counting(gains, m):
+    def counting(gains, n1, m):
         built.append(gains)
-        return real(gains, m)
+        return real(gains, n1, m)
 
     monkeypatch.setattr(optimizer, "_row_data", counting)
     return built
@@ -1285,7 +1353,8 @@ class TestRowData:
         optimize_training(p)
         warm = optimize_training(p)
         gains = np.array(order_stats.stacked_gains(p.n2, p.n, p.m))
-        curve = optimizer._curve(optimizer._row_data(gains, p.m), np.arange(p.n2, p.n + 1), p)
+        n1 = np.arange(p.n2, p.n + 1)
+        curve = optimizer._curve(optimizer._row_data(gains, n1, p.m), n1, p)
         i = int(curve.value.argmax())
         assert warm == Solution(curve.plan(i, p), float(curve.value[i]), curve)
         assert curve_bytes(warm.curve) == curve_bytes(curve)

@@ -67,6 +67,15 @@ def test_same_bits_sees_every_field(monkeypatch):
     assert bench._compare(answers, "parent")["same_bits"]
 
 
+def test_wins_split_by_position(monkeypatch):
+    # interleave runs the last tree last in even pairs and first in odd ones
+    monkeypatch.syspath_prepend(str(TOOLS))
+    benchlib = load("benchlib")
+    times = {"parent": [2.0, 2.0, 2.0, 2.0, 2.0], "change": [1.0, 3.0, 1.0, 1.0, 3.0]}
+    row = benchlib.summary(times, ["parent", "change"])
+    assert (row["change_wins"], row["change_wins_ran_first"], row["change_wins_ran_last"]) == (3, 1, 2)
+
+
 def test_interleaved_a_a_run(monkeypatch):
     # one tree against itself through the long-lived workers: every pair
     # times both sides, and the answers agree to the bit
@@ -84,6 +93,8 @@ def test_interleaved_a_a_run(monkeypatch):
         assert answers[name]["a"] == answers[name]["b"], name
         row = benchlib.summary(times[name], ["a", "b"])
         assert 0 <= row["b_wins"] <= 4
+        assert row["b_wins_ran_first"] + row["b_wins_ran_last"] == row["b_wins"]
+        assert row["b_wins_ran_first"] <= 2 and row["b_wins_ran_last"] <= 2
         for label in "ab":
             assert 0 < row[label]["q1"] <= row[label]["median"] <= row[label]["q3"]
 
@@ -99,4 +110,6 @@ def test_interleaved_simulator_a_a_run(monkeypatch):
     for name in names:
         assert [len(times[name][label]) for label in "ab"] == [3, 3], name
         assert answers[name]["a"] == answers[name]["b"], name
-        assert 0 <= benchlib.summary(times[name], ["a", "b"])["b_wins"] <= 3
+        row = benchlib.summary(times[name], ["a", "b"])
+        assert 0 <= row["b_wins"] <= 3
+        assert row["b_wins_ran_first"] + row["b_wins_ran_last"] == row["b_wins"]

@@ -8,7 +8,8 @@ worker untimed, then, case by case, ``pairs`` times per tree, one op per
 worker in turn, the order of the trees alternating from pair to pair; a
 case may make a 64 MB pass before each op, which evicts the CPU caches.
 :func:`summary` gives each tree's median and quartiles and the last
-tree's win count against the first.
+tree's win count against the first, in all pairs and split by the
+position the last tree ran in.
 """
 
 from __future__ import annotations
@@ -138,13 +139,18 @@ def interleave(script: str, trees, pairs: int, names=None):
 
 def summary(times: dict[str, list[float]], labels) -> dict:
     """Per label the median and quartiles of its times, and the pairs in
-    which the last label's op was faster than the first's."""
+    which the last label's op was faster than the first's: all of them
+    (``*_wins``), those where it ran first (``*_wins_ran_first``, the odd
+    pairs of :func:`interleave`) and those where it ran last
+    (``*_wins_ran_last``, the even pairs)."""
     out = {}
     for label in labels:
         q1, median, q3 = statistics.quantiles(times[label], n=4, method="inclusive")
         out[label] = {"median": sig3(median), "q1": sig3(q1), "q3": sig3(q3)}
-    first, last = times[labels[0]], times[labels[-1]]
-    out[f"{labels[-1]}_wins"] = sum(b < a for a, b in zip(first, last))
+    last = labels[-1]
+    wins = [b < a for a, b in zip(times[labels[0]], times[last])]
+    out[f"{last}_wins"] = sum(wins)
+    out[f"{last}_wins_ran_first"], out[f"{last}_wins_ran_last"] = sum(wins[1::2]), sum(wins[::2])
     return out
 
 
