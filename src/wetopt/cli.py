@@ -35,43 +35,36 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = (
-    "gtable",
-    "optimize",
-    "simulate",
-    "sweep_n1",
-    "sweep_T",
-    "sweep_M",
-    "sweep_N_siso",
-    "bound",
-)
 
-# one linear/dB pair per physical quantity; giving both is an error
-_UNIT_PAIRS = (
-    ("ps_w", "ps_dbm"),
-    ("beta", "beta_db"),
-    ("n0_j", "n0_dbm_per_hz"),
-)
-
-_SCALAR_KEYS = {
-    "m": int,
-    "n": int,
-    "n2": int,
-    "eta": float,
-    "t_s": float,
-    "ps_w": float,
-    "ps_dbm": float,
-    "beta": float,
-    "beta_db": float,
-    "n0_j": float,
-    "n0_dbm_per_hz": float,
-    "bs_hz": float,
-    "trials": int,
-    "seed": int,
+# link key -> SystemParams field, in canonical (echo-config) order
+_LINK_KEYS = {
+    "m": "m",
+    "n": "n",
+    "n2": "n2",
+    "ps_w": "ps",
+    "eta": "eta",
+    "t_s": "t",
+    "beta": "beta",
+    "n0_j": "n0",
 }
-_LIST_KEYS = {"sweep_grid", "gtable_ranks", "gtable_n1", "gtable_m"}
-_TEXT_KEYS = {"experiment", "out"}
-_KNOWN_KEYS = set(_SCALAR_KEYS) | _LIST_KEYS | _TEXT_KEYS
+# dB key -> (its linear key, the dB value of one linear unit: 30 dBm is 1 W);
+# linear = 10 ** ((dB - that) / 10), and giving both forms is an error
+_DB_KEYS = {
+    "ps_dbm": ("ps_w", 30.0),
+    "beta_db": ("beta", 0.0),
+    # Pilot observations come from unit-energy matched filters, so the
+    # per-observation noise energy equals the density numerically.
+    "n0_dbm_per_hz": ("n0_j", 30.0),
+}
+_WITH_DB = [linear for linear, _ in _DB_KEYS.values()]
+# named in the help's order: the link keys without a dB form, then those with one
+_REQUIRED = ["experiment", *(key for key in _LINK_KEYS if key not in _WITH_DB), *_WITH_DB]
+
+_INT_KEYS = {"m", "n", "n2", "trials", "seed"}
+_SCALAR_KEYS = {*_LINK_KEYS, *_DB_KEYS, "bs_hz", "trials", "seed"}
+_GTABLE_KEYS = ("gtable_ranks", "gtable_n1", "gtable_m")
+_LIST_KEYS = {"sweep_grid", *_GTABLE_KEYS}
+_KNOWN_KEYS = _SCALAR_KEYS | _LIST_KEYS | {"experiment", "out"}
 
 _DEFAULT_TRIALS = 10000
 _DEFAULT_SEED = 0
@@ -99,41 +92,21 @@ class ExperimentConfig:
 
         Re-parsing these lines reproduces the config exactly.
         """
-        p = self.params
-        lines = [
-            f"experiment = {self.experiment}",
-            f"m = {p.m}",
-            f"n = {p.n}",
-            f"n2 = {p.n2}",
-            f"ps_w = {p.ps!r}",
-            f"eta = {p.eta!r}",
-            f"t_s = {p.t!r}",
-            f"beta = {p.beta!r}",
-            f"n0_j = {p.n0!r}",
-        ]
+        lines = [f"experiment = {self.experiment}"]
+        for key, field in _LINK_KEYS.items():
+            value = getattr(self.params, field)
+            lines.append(f"{key} = {value if key in _INT_KEYS else repr(value)}")
         if self.bs_hz is not None:
             lines.append(f"bs_hz = {self.bs_hz!r}")
         if self.sweep_grid:
             lines.append("sweep_grid = " + ", ".join(repr(x) for x in self.sweep_grid))
-        for name, grid in (
-            ("gtable_ranks", self.gtable_ranks),
-            ("gtable_n1", self.gtable_n1),
-            ("gtable_m", self.gtable_m),
-        ):
-            if grid:
-                lines.append(f"{name} = " + ", ".join(str(x) for x in grid))
+        for key in _GTABLE_KEYS:
+            if getattr(self, key):
+                lines.append(f"{key} = " + ", ".join(str(x) for x in getattr(self, key)))
         lines.append(f"trials = {self.trials}")
         lines.append(f"seed = {self.seed}")
         lines.append(f"out = {self.output_path}")
         return lines
-
-
-def _dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def _parse_lines(lines, source: str) -> dict[str, str]:
@@ -157,13 +130,12 @@ def _parse_lines(lines, source: str) -> dict[str, str]:
 
 def _convert(key: str, value: str, source: str):
     try:
+        if key in _INT_KEYS:
+            as_float = float(value)
+            if not as_float.is_integer():  # also rejects inf and nan
+                raise ValueError("not an integer")
+            return int(as_float)
         if key in _SCALAR_KEYS:
-            typ = _SCALAR_KEYS[key]
-            if typ is int:
-                as_float = float(value)
-                if not as_float.is_integer():  # also rejects inf and nan
-                    raise ValueError("not an integer")
-                return int(as_float)
             return float(value)
         if key in _LIST_KEYS:
             items = [float(part) for part in value.split(",") if part.strip()]
@@ -175,13 +147,11 @@ def _convert(key: str, value: str, source: str):
         raise ConfigError(f"{source}: bad value for {key!r}: {value!r} ({exc})") from exc
 
 
-def _int_grid(grid: tuple[float, ...], name: str) -> tuple[int, ...]:
-    out = []
+def _int_grid(grid: tuple[float, ...], name: str = "sweep_grid") -> tuple[int, ...]:
     for x in grid:
         if not x.is_integer():  # also rejects inf and nan
             raise ConfigError(f"{name} entries must be integers, got {x!r}")
-        out.append(int(x))
-    return tuple(out)
+    return tuple(int(x) for x in grid)
 
 
 def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentConfig:
@@ -196,22 +166,13 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
     values = {key: _convert(key, val, path) for key, val in raw.items()}
     values.update((key, val) for key, val in (("seed", seed), ("trials", trials), ("out", out)) if val is not None)
 
-    for linear, db in _UNIT_PAIRS:
-        if linear in values and db in values:
-            raise ConfigError(
-                f"{path}: give either {linear!r} or {db!r}, not both"
-            )
-    if "ps_dbm" in values:
-        values["ps_w"] = _dbm_to_watts(values.pop("ps_dbm"))
-    if "beta_db" in values:
-        values["beta"] = _db_to_linear(values.pop("beta_db"))
-    if "n0_dbm_per_hz" in values:
-        # Pilot observations come from unit-energy matched filters, so the
-        # per-observation noise energy equals the density numerically.
-        values["n0_j"] = _dbm_to_watts(values.pop("n0_dbm_per_hz"))
+    for db, (linear, unit_db) in _DB_KEYS.items():
+        if db in values:
+            if linear in values:
+                raise ConfigError(f"{path}: give either {linear!r} or {db!r}, not both")
+            values[linear] = 10.0 ** ((values.pop(db) - unit_db) / 10.0)
 
-    required = ["experiment", "m", "n", "n2", "eta", "t_s", "ps_w", "beta", "n0_j"]
-    missing = [key for key in required if key not in values]
+    missing = [key for key in _REQUIRED if key not in values]
     if missing:
         raise ConfigError(f"{path}: missing required key(s): {', '.join(missing)}")
 
@@ -223,41 +184,30 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
         )
 
     try:
-        params = SystemParams(
-            m=values["m"],
-            n=values["n"],
-            n2=values["n2"],
-            ps=values["ps_w"],
-            eta=values["eta"],
-            t=values["t_s"],
-            beta=values["beta"],
-            n0=values["n0_j"],
-        )
+        params = SystemParams(**{field: values[key] for key, field in _LINK_KEYS.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     sweep_grid = tuple(values.get("sweep_grid", ()))
-    if experiment.startswith("sweep"):
+    read_grid = _EXPERIMENTS[experiment][2]
+    if read_grid is not None:
         if not sweep_grid:
             raise ConfigError(f"{path}: experiment {experiment!r} needs sweep_grid")
         if list(sweep_grid) != sorted(sweep_grid):
             raise ConfigError(f"{path}: sweep_grid must be sorted ascending")
         if any(x <= 0 for x in sweep_grid):
             raise ConfigError(f"{path}: sweep_grid entries must be positive")
-        if experiment in ("sweep_n1", "sweep_M", "sweep_N_siso"):
-            try:
-                _int_grid(sweep_grid, "sweep_grid")
-            except ConfigError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+        try:
+            read_grid(sweep_grid)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
-    gtable_ranks = gtable_n1 = gtable_m = ()
+    gtables = dict.fromkeys(_GTABLE_KEYS, ())
     if experiment == "gtable":
-        for key in ("gtable_ranks", "gtable_n1", "gtable_m"):
+        for key in _GTABLE_KEYS:
             if key not in values:
                 raise ConfigError(f"{path}: experiment 'gtable' needs {key}")
-        gtable_ranks = _int_grid(values["gtable_ranks"], "gtable_ranks")
-        gtable_n1 = _int_grid(values["gtable_n1"], "gtable_n1")
-        gtable_m = _int_grid(values["gtable_m"], "gtable_m")
+        gtables = {key: _int_grid(values[key], key) for key in _GTABLE_KEYS}
 
     trials = values.get("trials", _DEFAULT_TRIALS)
     if trials < 1:
@@ -274,9 +224,7 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
         seed=seed,
         output_path=values.get("out", f"{experiment}.csv"),
         bs_hz=values.get("bs_hz"),
-        gtable_ranks=gtable_ranks,
-        gtable_n1=gtable_n1,
-        gtable_m=gtable_m,
+        **gtables,
     )
 
 
@@ -285,30 +233,35 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
     if isinstance(x, float):
         return "%.11e" % x  # 12 significant digits, fixed-width reproducible
-    return str(x)
+    return str(int(x) if isinstance(x, bool) else x)
 
 
-def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
+def _write_csv(cfg: ExperimentConfig, rows: list[dict], header=None) -> None:
+    """One CSV of ``rows``, each a column -> value dict, below the config's
+    comment block; the header is the first row's columns unless given."""
+    header = list(rows[0]) if header is None else header
     with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as out:
         for line in cfg.canonical_lines():
             out.write(f"# {line}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(x) for x in row) + "\n")
+            out.write(",".join(_fmt(row[column]) for column in header) + "\n")
+
+
+def _grid(cfg: ExperimentConfig) -> tuple:
+    """``sweep_grid`` as its experiment's runner reads it."""
+    return _EXPERIMENTS[cfg.experiment][2](cfg.sweep_grid)
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each runner writes its CSV
 
 
 def emit_gtable(cfg: ExperimentConfig) -> int:
     """Ordered-gain table over the configured (rank, n1, m) grids."""
+    header = ["rank", "n1", "m", "value", "method"]  # given, as no rank may fit
     rows = []
     for m in cfg.gtable_m:
         for n1 in cfg.gtable_n1:
@@ -317,140 +270,86 @@ def emit_gtable(cfg: ExperimentConfig) -> int:
             for rank in cfg.gtable_ranks:
                 if rank > n1:
                     continue
-                rows.append([rank, n1, m, order_stats.gain(rank, n1, m), method])
-    _write_csv(cfg, ["rank", "n1", "m", "value", "method"], rows)
+                rows.append(dict(zip(header, (rank, n1, m, order_stats.gain(rank, n1, m), method))))
+    _write_csv(cfg, rows, header)
     return 0
 
 
-def _run_optimize(cfg: ExperimentConfig) -> int:
+def _run_optimize(cfg: ExperimentConfig) -> None:
     p = cfg.params
     sol = optimizer.optimize_training(p)
     plan = sol.plan
-    header = (
-        ["n1_star", "case", "e1_star_j", "qnet_j", "pnet_w", "cost_j"]
-        + [f"e2_{r}_j" for r in range(1, p.n2 + 1)]
-    )
-    row = [
-        plan.n1,
-        sol.case_used_per_n1[plan.n1].kind,
-        plan.e1,
-        sol.qnet_star,
-        sol.qnet_star / p.t,
-        plan.cost,
-        *plan.e2,
-    ]
-    _write_csv(cfg, header, [row])
-    return 0
+    row = {
+        "n1_star": plan.n1,
+        "case": sol.case_used_per_n1[plan.n1].kind,
+        "e1_star_j": plan.e1,
+        "qnet_j": sol.qnet_star,
+        "pnet_w": sol.qnet_star / p.t,
+        "cost_j": plan.cost,
+    }
+    row.update((f"e2_{r}_j", e2) for r, e2 in enumerate(plan.e2, start=1))
+    _write_csv(cfg, [row])
 
 
-def _run_simulate(cfg: ExperimentConfig) -> int:
+def _run_simulate(cfg: ExperimentConfig) -> None:
     p = cfg.params
     sol = optimizer.optimize_training(p)
     report = channel_sim.run_two_phase(sol.plan, p, cfg.trials, cfg.seed)
     qbar = average_harvested_energy(sol.plan, p)
-    qnet = net_harvested_energy(sol.plan, p)
-    header = [
-        "n1_star",
-        "e1_star_j",
-        "qnet_analytic_j",
-        "qnet_sim_j",
-        "qnet_sim_stderr_j",
-        "qbar_analytic_j",
-        "qbar_sim_j",
-        "within_3_stderr",
-    ]
-    row = [
-        sol.plan.n1,
-        sol.plan.e1,
-        qnet,
-        report.mean_qnet,
-        report.stderr,
-        qbar,
-        report.mean_qbar,
-        abs(report.mean_qbar - qbar) <= 3.0 * report.stderr,
-    ]
-    _write_csv(cfg, header, [row])
-    return 0
+    row = {
+        "n1_star": sol.plan.n1,
+        "e1_star_j": sol.plan.e1,
+        "qnet_analytic_j": net_harvested_energy(sol.plan, p),
+        "qnet_sim_j": report.mean_qnet,
+        "qnet_sim_stderr_j": report.stderr,
+        "qbar_analytic_j": qbar,
+        "qbar_sim_j": report.mean_qbar,
+        "within_3_stderr": abs(report.mean_qbar - qbar) <= 3.0 * report.stderr,
+    }
+    _write_csv(cfg, [row])
 
 
-def _run_bound(cfg: ExperimentConfig) -> int:
+def _run_bound(cfg: ExperimentConfig) -> None:
     p = cfg.params
     report = asymptotics.saturation_bound(p)
-    header = ["n", "bound_j", "bound_w", "lambert_bound_j", "n1_star", "trivial_branch"]
-    row = [
-        p.n,
-        report.bound,
-        report.bound / p.t,
-        report.lambert_bound,
-        report.n1_star,
-        report.trivial_branch,
-    ]
-    _write_csv(cfg, header, [row])
-    return 0
+    row = {
+        "n": p.n,
+        "bound_j": report.bound,
+        "bound_w": report.bound / p.t,
+        "lambert_bound_j": report.lambert_bound,
+        "n1_star": report.n1_star,
+        "trivial_branch": report.trivial_branch,
+    }
+    _write_csv(cfg, [row])
 
 
-def _run_sweep_n1(cfg: ExperimentConfig) -> int:
+def _run_sweep_n1(cfg: ExperimentConfig) -> None:
     p = cfg.params
-    grid = _int_grid(cfg.sweep_grid, "sweep_grid")
-    header = [
-        "n1",
-        "case",
-        "e1_star_j",
-        "e2_1_star_j",
-        "qnet_analytic_j",
-        "pnet_analytic_w",
-        "qnet_sim_j",
-        "qnet_sim_stderr_j",
-        "pnet_sim_w",
-    ]
+    grid = _grid(cfg)
     rows = []
     curve = optimizer.solve_curve(grid, p)
     for i, n1 in enumerate(grid):
         plan, value = curve.plan(i, p), float(curve.value[i])
         report = channel_sim.run_two_phase(plan, p, cfg.trials, cfg.seed + i)
         rows.append(
-            [
-                n1,
-                optimizer._label(int(curve.code[i])).kind,
-                plan.e1,
-                plan.e2[0],
-                value,
-                value / p.t,
-                report.mean_qnet,
-                report.stderr,
-                report.mean_qnet / p.t,
-            ]
+            {
+                "n1": n1,
+                "case": optimizer._label(int(curve.code[i])).kind,
+                "e1_star_j": plan.e1,
+                "e2_1_star_j": plan.e2[0],
+                "qnet_analytic_j": value,
+                "pnet_analytic_w": value / p.t,
+                "qnet_sim_j": report.mean_qnet,
+                "qnet_sim_stderr_j": report.stderr,
+                "pnet_sim_w": report.mean_qnet / p.t,
+            }
         )
-    _write_csv(cfg, header, rows)
-    return 0
+    _write_csv(cfg, rows)
 
 
-_BENCH_HEADER = [
-    "n1_star",
-    "case",
-    "e1_star_j",
-    "e2_1_star_j",
-    "qnet_twophase_j",
-    "pnet_twophase_w",
-    "qnet_twophase_sim_j",
-    "qnet_twophase_sim_stderr_j",
-    "pnet_perfect_w",
-    "pnet_perfect_sim_w",
-    "pnet_perfect_sim_stderr_w",
-    "pnet_nocsi_w",
-    "pnet_nocsi_sim_w",
-    "pnet_nocsi_sim_stderr_w",
-    "pnet_phase1_sim_w",
-    "pnet_phase1_sim_stderr_w",
-    "pnet_phase2_sim_w",
-    "pnet_phase2_sim_stderr_w",
-    "pnet_bruteforce_sim_w",
-    "pnet_bruteforce_sim_stderr_w",
-    "bruteforce_e_j",
-]
-
-
-def _benchmark_columns(p: SystemParams, trials: int, seed: int) -> list:
+def _benchmark_columns(p: SystemParams, trials: int, seed: int) -> dict:
+    """The optimized design beside the five benchmark schemes, analytic and
+    simulated on common random numbers."""
     sol = optimizer.optimize_training(p)
     p1_plan, _ = optimizer.solve_phase1_only(p)
     p2_plan, _ = optimizer.solve_phase2_only(p)
@@ -466,98 +365,79 @@ def _benchmark_columns(p: SystemParams, trials: int, seed: int) -> list:
         ),
         p, trials, seed,
     )
-    return [
-        sol.plan.n1,
-        sol.case_used_per_n1[sol.plan.n1].kind,
-        sol.plan.e1,
-        sol.plan.e2[0],
-        sol.qnet_star,
-        sol.qnet_star / p.t,
-        two.mean_qnet,
-        two.stderr,
-        asymptotics.perfect_csi_average(p) / p.t,
-        perfect.mean_qnet / p.t,
-        perfect.stderr / p.t,
-        p.eta_t_ps * p.beta * p.n2 / p.t,
-        nocsi.mean_qnet / p.t,
-        nocsi.stderr / p.t,
-        phase1.mean_qnet / p.t,
-        phase1.stderr / p.t,
-        phase2.mean_qnet / p.t,
-        phase2.stderr / p.t,
-        brute.mean_qnet / p.t,
-        brute.stderr / p.t,
-        bf_energy,
-    ]
+    return {
+        "n1_star": sol.plan.n1,
+        "case": sol.case_used_per_n1[sol.plan.n1].kind,
+        "e1_star_j": sol.plan.e1,
+        "e2_1_star_j": sol.plan.e2[0],
+        "qnet_twophase_j": sol.qnet_star,
+        "pnet_twophase_w": sol.qnet_star / p.t,
+        "qnet_twophase_sim_j": two.mean_qnet,
+        "qnet_twophase_sim_stderr_j": two.stderr,
+        "pnet_perfect_w": asymptotics.perfect_csi_average(p) / p.t,
+        "pnet_perfect_sim_w": perfect.mean_qnet / p.t,
+        "pnet_perfect_sim_stderr_w": perfect.stderr / p.t,
+        "pnet_nocsi_w": p.eta_t_ps * p.beta * p.n2 / p.t,
+        "pnet_nocsi_sim_w": nocsi.mean_qnet / p.t,
+        "pnet_nocsi_sim_stderr_w": nocsi.stderr / p.t,
+        "pnet_phase1_sim_w": phase1.mean_qnet / p.t,
+        "pnet_phase1_sim_stderr_w": phase1.stderr / p.t,
+        "pnet_phase2_sim_w": phase2.mean_qnet / p.t,
+        "pnet_phase2_sim_stderr_w": phase2.stderr / p.t,
+        "pnet_bruteforce_sim_w": brute.mean_qnet / p.t,
+        "pnet_bruteforce_sim_stderr_w": brute.stderr / p.t,
+        "bruteforce_e_j": bf_energy,
+    }
 
 
-def _run_sweep_t(cfg: ExperimentConfig) -> int:
-    rows = []
-    for i, t in enumerate(cfg.sweep_grid):
-        p = replace(cfg.params, t=float(t))
-        rows.append([float(t)] + _benchmark_columns(p, cfg.trials, cfg.seed + i))
-    _write_csv(cfg, ["t_s"] + _BENCH_HEADER, rows)
-    return 0
+def _siso_columns(p: SystemParams, trials: int, seed: int) -> dict:
+    """The optimized net energy beside the perfect-CSI average and the
+    wideband saturation bound; analytic only, so ``trials`` and ``seed``
+    go unread."""
+    sol = optimizer.optimize_training(p)
+    ideal = asymptotics.perfect_csi_average(p)
+    bound = asymptotics.saturation_bound(p)
+    return {
+        "n1_star": sol.plan.n1,
+        "e1_star_j": sol.plan.e1,
+        "qnet_twophase_j": sol.qnet_star,
+        "pnet_twophase_w": sol.qnet_star / p.t,
+        "qbar_ideal_j": ideal,
+        "pbar_ideal_w": ideal / p.t,
+        "bound_j": bound.bound,
+        "bound_w": bound.bound / p.t,
+        "lambert_bound_j": bound.lambert_bound,
+    }
 
 
-def _run_sweep_m(cfg: ExperimentConfig) -> int:
-    grid = _int_grid(cfg.sweep_grid, "sweep_grid")
-    rows = []
-    for i, m in enumerate(grid):
-        p = replace(cfg.params, m=m)
-        rows.append([m] + _benchmark_columns(p, cfg.trials, cfg.seed + i))
-    _write_csv(cfg, ["m"] + _BENCH_HEADER, rows)
-    return 0
+def _param_sweep(key: str, columns):
+    """Runner of a sweep over the link key ``key``: row i sets its field to
+    the i-th grid value, leads with that value, and takes the rest from
+    ``columns(params, trials, seed + i)``."""
+    field = _LINK_KEYS[key]
+
+    def run(cfg: ExperimentConfig) -> None:
+        rows = []
+        for i, x in enumerate(_grid(cfg)):
+            p = replace(cfg.params, **{field: x})
+            rows.append({key: x, **columns(p, cfg.trials, cfg.seed + i)})
+        _write_csv(cfg, rows)
+
+    return run
 
 
-def _run_sweep_n_siso(cfg: ExperimentConfig) -> int:
-    grid = _int_grid(cfg.sweep_grid, "sweep_grid")
-    header = [
-        "n",
-        "n1_star",
-        "e1_star_j",
-        "qnet_twophase_j",
-        "pnet_twophase_w",
-        "qbar_ideal_j",
-        "pbar_ideal_w",
-        "bound_j",
-        "bound_w",
-        "lambert_bound_j",
-    ]
-    rows = []
-    for n in grid:
-        p = replace(cfg.params, n=n)
-        sol = optimizer.optimize_training(p)
-        ideal = asymptotics.perfect_csi_average(p)
-        bound = asymptotics.saturation_bound(p)
-        rows.append(
-            [
-                n,
-                sol.plan.n1,
-                sol.plan.e1,
-                sol.qnet_star,
-                sol.qnet_star / p.t,
-                ideal,
-                ideal / p.t,
-                bound.bound,
-                bound.bound / p.t,
-                bound.lambert_bound,
-            ]
-        )
-    _write_csv(cfg, header, rows)
-    return 0
-
-
-_RUNNERS = {
-    "gtable": emit_gtable,
-    "optimize": _run_optimize,
-    "simulate": _run_simulate,
-    "sweep_n1": _run_sweep_n1,
-    "sweep_T": _run_sweep_t,
-    "sweep_M": _run_sweep_m,
-    "sweep_N_siso": _run_sweep_n_siso,
-    "bound": _run_bound,
+# experiment -> (subcommand, runner, reader of its sweep_grid or None if unswept)
+_EXPERIMENTS = {
+    "gtable": ("gtable", emit_gtable, None),
+    "optimize": ("optimize", _run_optimize, None),
+    "simulate": ("simulate", _run_simulate, None),
+    "sweep_n1": ("sweep", _run_sweep_n1, _int_grid),
+    "sweep_T": ("sweep", _param_sweep("t_s", _benchmark_columns), tuple),
+    "sweep_M": ("sweep", _param_sweep("m", _benchmark_columns), _int_grid),
+    "sweep_N_siso": ("sweep", _param_sweep("n", _siso_columns), _int_grid),
+    "bound": ("bound", _run_bound, None),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -566,9 +446,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     0 on success, 1 on numeric failure (message names the failing module
     and inputs), 2 on I/O failure.
     """
-    runner = _RUNNERS[cfg.experiment]
+    runner = _EXPERIMENTS[cfg.experiment][1]
     try:
-        return runner(cfg)
+        runner(cfg)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 2
@@ -579,6 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             file=sys.stderr,
         )
         return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_EXPERIMENTS = {
-    "gtable": ("gtable",),
-    "optimize": ("optimize",),
-    "simulate": ("simulate",),
-    "sweep": ("sweep_n1", "sweep_T", "sweep_M", "sweep_N_siso"),
-    "bound": ("bound",),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -636,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in cfg.canonical_lines():
                 print(line)
             return 0
-        allowed = _COMMAND_EXPERIMENTS[args.command]
+        allowed = tuple(name for name, (command, *_) in _EXPERIMENTS.items() if command == args.command)
         if cfg.experiment not in allowed:
             raise ConfigError(
                 f"subcommand {args.command!r} expects experiment in "

@@ -434,6 +434,8 @@ def _stationary_rows(piece, n1: np.ndarray):
     g, b, d0 = piece
     curve = b * (1.0 - g)  # g_i (1-g_i)^2 / n1, the terms of h'
     out, live = np.full(d0.size, np.nan), np.arange(d0.size)
+    if not d0.size:
+        return out
     x = np.sqrt(d0 - b.sum(axis=1)) - 1.0
     lo, hi, last, near = np.zeros(x.size), 2.0 * x + 1.0, np.nan, np.zeros(x.size, dtype=bool)
     for _ in range(_ROOT_STEPS):

@@ -411,3 +411,88 @@ def test_cli_import_skips_oracle_modules():
     )
     result = fresh_python(code)
     assert result.returncode == 0, result.stderr
+
+
+BENCHMARK_COLUMNS = (
+    "n1_star,case,e1_star_j,e2_1_star_j,qnet_twophase_j,pnet_twophase_w,"
+    "qnet_twophase_sim_j,qnet_twophase_sim_stderr_j,pnet_perfect_w,pnet_perfect_sim_w,"
+    "pnet_perfect_sim_stderr_w,pnet_nocsi_w,pnet_nocsi_sim_w,pnet_nocsi_sim_stderr_w,"
+    "pnet_phase1_sim_w,pnet_phase1_sim_stderr_w,pnet_phase2_sim_w,pnet_phase2_sim_stderr_w,"
+    "pnet_bruteforce_sim_w,pnet_bruteforce_sim_stderr_w,bruteforce_e_j"
+)
+
+
+class TestCliContract:
+    """The CSV columns, messages and call paths that scripts and the
+    benchmark harness read."""
+
+    # experiment -> (subcommand, extra config lines, the CSV header)
+    HEADERS = {
+        "gtable": ("gtable", "gtable_ranks = 1, 2\ngtable_n1 = 3\ngtable_m = 2\n", "rank,n1,m,value,method"),
+        "optimize": ("optimize", "", "n1_star,case,e1_star_j,qnet_j,pnet_w,cost_j,e2_1_j,e2_2_j"),
+        "simulate": (
+            "simulate", "",
+            "n1_star,e1_star_j,qnet_analytic_j,qnet_sim_j,qnet_sim_stderr_j,"
+            "qbar_analytic_j,qbar_sim_j,within_3_stderr",
+        ),
+        "sweep_n1": (
+            "sweep", "sweep_grid = 2, 10\n",
+            "n1,case,e1_star_j,e2_1_star_j,qnet_analytic_j,pnet_analytic_w,"
+            "qnet_sim_j,qnet_sim_stderr_j,pnet_sim_w",
+        ),
+        "sweep_T": ("sweep", "sweep_grid = 1e-3\n", "t_s," + BENCHMARK_COLUMNS),
+        "sweep_M": ("sweep", "sweep_grid = 2\n", "m," + BENCHMARK_COLUMNS),
+        "sweep_N_siso": (
+            "sweep", "sweep_grid = 10, 12\n",
+            "n,n1_star,e1_star_j,qnet_twophase_j,pnet_twophase_w,qbar_ideal_j,"
+            "pbar_ideal_w,bound_j,bound_w,lambert_bound_j",
+        ),
+        "bound": ("bound", "", "n,bound_j,bound_w,lambert_bound_j,n1_star,trivial_branch"),
+    }
+
+    @pytest.mark.parametrize("experiment", HEADERS)
+    def test_exact_header(self, tmp_path, experiment):
+        command, extra, header = self.HEADERS[experiment]
+        path, out = TestOtherExperiments()._base(tmp_path, experiment, "h.csv", extra=extra)
+        assert main([command, "--config", path, "--trials", "20"]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == header
+        assert all(len(l.split(",")) == len(lines[0].split(",")) for l in lines[1:])
+
+    def test_gtable_with_no_rank_in_range_writes_the_header_alone(self, tmp_path):
+        extra = "gtable_ranks = 5, 6\ngtable_n1 = 2, 4\ngtable_m = 1, 3\n"
+        path, out = TestOtherExperiments()._base(tmp_path, "gtable", "g.csv", extra=extra)
+        assert main(["gtable", "--config", path]) == 0
+        lines = out.read_text().splitlines()
+        assert [l for l in lines if not l.startswith("#")] == ["rank,n1,m,value,method"]
+        assert "# gtable_ranks = 5, 6" in lines
+
+    def test_missing_keys_named_in_help_order(self, tmp_path, capsys):
+        # the link keys without a dB form first, then those with one
+        text = ISM_DEFAULTS
+        for line in ("eta = 0.8\n", "t_s = 5e-5\n", "ps_w = 0.06\n", "n0_dbm_per_hz = -160\n", "m = 10\n"):
+            text = text.replace(line, "")
+        assert main(["optimize", "--config", write(tmp_path, text)]) == 2
+        assert "missing required key(s): m, eta, t_s, ps_w, n0_j\n" in capsys.readouterr().err
+
+    def test_main_reaches_parse_and_run_through_the_module(self, tmp_path, monkeypatch):
+        # perfbench's tracer rebinds these module names to time them
+        import wetopt.cli as cli_mod
+
+        calls = []
+        real_parse, real_run = cli_mod.parse_config, cli_mod.run_experiment
+
+        def parse(*args, **kwargs):
+            calls.append("parse_config")
+            return real_parse(*args, **kwargs)
+
+        def run(cfg):
+            calls.append("run_experiment")
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli_mod, "parse_config", parse)
+        monkeypatch.setattr(cli_mod, "run_experiment", run)
+        path, out = TestOtherExperiments()._base(tmp_path, "bound", "b.csv")
+        assert main(["bound", "--config", path]) == 0
+        assert calls == ["parse_config", "run_experiment"]
+        assert out.exists()

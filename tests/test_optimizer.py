@@ -1221,6 +1221,14 @@ class TestCertifiedNewton:
             assert np.array_equal(sums < 0.0, direct < 0.0)
             assert np.all(np.abs(sums - direct) <= 16 * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize("ranks", [0, 3])
+    def test_zero_rows_solve_to_nothing(self, ranks):
+        # with no row, every row counts as near, and the first pass once read
+        # h beside the iterates before evaluating it (UnboundLocalError)
+        piece = (np.zeros((0, ranks)), np.zeros((0, ranks)), np.zeros(0))
+        out = optimizer._stationary_rows(piece, np.zeros(0, dtype=int))
+        assert out.shape == (0,) and out.dtype == float
+
 
 def piece_zero_bounds(p: SystemParams) -> tuple[int, int]:
     """Asserts the optimizer's bounds on every row of ``p``'s ordered gains,

@@ -74,6 +74,8 @@ def test_wins_split_by_position(monkeypatch):
     times = {"parent": [2.0, 2.0, 2.0, 2.0, 2.0], "change": [1.0, 3.0, 1.0, 1.0, 3.0]}
     row = benchlib.summary(times, ["parent", "change"])
     assert (row["change_wins"], row["change_wins_ran_first"], row["change_wins_ran_last"]) == (3, 1, 2)
+    # the bench scripts print the split beside the total
+    assert benchlib.wins_text(row, ["parent", "change"], 5) == "wins 3/5 (ran first 1/2, ran last 2/3)"
 
 
 def test_interleaved_a_a_run(monkeypatch):

@@ -142,11 +142,10 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    wins = f"{labels[-1]}_wins"
     for row, answer in zip(report["rows"], report["answers"]):
         cells = "".join(f"  {label} {row[label]['median']:9.3g}" for label in labels)
         print(
-            f"{row['case']:62s}{cells}  wins {row[wins]}/{PAIRS}"
+            f"{row['case']:62s}{cells}  {benchlib.wins_text(row, labels, PAIRS)}"
             f"  same bits {answer['same_bits']}"
         )
     return 0

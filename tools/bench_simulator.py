@@ -132,10 +132,9 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    wins = f"{labels[-1]}_wins"
     for row in report["rows"]:
         cells = "".join(f"  {label} {row[label]['median']:9.3g}" for label in labels)
-        print(f"{row['case']:62s}{cells}  wins {row[wins]}/{PAIRS}  same bits {row['same_bits']}")
+        print(f"{row['case']:62s}{cells}  {benchlib.wins_text(row, labels, PAIRS)}  same bits {row['same_bits']}")
     return 0
 
 

@@ -154,6 +154,17 @@ def summary(times: dict[str, list[float]], labels) -> dict:
     return out
 
 
+def wins_text(row: dict, labels, pairs: int) -> str:
+    """A :func:`summary` row's win counts as the bench scripts print them:
+    in all pairs, and split by the position the last label ran in, which
+    moves the times more than many changes do."""
+    wins = f"{labels[-1]}_wins"
+    return (
+        f"wins {row[wins]}/{pairs} (ran first {row[wins + '_ran_first']}/{pairs // 2},"
+        f" ran last {row[wins + '_ran_last']}/{pairs - pairs // 2})"
+    )
+
+
 def sig3(seconds: float) -> float:
     """``seconds`` to three significant figures, as written to a report."""
     return float(f"{seconds:.3g}")
