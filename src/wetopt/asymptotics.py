@@ -129,8 +129,8 @@ def saturation_bound(p: SystemParams) -> BoundReport:
     if p.m == 1 and p.n2 == 1:
         # The relaxation is tight here, so the bound must consume the same
         # memoized gains as the optimizer or it can dip below the optimum
-        # by a rounding ulp.
-        harmonic = np.array([order_stats.gain(1, k, 1) for k in range(1, p.n + 1)])
+        # by a rounding ulp: after a solve at this n, a view of its stack.
+        harmonic = order_stats.stacked_gains(1, p.n, 1)[:, 0]
     else:
         harmonic = np.cumsum(1.0 / np.arange(1, p.n + 1))
     surplus = harmonic[p.n2 - 1 :] - 1.0

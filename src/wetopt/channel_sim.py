@@ -377,11 +377,11 @@ def _kernel(scheme: Scheme, p: SystemParams):
 
 
 def _report(harvest: np.ndarray, cost: float, seed: int, p: SystemParams) -> EnergyReport:
-    """Report, in joules, on the per-trial harvests over beta."""
-    per_trial = harvest * (p.eta_t_ps * p.beta)
-    trials = len(per_trial)
-    mean_qbar = float(per_trial.mean())
-    stderr = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    """Report, in joules, on the per-trial harvests over beta, each scaled
+    once: the spread too, as squared joules overflow past 1e154."""
+    scale, trials = p.eta_t_ps * p.beta, len(harvest)
+    mean_qbar = float((harvest * scale).mean())
+    stderr = float(harvest.std(ddof=1) * scale / math.sqrt(trials)) if trials > 1 else 0.0
     return EnergyReport(mean_qbar - cost, mean_qbar, cost, stderr, trials, seed)
 
 

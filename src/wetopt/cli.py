@@ -189,7 +189,7 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
         raise ConfigError(f"{path}: {exc}") from exc
 
     sweep_grid = tuple(values.get("sweep_grid", ()))
-    read_grid = _EXPERIMENTS[experiment][2]
+    _, _, read_grid, swept = _EXPERIMENTS[experiment]
     if read_grid is not None:
         if not sweep_grid:
             raise ConfigError(f"{path}: experiment {experiment!r} needs sweep_grid")
@@ -198,9 +198,13 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
         if any(x <= 0 for x in sweep_grid):
             raise ConfigError(f"{path}: sweep_grid entries must be positive")
         try:
-            read_grid(sweep_grid)
+            for x in read_grid(sweep_grid):  # each row's link, as the runner builds it
+                if swept:
+                    replace(params, **{_LINK_KEYS[swept]: x})
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: sweep_grid value {swept} = {x!r}: {exc}") from exc
 
     gtables = dict.fromkeys(_GTABLE_KEYS, ())
     if experiment == "gtable":
@@ -410,32 +414,29 @@ def _siso_columns(p: SystemParams, trials: int, seed: int) -> dict:
     }
 
 
-def _param_sweep(key: str, columns):
-    """Runner of a sweep over the link key ``key``: row i sets its field to
-    the i-th grid value, leads with that value, and takes the rest from
+def _param_sweep(columns, cfg: ExperimentConfig) -> None:
+    """A sweep over the experiment's link key: row i sets that key's field
+    to the i-th grid value, leads with that value, and takes the rest from
     ``columns(params, trials, seed + i)``."""
-    field = _LINK_KEYS[key]
-
-    def run(cfg: ExperimentConfig) -> None:
-        rows = []
-        for i, x in enumerate(_grid(cfg)):
-            p = replace(cfg.params, **{field: x})
-            rows.append({key: x, **columns(p, cfg.trials, cfg.seed + i)})
-        _write_csv(cfg, rows)
-
-    return run
+    key = _EXPERIMENTS[cfg.experiment][3]
+    rows = []
+    for i, x in enumerate(_grid(cfg)):
+        p = replace(cfg.params, **{_LINK_KEYS[key]: x})
+        rows.append({key: x, **columns(p, cfg.trials, cfg.seed + i)})
+    _write_csv(cfg, rows)
 
 
-# experiment -> (subcommand, runner, reader of its sweep_grid or None if unswept)
+# experiment -> (subcommand, runner, reader of its sweep_grid or None if unswept,
+# the link key its grid replaces or None)
 _EXPERIMENTS = {
-    "gtable": ("gtable", emit_gtable, None),
-    "optimize": ("optimize", _run_optimize, None),
-    "simulate": ("simulate", _run_simulate, None),
-    "sweep_n1": ("sweep", _run_sweep_n1, _int_grid),
-    "sweep_T": ("sweep", _param_sweep("t_s", _benchmark_columns), tuple),
-    "sweep_M": ("sweep", _param_sweep("m", _benchmark_columns), _int_grid),
-    "sweep_N_siso": ("sweep", _param_sweep("n", _siso_columns), _int_grid),
-    "bound": ("bound", _run_bound, None),
+    "gtable": ("gtable", emit_gtable, None, None),
+    "optimize": ("optimize", _run_optimize, None, None),
+    "simulate": ("simulate", _run_simulate, None, None),
+    "sweep_n1": ("sweep", _run_sweep_n1, _int_grid, None),
+    "sweep_T": ("sweep", functools.partial(_param_sweep, _benchmark_columns), tuple, "t_s"),
+    "sweep_M": ("sweep", functools.partial(_param_sweep, _benchmark_columns), _int_grid, "m"),
+    "sweep_N_siso": ("sweep", functools.partial(_param_sweep, _siso_columns), _int_grid, "n"),
+    "bound": ("bound", _run_bound, None, None),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 

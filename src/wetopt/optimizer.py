@@ -40,7 +40,7 @@ The n1 sweep runs in lockstep on the (n1 count, n2) gain array of
 :func:`order_stats.stacked_gains` and its t-independent row data, built on
 the array's first solve and kept until the array is replaced; a solve at a
 new t makes only t-dependent numpy passes over blocks of rows, filling a
-:class:`Curve`.  :func:`solve_curve` runs the same code on any set of n1.
+:class:`Curve`.  :func:`solve_curve` runs the same code on the rows of any n1.
 """
 
 from __future__ import annotations
@@ -282,8 +282,8 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     count of ranks strictly above the threshold.
     """
     check_n1(n1, p)
-    gains = order_stats.gains_up_to(p.n2, n1, p.m)[None, :]
-    return _label(int(_case_codes(_row_data(gains, np.array([n1]), p.m), p)[0]))
+    row = slice(n1 - p.n2, n1 - p.n2 + 1)
+    return _label(int(_case_codes(SimpleNamespace(**{k: a[row] for k, a in vars(_stacked_rows(p)).items()}), p)[0]))
 
 
 def _case_codes(data: SimpleNamespace, p: SystemParams) -> np.ndarray:
@@ -538,14 +538,11 @@ def _curve(data: SimpleNamespace, n1: np.ndarray, p: SystemParams) -> Curve:
 
 def solve_curve(n1s, p: SystemParams) -> Curve:
     """Best phase-1 energy and value for each n1 in ``n1s``, in the order
-    given; the gains are read largest population first."""
+    given, from rows ``n1 - n2`` of the row data :func:`optimize_training` reads."""
     for n1 in n1s:
         check_n1(n1, p)
-    gains = np.empty((len(n1s), p.n2))
-    for i in np.argsort(n1s)[::-1].tolist():
-        gains[i] = order_stats.gains_up_to(p.n2, n1s[i], p.m)
     n1 = np.array(n1s, dtype=int)
-    return _curve(_row_data(gains, n1, p.m), n1, p)
+    return _curve(SimpleNamespace(**{k: a[n1 - p.n2] for k, a in vars(_stacked_rows(p)).items()}), n1, p)
 
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:

@@ -10,7 +10,7 @@ still selected for transmission.
 Three mutually checking evaluation routes are provided:
 
 * ``gain_closed_form``   exact rational arithmetic on the alternating
-  binomial/multinomial sums (small populations only),
+  binomial/multinomial sums (small populations only; an oracle),
 * ``gain_quadrature``    adaptive quadrature of the order-statistic
   survival function (any size),
 * ``gain_monte_carlo``   direct simulation (independent oracle).
@@ -18,16 +18,17 @@ Three mutually checking evaluation routes are provided:
 ``gains_up_to`` and ``gain`` serve every production caller from one memo
 keyed by ``(N, M)``: each entry is a read-only array of the gains of
 ranks ``1..k`` of population ``N``, held whole when ``k == N``.  In the
-closed-form domain (:func:`closed_form_domain`) an entry holds the exact
-gains; elsewhere it comes from the gain triangle below, and
-``gain_quadrature`` serves as the triangle's oracle.  Every entry on the
-quadrature route derives from exactly one integrated population: a miss
-walks down from the nearest population held whole above it, past any
-populations the memo lacks, switches to the stored array of each
-population held whole that it passes, and never rewrites an entry that
-already holds the ranks asked for.  A fill holds one module-level lock; a
-hit reads one array without it.  ``stacked_gains`` copies a range of
-populations once into one read-only array.
+closed-form domain (:func:`closed_form_domain`: one antenna, or one band)
+an entry holds the exact gains; every other entry comes from the gain
+triangle below, with ``gain_quadrature`` and ``gain_closed_form`` as its
+oracles.  Every entry on the quadrature route derives from exactly one
+integrated population: a miss walks down from the nearest population held
+whole above it, past any populations the memo lacks, switches to the
+stored array of each population held whole that it passes, and never
+rewrites an entry that already holds the ranks asked for.  A fill holds
+one module-level lock; a hit reads one array without it.
+``stacked_gains`` copies a range of populations once into one read-only
+array.
 
 On the quadrature route ``gains_up_to`` builds a whole gain triangle at
 once.  One adaptive pass integrates every rank of the largest population
@@ -504,16 +505,11 @@ _stacks: dict[tuple[int, int], np.ndarray] = {}
 
 
 def closed_form_domain(pop: int, dim: int) -> bool:
-    """True where :func:`gains_up_to` takes the exact closed form.
-
-    That is ``dim == 1`` (harmonic tails) or ``pop == 1`` at any size, and
-    populations up to ``CLOSED_FORM_MAX_POP`` at dimensions up to
-    ``CLOSED_FORM_MAX_DIM``; everywhere else the gains come from the
-    quadrature and its triangle.
+    """True where :func:`gains_up_to` takes the exact closed form: ``dim == 1``
+    (harmonic tails) or ``pop == 1`` (the gain is ``dim``), at any size;
+    everywhere else the gains come from the quadrature and its triangle.
     """
-    if dim == 1 or pop == 1:
-        return True
-    return pop <= CLOSED_FORM_MAX_POP and dim <= CLOSED_FORM_MAX_DIM
+    return dim == 1 or pop == 1
 
 
 def _hold(pop: int, dim: int, values) -> np.ndarray:
@@ -526,19 +522,17 @@ def _hold(pop: int, dim: int, values) -> np.ndarray:
 def _walk_down(rank_max: int, level: np.ndarray, dim: int) -> None:
     """Memoize ranks 1..rank_max of each population below ``level``'s.
 
-    ``level`` holds every rank of population ``len(level)``.  The triangle
-    rule (module docstring) steps down one population at a time, to
-    ``rank_max`` or to the first population in the closed-form domain.  On
-    reaching a population held whole the walk continues from its array, so
-    every population keeps the one source it first had; a population that
-    already holds ``rank_max`` ranks is left as it is.  Each population
-    stores a copy of its first ``rank_max`` gains, so the memo grows by
-    ``O(pop * rank_max)`` floats.
+    ``level`` holds every rank of population ``len(level)``, ``dim >= 2``.
+    The triangle rule (module docstring) steps down one population at a
+    time, to ``rank_max`` or to population 2, as a single band's gain is
+    ``dim`` exactly.  On reaching a population held whole the walk continues
+    from its array, so every population keeps the one source it first had;
+    a population that already holds ``rank_max`` ranks is left as it is.
+    Each population stores a copy of its first ``rank_max`` gains, so the
+    memo grows by ``O(pop * rank_max)`` floats.
     """
     ranks = np.arange(1.0, level.size)
-    for n in range(level.size, rank_max, -1):
-        if closed_form_domain(n - 1, dim):
-            return
+    for n in range(level.size, max(rank_max, 2), -1):
         r = ranks[: n - 1]
         level = ((n - r) * level[:-1] + r * level[1:]) / n
         held = _memo.get((n - 1, dim))
@@ -553,35 +547,32 @@ def _fill(rank_max: int, pop: int, dim: int) -> None:
     held = _memo.get((pop, dim))
     if held is not None and held.size >= rank_max:
         return  # filled by another thread meanwhile
-    if closed_form_domain(pop, dim):
-        if dim == 1:
-            done = [] if held is None else held.tolist()
-            tails = [_harmonic_tail(n, pop) for n in range(len(done) + 1, rank_max + 1)]
-            _hold(pop, dim, done + tails)
-        elif pop == 1:
-            _hold(pop, dim, [float(dim)])
-        else:
-            _hold(pop, dim, [float(g) for g in _closed_gain_fractions(pop, dim)])
-        return
-    whole = [n for (n, d), held in _memo.items() if d == dim and n > pop and held.size == n]
-    level = _memo[(min(whole), dim)] if whole else _hold(pop, dim, _quadrature_gains(pop, pop, dim))
-    _walk_down(rank_max, level, dim)
+    if dim == 1:
+        done = [] if held is None else held.tolist()
+        tails = [_harmonic_tail(n, pop) for n in range(len(done) + 1, rank_max + 1)]
+        _hold(pop, dim, done + tails)
+    elif pop == 1:
+        _hold(pop, dim, [float(dim)])
+    else:
+        whole = [n for (n, d), held in _memo.items() if d == dim and n > pop and held.size == n]
+        level = _memo[(min(whole), dim)] if whole else _hold(pop, dim, _quadrature_gains(pop, pop, dim))
+        _walk_down(rank_max, level, dim)
 
 
 def gains_up_to(rank_max: int, pop: int, dim: int) -> np.ndarray:
     """Gains for ranks 1..rank_max as one read-only array.
 
     A memo hit is one read of the ``(pop, dim)`` array and a slice.  On a
-    miss, a population in the closed-form domain stores the exact gains
-    of every rank (``dim == 1``: the harmonic tails of ranks 1..rank_max,
-    extended by a later miss).  On the quadrature route the miss walks the
+    miss, a population in the closed-form domain stores its exact gains
+    (``dim == 1``: the harmonic tails of ranks 1..rank_max, extended by a
+    later miss; ``pop == 1``: ``dim``).  Every other miss walks the
     triangle rule ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n``
     down from the smallest population above ``pop`` that the memo holds
     whole, whatever gaps lie between; if there is none, one adaptive
     pass integrates all ``pop`` ranks (they share every binomial term) and
     the walk starts there.  The walk memoizes ranks 1..rank_max of every
-    smaller population on the quadrature route, down to population
-    ``rank_max``, and switches to the stored array of each population held
+    smaller population down to population ``rank_max`` (or 2), and
+    switches to the stored array of each population held
     whole that it passes.  So every population's gains derive from one
     integrated population, a value once returned never changes, and
     population-wide sweeps, like rank-by-rank :func:`gain` calls, cost one
@@ -598,8 +589,8 @@ def gain(rank: int, pop: int, dim: int) -> float:
 
     ``gains_up_to(rank, pop, dim)[rank - 1]`` as a float, served from the
     same ``(pop, dim)`` memo, so it takes the closed form
-    in its domain (including the exact harmonic tails for ``dim == 1`` at
-    any population) and the quadrature triangle elsewhere.
+    in its domain (the exact harmonic tails for ``dim == 1`` at any
+    population) and the quadrature triangle elsewhere.
     """
     return float(_held_gains(rank, pop, dim)[rank - 1])
 

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
+from wetopt import order_stats
 from wetopt.asymptotics import (
     lambert_w0,
     large_antenna_limit,
@@ -145,6 +146,22 @@ class TestSaturationBound:
             sol = optimize_training(p)
             report = saturation_bound(p)
             assert report.bound >= sol.qnet_star
+
+    def test_siso_bound_reads_the_solve_stack(self, monkeypatch):
+        # at m = 1, n2 = 1 the bound reads the record gains the optimizer
+        # solved on, one view of the stack, with no per-band gain call
+        p = SystemParams(m=1, n=300, n2=1, ps=0.06, eta=0.8, t=0.05, beta=1e-6, n0=1e-19)
+        sol = optimize_training(p)
+        records = [gain(1, k, 1) for k in range(1, p.n + 1)]
+
+        def unreachable(*args):
+            raise AssertionError("the bound read the gains one band at a time")
+
+        for name in ("gain", "gains_up_to", "_held_gains", "_fill"):
+            monkeypatch.setattr(order_stats, name, unreachable)
+        report = saturation_bound(p)
+        assert order_stats.stacked_gains(1, p.n, 1)[:, 0].tolist() == records
+        assert report.bound >= sol.qnet_star and report.n1_star == sol.plan.n1
 
     def test_lambert_form_tracks_exact_sweep(self):
         # wide band, strong ESNR: the closed form's harmonic-to-log

@@ -1,8 +1,11 @@
 """Config parsing, CSV contracts, reproducibility, and exit codes."""
 
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -231,6 +234,24 @@ class TestExitCodes:
         assert "sweep_grid entries must be integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "experiment, grid, message",
+        [
+            ("sweep_N_siso", "1, 5", "sweep_grid value n = 1: "),
+            ("sweep_T", "1e-3, inf", "sweep_grid value t_s = inf: "),
+        ],
+    )
+    def test_sweep_values_checked_at_parse_time(self, tmp_path, capsys, experiment, grid, message):
+        # each grid value makes one row's link; a value no link can take is a
+        # config error naming the key and the value, not a numeric failure
+        path, out = small_sweep_config(tmp_path)
+        text = open(path).read().replace("sweep_n1", experiment).replace("2, 4, 7, 10", grid)
+        path = write(tmp_path, text, "grid.conf")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: {message}")):
+            parse_config(path)
+        assert main(["sweep", "--config", path]) == 2
+        assert not out.exists() and "SystemParams(" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "option, value, message",
         [("--trials", "0", "trials must be >= 1, got 0"), ("--seed", "-3", "seed must be >= 0, got -3")],
     )
@@ -351,6 +372,21 @@ class TestOtherExperiments:
         energy, _ = solve_brute_force(p)
         assert energy > 0.0
         assert float(row["bruteforce_e_j"]) == pytest.approx(energy, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 10])
+    def test_sweep_t_at_a_huge_block_length(self, tmp_path, m):
+        # joules near 1e293 per trial: the simulated spreads come out finite,
+        # with no floating-point warning on the way
+        path, out = self._base(tmp_path, "sweep_T", "big.csv", extra="sweep_grid = 1e-3, 1e300\n")
+        text = open(path).read().replace("m = 3", f"m = {m}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "--config", write(tmp_path, text, "big.conf"), "--trials", "200"]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        stderrs = [float(v) for r in rows for k, v in r.items() if k.endswith("_stderr_j") or k.endswith("_stderr_w")]
+        assert len(stderrs) == 12 and all(math.isfinite(v) and v > 0 for v in stderrs)
+        assert float(rows[1]["qnet_twophase_sim_stderr_j"]) > 1e280
 
     def test_sweep_n_siso_columns(self, tmp_path):
         path, out = self._base(

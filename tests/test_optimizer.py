@@ -1321,16 +1321,37 @@ class TestRowData:
         optimize_training(ism_link(m=4, n=70, n2=64, t=1e-1))  # a prefix of the same view
         assert len(built) == 1 and built[0] is order_stats.stacked_gains(64, 80, 4).base
 
-    def test_solve_curve_builds_its_own(self, monkeypatch):
+    def test_solve_curve_reads_the_stacked_rows(self, monkeypatch):
         p = ism_link(m=4, n=80, n2=64, t=1e-1)
         optimize_training(p)
         built = counting_row_data(monkeypatch)
         curve = optimizer.solve_curve([70, 64, 80], p)
-        assert len(built) == 1 and curve.gains.base is built[0]
+        assert not built
         assert curve.gains.tolist() == [
             order_stats.gains_up_to(64, n1, 4).tolist() for n1 in (70, 64, 80)]
         optimizer.solve_curve([70, 64, 80], p)
-        assert len(built) == 2
+        assert not built
+
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(m=4, n=80, n2=64, t=t) for t in WIDE_T]
+        + [dict(m=1, n=60, n2=1, t=5e-2), dict(m=8, n=30, n2=4, t=1e-3), dict(m=2, n=30, n2=3, t=1e-5),
+           dict(m=10, n=866, n2=16, t=5e-5)],
+    )
+    def test_warm_rows_are_the_solve_rows(self, shape, monkeypatch):
+        # solve_curve on the n1 in any order, and each n1's label, read rows
+        # n1 - n2 of the row data optimize_training solved: the same bits
+        p = ism_link(**shape)
+        sol = optimize_training(p)
+        built = counting_row_data(monkeypatch)
+        n1s = np.random.default_rng(p.n).permutation(np.arange(p.n2, p.n + 1)).tolist()
+        curve = optimizer.solve_curve(n1s, p)
+        rows = np.array(n1s) - p.n2
+        assert curve.n1.tolist() == n1s
+        for got, solved in zip(curve[1:], sol.curve[1:]):
+            assert got.tobytes() == solved[rows].tobytes()
+        assert [classify_esnr_case(n1, p) for n1 in n1s] == [sol.case_used_per_n1[n1] for n1 in n1s]
+        assert not built
 
     def test_emptied_memo_drops_it(self, empty_memo, monkeypatch):
         p = ism_link(m=4, n=80, n2=64, t=1e-1)

@@ -332,7 +332,8 @@ class TestDispatcher:
     def test_routes_and_agreement(self, empty_memo):
         value = gain(1, 10, 2)
         assert empty_memo[(10, 2)][0] == value
-        assert closed_form_domain(10, 2)
+        assert not closed_form_domain(10, 2)
+        assert value == pytest.approx(gain_closed_form(1, 10, 2), rel=1e-13)
         assert value == pytest.approx(gain_quadrature(1, 10, 2), rel=1e-6)
 
     def test_large_population_uses_quadrature(self, empty_memo):
@@ -347,9 +348,39 @@ class TestDispatcher:
 
     def test_memoization(self, empty_memo):
         first = gain(2, 9, 3)
-        assert len(empty_memo) == 1
+        filled = dict(empty_memo)
         assert gain(2, 9, 3) == first
-        assert len(empty_memo) == 1
+        assert empty_memo.keys() == filled.keys()
+        assert all(empty_memo[key] is held for key, held in filled.items())
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_quadrature_route_matches_the_rationals(self, dim, monkeypatch, empty_memo):
+        # populations 2..30 at dim <= 8, once exact in the memo: every rank,
+        # filled by a direct miss and by a walk down from population 30.  The
+        # exact gains of population 30 walk down the triangle in rationals,
+        # which is an identity; three populations are checked against
+        # their own closed form besides
+        exact = {30: order_stats._closed_gain_fractions(30, dim)}
+        for n in range(30, 2, -1):
+            g = exact[n]
+            exact[n - 1] = [((n - r) * g[r - 1] + r * g[r]) / n for r in range(1, n)]
+        for n in (2, 7, 19):
+            assert exact[n] == list(order_stats._closed_gain_fractions(n, dim))
+
+        def unreachable(*args):
+            raise AssertionError("the memo took the rationals")
+
+        monkeypatch.setattr(order_stats, "_closed_gain_fractions", unreachable)
+        calls = count_quadratures(monkeypatch)
+        for walk in (False, True):
+            empty_memo.clear()
+            for n in range(30, 1, -1):
+                if not walk:
+                    empty_memo.clear()
+                held = gains_up_to(n, n, dim)
+                want = np.array([float(g) for g in exact[n]])
+                np.testing.assert_allclose(held, want, rtol=1e-13, atol=0.0)
+        assert [args[1] for args in calls] == [*range(30, 1, -1), 30]
 
     @pytest.mark.usefixtures("empty_memo")
     def test_bulk_matches_scalar(self):
@@ -441,17 +472,20 @@ class TestTriangle:
         assert value == pytest.approx(gain_quadrature(1, 40, 4), rel=1e-13)
 
     def test_keeps_closed_form_and_existing_entries(self, empty_memo):
-        closed = gains_up_to(4, 20, 4)
+        single = gain(1, 1, 4)
+        gains_up_to(20, 20, 4)
+        whole = empty_memo[(20, 4)]
         direct = gain(1, 50, 4)
+        rank1 = empty_memo[(40, 4)]
         gains_up_to(4, 60, 4)
-        assert closed_form_domain(20, 4)
-        for r in range(1, 5):
-            assert empty_memo[(20, 4)][r - 1] == closed[r - 1]
+        assert closed_form_domain(1, 4) and single == 4.0
+        assert empty_memo[(20, 4)] is whole and not closed_form_domain(20, 4)
         assert empty_memo[(50, 4)][0] == direct
-        # below the closed-form cap the triangle stops writing
-        assert (30, 4) not in empty_memo
-        assert empty_memo[(31, 4)].size >= 4 and not closed_form_domain(31, 4)
-        assert gains_up_to(4, 30, 4)[0] == gain_closed_form(1, 30, 4)
+        # a longer entry replaces a shorter one, keeping its ranks' bits
+        assert empty_memo[(40, 4)].size == 4 and empty_memo[(40, 4)][0] == rank1[0]
+        # rank 1's walk stops above a single band, whose gain is the dimension
+        assert empty_memo[(2, 4)].size == 1 and empty_memo[(1, 4)].tolist() == [4.0]
+        assert gains_up_to(4, 30, 4)[0] == pytest.approx(gain_closed_form(1, 30, 4), rel=1e-13)
 
     def test_gain_miss_served_by_triangle(self, empty_memo):
         # a quadrature-route miss in gain() walks the triangle from its own
@@ -520,8 +554,7 @@ class TestStackedGains:
     once per (rank_max, dim) into one read-only array; a smaller population
     range is a view of its first rows."""
 
-    # closed form throughout; quadrature throughout; populations up to 30
-    # closed form and 31..40 on the triangle
+    # a small population, walked down to rank 3; a large one; populations 8..40
     KEYS = [(3, 12, 4), (16, 120, 10), (8, 40, 4)]
 
     @pytest.mark.parametrize("rank_max, pop, dim", KEYS)
@@ -558,7 +591,9 @@ class TestStackedGains:
         assert list(order_stats._stacks) == [(8, 4)]
         assert order_stats._stacks[(8, 4)].shape == (33, 8)
         assert large[:13].tobytes() == small.tobytes()
-        assert large.tobytes() == on_empty_memo(stack_by_rows, 8, 40, 4).tobytes()
+        # rows 8..20 come from population 20's quadrature, 21..40 from 40's
+        here = np.array([gains_up_to(8, n, 4) for n in range(8, 41)])
+        assert large.tobytes() == here.tobytes()
 
     @pytest.mark.usefixtures("empty_memo")
     def test_bad_queries_raise_and_keep_the_stack(self):

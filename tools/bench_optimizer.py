@@ -22,8 +22,9 @@ ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
 ``n=5000`` cold and warm, a wide high design (``m=4, n=200, n2=100``), a
 wide medium one (``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings
 per ``n1``), the four ``design-sweep-wide`` block lengths on that wide
-stack together (a ``t`` sweep where ``n2`` is large) and the acceptance
-c09 shape (``m=1, n=2000, n2=1``).  Each
+stack together (a ``t`` sweep where ``n2`` is large), the acceptance
+c09 shape (``m=1, n=2000, n2=1``) and a small link cold (``m=8, n=30,
+n2=4``: populations up to 30 at ``m <= 8`` once took exact rationals).  Each
 tree's answers (``n1*``, ``e1*``, ``qnet_star``) are written beside the
 times, with a digest of the repr of every solve's ``n1``, ``e1``,
 ``e2``, ``qnet_star``, labels per ``n1`` and candidate log:
@@ -93,6 +94,7 @@ def _cases():
         case("m=4, n=400, n2=200, t=5e-7 warm", m=4, n=400, n2=200, t=5e-7),
         ("wide-stack t sweep, the four design-sweep-wide t at m=4, n=400, n2=200", wide_stack, False),
         case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
+        case("m=8, n=30, n2=4 cold", True, m=8, n=30, n2=4, t=5e-5),
     ]
 
 
