@@ -8,8 +8,8 @@ Each run writes one CSV whose leading comment block echoes the full
 canonical configuration, so any cell can be recomputed from the library
 alone; identical configs produce byte-identical files.
 
-Subcommands: ``gtable``, ``optimize``, ``simulate``, ``sweep``,
-``bound``, ``echo-config``.
+Run as ``wetopt <command> --config PATH``, the commands listed below;
+``--seed``, ``--trials`` and ``--out`` replace the file's values.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import asymptotics, channel_sim, optimizer, order_stats
 from .training_model import (
     SystemParams,
     average_harvested_energy,
+    check_n1,
     net_harvested_energy,
 )
 
@@ -198,13 +199,15 @@ def parse_config(path: str, *, seed=None, trials=None, out=None) -> ExperimentCo
         if any(x <= 0 for x in sweep_grid):
             raise ConfigError(f"{path}: sweep_grid entries must be positive")
         try:
-            for x in read_grid(sweep_grid):  # each row's link, as the runner builds it
+            for x in read_grid(sweep_grid):  # each row's link or n1, as the runner builds it
                 if swept:
                     replace(params, **{_LINK_KEYS[swept]: x})
+                else:
+                    check_n1(x, params)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"{path}: sweep_grid value {swept} = {x!r}: {exc}") from exc
+            raise ConfigError(f"{path}: sweep_grid value {swept or 'n1'} = {x!r}: {exc}") from exc
 
     gtables = dict.fromkeys(_GTABLE_KEYS, ())
     if experiment == "gtable":
@@ -467,6 +470,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # command line
 
 
+# command -> its help; _EXPERIMENTS names the experiments each command runs
+_COMMANDS = {
+    "gtable": "tabulate ordered channel gains",
+    "optimize": "solve for the optimal training design",
+    "simulate": "validate the optimal design by Monte Carlo",
+    "sweep": "run the configured sweep experiment",
+    "bound": "evaluate the wideband net-energy upper bound",
+    "echo-config": "print the parsed config in canonical form",
+}
+
+
 @functools.cache  # built once per process; parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -474,6 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
+            "commands:\n%s\n\n"
             "config keys: experiment (one of %s); m, n, n2, eta, t_s;\n"
             "ps_w | ps_dbm; beta | beta_db; n0_j | n0_dbm_per_hz; bs_hz\n"
             "(informational); sweep_grid (comma list, sweeps only);\n"
@@ -481,23 +496,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "trials (default %d); seed (default %d); out (default\n"
             "'<experiment>.csv').  dBm inputs convert at parse time;\n"
             "everything downstream is joules / watts / seconds."
-            % (", ".join(EXPERIMENTS), _DEFAULT_TRIALS, _DEFAULT_SEED)
+            % ("\n".join(f"  {name:<12} {text}" for name, text in _COMMANDS.items()),
+               ", ".join(EXPERIMENTS), _DEFAULT_TRIALS, _DEFAULT_SEED)
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gtable", "tabulate ordered channel gains"),
-        ("optimize", "solve for the optimal training design"),
-        ("simulate", "validate the optimal design by Monte Carlo"),
-        ("sweep", "run the configured sweep experiment"),
-        ("bound", "evaluate the wideband net-energy upper bound"),
-        ("echo-config", "print the parsed config in canonical form"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override seed")
-        cmd.add_argument("--trials", type=int, default=None, help="override trials")
-        cmd.add_argument("--out", default=None, help="override output path")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to config file")
+    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    parser.add_argument("--trials", type=int, default=None, help="override trials")
+    parser.add_argument("--out", default=None, help="override output path")
     return parser
 
 

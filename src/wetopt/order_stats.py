@@ -77,13 +77,11 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "closed_form_domain",
-    "erlang_cdf",
     "gain",
     "gain_closed_form",
     "gain_monte_carlo",
     "gain_quadrature",
     "gains_up_to",
-    "ordered_cdf",
     "stacked_gains",
 ]
 
@@ -199,46 +197,6 @@ def _erlang_log_tails(v: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     logq[~low] = log_pmf[~low] + np.log(dim / above) + np.log1p(falling.sum(axis=1))
     logp[~low] = np.log1p(-np.exp(logq[~low]))
     return logp, logq
-
-
-def erlang_cdf(v: float, dim: int, rate: float = 1.0) -> float:
-    """CDF of the squared norm of a CN(0, I/rate) vector of dimension ``dim``.
-
-    The squared norm is Erlang with shape ``dim`` and the given rate.  The
-    CDF is the Poisson tail ``P(dim, rate*v)`` summed in positive terms
-    (see :func:`_erlang_log_tails`), never as one minus the finite
-    exponential sum, which keeps it accurate to ~3e-13 relative from
-    ``1e-300`` up, at shapes in the thousands.
-    """
-    if dim < 1:
-        raise ValueError(f"vector dimension must be >= 1, got {dim}")
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if v < 0:
-        raise ValueError(f"squared norm must be non-negative, got {v}")
-    x = rate * v
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    return float(np.exp(_erlang_log_tails(np.array([x]), dim)[0][0]))
-
-
-def ordered_cdf(rank: int, pop: int, dim: int, v: float) -> float:
-    """CDF of the rank-th largest of ``pop`` i.i.d. Erlang(dim, 1) draws.
-
-    Evaluated as the binomial tail sum with all binomial weights formed
-    from logarithms, so no term overflows even for populations in the
-    thousands; every summand is non-negative.
-    """
-    _validate_query(rank, pop, dim)
-    if v < 0:
-        raise ValueError(f"squared norm must be non-negative, got {v}")
-    if v == 0.0:
-        return 0.0
-    if math.isinf(v):
-        return 1.0
-    return float(1.0 - _survivals(np.array([v]), rank, pop, dim)[0, rank - 1])
 
 
 @lru_cache(maxsize=64)

@@ -238,6 +238,7 @@ class TestExitCodes:
         [
             ("sweep_N_siso", "1, 5", "sweep_grid value n = 1: "),
             ("sweep_T", "1e-3, inf", "sweep_grid value t_s = inf: "),
+            ("sweep_n1", "2, 12", "sweep_grid value n1 = 12: trained bands must satisfy 2 <= n1 <= 10, got 12"),
         ],
     )
     def test_sweep_values_checked_at_parse_time(self, tmp_path, capsys, experiment, grid, message):
@@ -447,6 +448,127 @@ def test_cli_import_skips_oracle_modules():
     )
     result = fresh_python(code)
     assert result.returncode == 0, result.stderr
+
+
+# every name ``wetopt`` re-exports, by the module that defines it
+REEXPORTS = {
+    "asymptotics": (
+        "BoundReport", "LargeArrayLimit", "lambert_w0", "large_antenna_limit",
+        "perfect_csi_average", "saturation_bound",
+    ),
+    "channel_sim": (
+        "BruteForce", "EnergyReport", "NoCsi", "PerfectCsi", "Phase1Only", "Phase2Only",
+        "Scheme", "TwoPhase", "ranked_power_moments", "run_benchmark", "run_schemes",
+        "run_two_phase", "tune_brute_force_energy",
+    ),
+    "optimizer": (
+        "CaseLabel", "CaseSolution", "Solution", "classify_esnr_case", "net_energy_given_phase1",
+        "optimal_phase2_energy", "optimize_training", "poly_real_roots", "solve_for_n1",
+        "solve_phase1_only", "solve_phase2_only",
+    ),
+    "order_stats": ("gain", "gain_closed_form", "gain_monte_carlo", "gain_quadrature", "gains_up_to"),
+    "training_model": (
+        "SystemParams", "TrainingPlan", "average_harvested_energy", "esnr",
+        "expected_selected_power", "net_harvested_energy", "refinement_threshold",
+    ),
+}
+DEFERRED = ("asymptotics", "channel_sim")
+
+# prints the deferred modules that have run, reading only their __dict__
+RAN = (
+    "ran = [n for n in %r if '__all__' in vars(sys.modules['wetopt.' + n])]\n" % (DEFERRED,)
+)
+
+
+class TestDeferredModules:
+    """``channel_sim`` and ``asymptotics`` run on first use, each in a fresh
+    interpreter, as a command-line user meets them."""
+
+    def test_import_and_optimize_leave_them_unrun(self, tmp_path):
+        config = write(tmp_path, ISM_DEFAULTS.replace("n = 866", "n = 40").replace("n2 = 16", "n2 = 4"))
+        code = (
+            "import sys, wetopt.cli\n"
+            + RAN
+            + "assert not ran, f'ran on import: {ran}'\n"
+            "rc = wetopt.cli.main(['optimize', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            + RAN
+            + "sys.exit(rc or (f'ran during optimize: {ran}' if ran else 0))\n"
+        )
+        result = fresh_python(code, config, str(tmp_path / "opt.csv"))
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "opt.csv").stat().st_size > 0
+
+    def test_first_read_from_many_threads(self):
+        # eight threads read one name of the unrun simulator at once; each
+        # must get it, the same object, with no thread seeing a half-run module
+        code = (
+            "import sys, threading, wetopt.cli\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "module = sys.modules['wetopt.channel_sim']\n"
+            "barrier = threading.Barrier(8, timeout=60)\n"
+            "got, errors = [], []\n"
+            "def read():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        got.append(module.run_schemes)\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=read) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(60)\n"
+            "assert not any(t.is_alive() for t in threads), 'a reader hangs'\n"
+            "assert not errors, errors\n"
+            "assert len(got) == 8 and all(fn is got[0] for fn in got), got\n"
+            "assert got[0] is wetopt.channel_sim.run_schemes is wetopt.run_schemes\n"
+        )
+        for _ in range(3):
+            result = fresh_python(code)
+            assert result.returncode == 0, result.stderr
+
+    def test_tracer_wraps_every_binding(self):
+        # perfbench's tracer reads the deferred modules from sys.modules
+        # while they are unrun: after it, no wetopt module may bind a
+        # LAYERS function it did not wrap
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import tracer\n"
+            "tracer.install(tracer.Recorder())\n"
+            "originals = {}\n"
+            "for layer, names in tracer.LAYERS.items():\n"
+            "    for name in names:\n"
+            "        fn = getattr(sys.modules['wetopt.' + layer], name)\n"
+            "        assert hasattr(fn, '__wrapped__'), f'{layer}.{name} unwrapped'\n"
+            "        originals[id(fn.__wrapped__)] = f'{layer}.{name}'\n"
+            "bad = [f'{key}.{attr} is {originals[id(value)]}'\n"
+            "       for key, module in list(sys.modules.items()) if key.split('.')[0] == 'wetopt'\n"
+            "       for attr, value in vars(module).items() if id(value) in originals]\n"
+            "assert not bad, bad\n"
+            "import wetopt\n"
+            "assert wetopt.run_two_phase is sys.modules['wetopt.channel_sim'].run_two_phase\n"
+        )
+        result = fresh_python(code, perfbench)
+        assert result.returncode == 0, result.stderr
+
+    def test_every_reexport_imports(self):
+        names = [name for names in REEXPORTS.values() for name in names]
+        code = (
+            f"from wetopt import {', '.join(names)}\n"
+            "import sys, wetopt\n"
+            f"for owner, names in {REEXPORTS!r}.items():\n"
+            "    for name in names:\n"
+            "        assert getattr(wetopt, name) is getattr(sys.modules['wetopt.' + owner], name), name\n"
+            "        assert name in dir(wetopt), name\n"
+            "try:\n"
+            "    wetopt.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    sys.exit('no AttributeError')\n"
+        )
+        result = fresh_python(code)
+        assert result.returncode == 0, result.stderr
 
 
 BENCHMARK_COLUMNS = (

@@ -23,20 +23,27 @@ ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
 wide medium one (``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings
 per ``n1``), the four ``design-sweep-wide`` block lengths on that wide
 stack together (a ``t`` sweep where ``n2`` is large), the acceptance
-c09 shape (``m=1, n=2000, n2=1``) and a small link cold (``m=8, n=30,
-n2=4``: populations up to 30 at ``m <= 8`` once took exact rationals).  Each
-tree's answers (``n1*``, ``e1*``, ``qnet_star``) are written beside the
-times, with a digest of the repr of every solve's ``n1``, ``e1``,
-``e2``, ``qnet_star``, labels per ``n1`` and candidate log:
-``same_bits`` says whether all trees agree to the bit, so a speed-up
-that moved an answer shows.
+c09 shape (``m=1, n=2000, n2=1``), a small link cold (``m=8, n=30,
+n2=4``: populations up to 30 at ``m <= 8`` once took exact rationals) and
+``python -m wetopt.cli optimize`` in a fresh interpreter per op at the
+``perfbench`` ``optimize-ism-cold`` shape (``m=10, n=120, n2=16``,
+``t=1e-5``), start-up and imports included.  Each tree's answers
+(``n1*``, ``e1*``, ``qnet_star``) are written beside the times, with a
+digest of the repr of every solve's ``n1``, ``e1``, ``e2``,
+``qnet_star``, labels per ``n1`` and candidate log (of the CSV bytes for
+the command-line case): ``same_bits`` says whether all trees agree to
+the bit, so a speed-up that moved an answer shows.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import tempfile
 
 import benchlib
 
@@ -44,8 +51,10 @@ PAIRS = 100  # timed ops per tree and case
 
 
 def _cases():
-    """(name, zero-argument callable returning a tuple of Solutions, evict)
-    per case; ``evict`` asks for the cache-evicting pass before each op."""
+    """(name, zero-argument callable returning a tuple of Solutions, or the
+    command-line case's CSV bytes, evict) per case; ``evict`` asks for the
+    cache-evicting pass before each op."""
+    import wetopt
     from wetopt import SystemParams, optimizer, order_stats
 
     link = dict(ps=0.06, eta=0.8, beta=1e-6, n0=1e-19)
@@ -84,6 +93,24 @@ def _cases():
     def wide_stack():
         return tuple(optimizer.optimize_training(p) for p in stack)
 
+    # the command in a fresh interpreter that imports this worker's wetopt,
+    # run in a directory of its own so the CSV echoes the same out path
+    work = tempfile.TemporaryDirectory()
+    with open(os.path.join(work.name, "optimize.conf"), "w") as fh:
+        fh.write(
+            "experiment = optimize\nm = 10\nn = 120\nn2 = 16\nt_s = 1e-05\n"
+            "ps_w = 0.06\neta = 0.8\nbeta = 1e-06\nn0_j = 1e-19\nout = optimize.csv\n"
+        )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wetopt.__file__)))
+
+    def cli_cold():
+        subprocess.run(
+            [sys.executable, "-m", "wetopt.cli", "optimize", "--config", "optimize.conf"],
+            cwd=work.name, env=env, check=True,
+        )
+        with open(os.path.join(work.name, "optimize.csv"), "rb") as fh:
+            return fh.read()
+
     return wide + [
         ("design-sweep-wide, the four solves together", together, False),
         ("design-sweep-wide, the four solves together, caches evicted", together, True),
@@ -95,12 +122,22 @@ def _cases():
         ("wide-stack t sweep, the four design-sweep-wide t at m=4, n=400, n2=200", wide_stack, False),
         case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
         case("m=8, n=30, n2=4 cold", True, m=8, n=30, n2=4, t=5e-5),
+        ("wetopt optimize, fresh interpreter, m=10, n=120, n2=16, t=1e-5", cli_cold, False),
     ]
 
 
 def _answer(sols) -> dict:
     """Each solve's n1*, e1* and qnet_star, and a digest of the repr of
-    every solve's n1, e1, e2, qnet_star, labels per n1 and candidate log."""
+    every solve's n1, e1, e2, qnet_star, labels per n1 and candidate log;
+    for the command-line case, the CSV row's and a digest of its bytes."""
+    if isinstance(sols, bytes):
+        row = next(csv.DictReader(l for l in sols.decode().splitlines() if not l.startswith("#")))
+        return {
+            "n1": [int(row["n1_star"])],
+            "e1": [float(row["e1_star_j"])],
+            "qnet_star": [float(row["qnet_j"])],
+            "repr_sha256": hashlib.sha256(sols).hexdigest(),
+        }
     fields = [
         (s.plan.n1, s.plan.e1, s.plan.e2, s.qnet_star, dict(s.case_used_per_n1), s.candidate_log)
         for s in sols
