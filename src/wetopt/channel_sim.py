@@ -8,11 +8,12 @@ No draw has an axis of length m, so a trial costs the same at every
 antenna count.  A band's harvest depends on its channel only through a
 few real scalars, and each kernel draws, from their exact laws, only
 those it reads: one pilot energy per probed band, two draws per kept band
-for the channel power (:func:`_strongest`) and three per trained band for
-the phase-2 noise split along the channel (:func:`_phase2_harvest`).  A
-harvest that is a sum over the kept bands (no phase 2, one antenna, brute
-force, no CSI, and phase-2-only per energy level) is drawn as that sum,
-in two draws per trial besides the pilot energies (:func:`_strongest_total`).
+for the channel power given its pilot energy (:func:`_kept_power`) and
+three per trained band for the phase-2 noise split along the channel
+(:func:`_phase2_harvest`).  A harvest that is a sum over the kept bands (no
+phase 2, one antenna, brute force, no CSI, and phase-2-only per energy
+level) is drawn as that sum, from the same law, in two draws per trial
+besides the pilot energies.
 
 Trials run in chunks of ``_CHUNK_TARGET // (n + 4 n2)``, whose randomness
 derives only from ``(seed, chunk index)``, so reports are bit-identical
@@ -188,80 +189,48 @@ def _chunks(trials: int, width: int, seed: int, p: SystemParams):
 # --- kernels ---------------------------------------------------------------
 
 
-def _strongest(
-    rng: np.random.Generator, top: np.ndarray, x: float, p: SystemParams
+def _kept_power(
+    rng: np.random.Generator, energy: np.ndarray, x: float, dof: int
 ) -> np.ndarray:
-    """Channel powers ||h||^2 over beta of the kept strongest bands at pilot
-    SNR ``x``, (count, kept), strongest first; ``top`` holds their unit
-    pilot energies (:meth:`_Chunk.top`).
+    """Channel powers over beta at pilot SNR ``x``, one per entry of
+    ``energy``, each given the unit pilot energy E there, with ``dof``
+    complex degrees of freedom.  Consumes ``energy``: its square root is
+    taken in place.
 
     In unit-variance channels and noise, a band's pilot observation
-    y = sqrt(x) h + z is CN(0, (x + 1) I), so ||y||^2 is Gamma(m, x + 1) and
-    independent of the direction of y, and h | y is CN(c y, sigma^2 I) with
-    c = sqrt(x) / (x + 1) and sigma^2 = 1 / (x + 1).  Every harvest is
-    invariant under a common rotation of h and y, so y lies on the first
-    axis, and h enters only through its coordinate h1 = mu + CN(0, sigma^2)
-    along y, with mu = c ||y|| = sqrt(x sigma^2 E) for the unit energy E,
-    and its power off that axis, Gamma(m - 1, sigma^2).  With Z1, Z2
-    standard normals,
+    y = sqrt(x) h + z is CN(0, (x + 1) I), so ||y||^2 = (x + 1) E with E a
+    unit Gamma(m), independent of the direction of y, and h | y is
+    CN(c y, sigma^2 I) with c = sqrt(x) / (x + 1) and sigma^2 = 1 / (x + 1).
+    Every harvest is invariant under a common rotation of h and y, so y lies
+    on the first axis: each of the 2 m real coordinates of h is normal with
+    variance sigma^2 / 2, all centred but the real part of h1, whose mean is
+    mu = c ||y|| = sqrt(x sigma^2 E).  Each centred one adds sigma^2 Z'^2 / 2,
+    a Gamma(1/2, sigma^2), and independent Gammas of one scale add their
+    shapes, so with Z a standard normal
 
-        |h1|^2 = (mu + sigma Z1 / sqrt 2)^2 + sigma^2 Z2^2 / 2,
-        ||h||^2 = (mu + sigma Z1 / sqrt 2)^2 + Gamma(m - 1/2, sigma^2),
+        ||h||^2 = (mu + sigma Z / sqrt 2)^2 + Gamma(dof - 1/2, sigma^2)
 
-    since sigma^2 Z2^2 / 2 is Gamma(1/2, sigma^2) and independent Gammas of
-    one scale add their shapes.
+    at dof = m, and |h1|^2, the power along the estimate, at dof = 1.  Over
+    independent kept bands the sum has the same law: a rotation puts every
+    band's mean on one coordinate, of mean sqrt(x sigma^2 sum E), so the
+    energies add and so do the degrees of freedom.
 
-    Drawn in this order, each as one (count, kept) array: the normals Z1
-    and the Gamma(m - 1/2) powers.  With the pilot energies that is
-    ``probed + 2 * kept`` draws per trial, whatever m is.  A caller that
-    reads only the sum over the kept bands draws it from
-    :func:`_strongest_total` instead.
+    A caller passes the kept energies strongest first with dof = m (each
+    band's ||h||^2), or their per-trial sums with dof = m kept (the summed
+    ||h||^2) or dof = kept (the summed |h1|^2).  Drawn in this order, each
+    shaped like ``energy``: the normals Z and the Gammas, two draws per
+    entry whatever m is.
     """
     half = 0.5 / (x + 1.0)  # sigma^2 / 2, per real coordinate
-    power = rng.standard_normal(top.shape)
-    off = rng.gamma(p.m - 0.5, 2.0 * half, top.shape)
-    mu = np.sort(top, axis=1)
-    np.sqrt(mu, out=mu)
-    mu *= math.sqrt(2.0 * x * half)
+    power = rng.standard_normal(energy.shape)
+    off = rng.gamma(dof - 0.5, 2.0 * half, energy.shape)
+    np.sqrt(energy, out=energy)
+    energy *= math.sqrt(2.0 * x * half)
     power *= math.sqrt(half)
-    power += mu[:, ::-1]
+    power += energy
     np.square(power, out=power)
     power += off
     return power
-
-
-def _strongest_total(
-    rng: np.random.Generator, top: np.ndarray, x: float, p: SystemParams,
-    along: bool = False,
-) -> np.ndarray:
-    """Per trial, the sum over the kept strongest bands of their powers
-    ||h||^2, or ``along`` |h1|^2, over beta, (count,), in the frame of
-    :func:`_strongest` and drawn from that sum's own law.
-
-    Given the pilot energies E_r = ||y_r||^2, the kept channels are
-    independent CN(c y_r, sigma^2 I), so their summed power is sigma^2 / 2
-    times a noncentral chi-square with 2 m kept degrees of freedom and
-    noncentrality 2 c^2 sum E_r / sigma^2 (2 kept degrees along y_r).  All
-    the noncentrality can sit on one real coordinate, so with Z standard
-    normal and d = m kept (kept along),
-
-        total = (c sqrt(sum E_r) + sigma Z / sqrt 2)^2 + Gamma(d - 1/2, sigma^2).
-
-    Drawn in this order: the normals Z and the Gammas, each as one (count,)
-    array.  With the pilot energies that is ``probed + 2`` draws per trial.
-    """
-    count, kept = top.shape
-    half = 0.5 / (x + 1.0)  # sigma^2 / 2, per real coordinate
-    dof = kept if along else p.m * kept
-    total = rng.standard_normal(count)
-    off = rng.gamma(dof - 0.5, 2.0 * half, count)
-    mu = np.sqrt(top.sum(axis=1))
-    mu *= math.sqrt(2.0 * x * half)
-    total *= math.sqrt(half)
-    total += mu
-    np.square(total, out=total)
-    total += off
-    return total
 
 
 def _phase2_harvest(
@@ -333,13 +302,14 @@ def _kernel(scheme: Scheme, p: SystemParams):
         n1, n2, x, y = plan.n1, p.n2, plan.e1 * snr, np.asarray(plan.e2) * snr
         if p.m > 1 and np.any(y > 0.0):
             def harvest(rng, chunk):
-                power = _strongest(rng, chunk.top(n1, n2), x, p)
+                energy = np.sort(chunk.top(n1, n2), axis=1)[:, ::-1]  # strongest first
+                power = _kept_power(rng, energy, x, p.m)
                 return _phase2_harvest(rng, power, y, p).sum(axis=1)
         elif x == 0.0:
             return 0, _NO_CSI, no_csi, plan.cost
         else:
             def harvest(rng, chunk):
-                return _strongest_total(rng, chunk.top(n1, n2), x, p) / p.m
+                return _kept_power(rng, chunk.top(n1, n2).sum(axis=1), x, p.m * n2) / p.m
         return n1, _TWO_PHASE, harvest, plan.cost
     if isinstance(scheme, NoCsi):
         return 0, _NO_CSI, no_csi, 0.0
@@ -349,7 +319,7 @@ def _kernel(scheme: Scheme, p: SystemParams):
     if isinstance(scheme, Phase2Only):
         # Bands are exchangeable: the first n2 stand in for a random selection,
         # with a plan's energies.  Read as ||y2||^2 / (y + 1), a trained band's
-        # energy gives brute force's along law at x = y, summed per level; an
+        # energy gives brute force's |h1|^2 law at x = y, summed per level; an
         # untrained band, or any at m = 1, harvests its norm over m.
         TrainingPlan(n1=p.n2, e1=0.0, e2=scheme.e2).validate_against(p)
         y = np.asarray(scheme.e2, dtype=float) * snr
@@ -359,18 +329,19 @@ def _kernel(scheme: Scheme, p: SystemParams):
             energy = chunk.energy[: p.n2]
             total = energy[~trained].sum(axis=0) / p.m
             for level in np.unique(y[trained]):
-                total += _strongest_total(rng, energy[y == level].T, level, p, along=True)
+                kept = energy[y == level]
+                total += _kept_power(rng, kept.T.sum(axis=1), level, len(kept))
             return total
 
         return p.n2, _PHASE2_ONLY, harvest, float(np.sum(scheme.e2))
     if isinstance(scheme, BruteForce):
         # Estimate every band, pick the n2 largest estimated norms, beamform
-        # with the estimates: along the first axis of _strongest's frame, so
+        # with the estimates: along the first axis of _kept_power's frame, so
         # the harvest is the kept bands' summed |h1|^2.
         x = scheme.energy_per_band * snr
 
         def harvest(rng, chunk):
-            return _strongest_total(rng, chunk.top(p.n, p.n2), x, p, along=True)
+            return _kept_power(rng, chunk.top(p.n, p.n2).sum(axis=1), x, p.n2)
 
         return p.n, _BRUTE_FORCE, harvest, scheme.energy_per_band * p.n
     raise TypeError(f"unknown scheme {scheme!r}")
@@ -421,9 +392,9 @@ def run_two_phase(
     phase-2 observation (the direction of its LMMSE estimate; the scalar
     LMMSE scale cancels in the harvest): ``n1 + 5 * n2`` draws per trial
     at any antenna count.  With no band refined, or at m = 1, the harvest
-    is the kept bands' summed power over m, drawn in ``n1 + 2``
-    (:func:`_strongest_total`), so at one antenna phase-2 pilots change
-    nothing but the bill.  A one-scheme :func:`run_schemes`.
+    is the kept bands' summed power over m, drawn as that sum in ``n1 + 2``
+    (:func:`_kept_power`), so at one antenna phase-2 pilots change nothing
+    but the bill.  A one-scheme :func:`run_schemes`.
     """
     return run_schemes((TwoPhase(plan),), p, trials, seed)[0]
 
@@ -451,7 +422,8 @@ def ranked_power_moments(
     total_sq = np.zeros(n1)
     x = e1 * (p.beta / p.n0)
     for chunk in _chunks(trials, n1, seed, p):
-        ranked = _strongest(chunk.rng(_TWO_PHASE), chunk.top(n1, n1), x, p)
+        energy = np.sort(chunk.top(n1, n1), axis=1)[:, ::-1]  # strongest first
+        ranked = _kept_power(chunk.rng(_TWO_PHASE), energy, x, p.m)
         total += ranked.sum(axis=0)
         np.square(ranked, out=ranked)
         total_sq += ranked.sum(axis=0)

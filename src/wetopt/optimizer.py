@@ -526,6 +526,8 @@ def _curve(data: SimpleNamespace, n1: np.ndarray, p: SystemParams) -> Curve:
     # rows of the row data; one block is not joined (the copies cost about 2% of a warm solve)
     step = max(1, _BLOCK_TARGET // p.n2)
     blocks = [slice(i, min(i + step, n1.size)) for i in range(0, n1.size, step)]
+    if not blocks:  # no rows: empty arrays, the gains (0, n2)
+        return Curve(n1, np.empty(0, dtype=int), *np.empty((3, 0)), data.gains)
     whole = blocks == [slice(0, len(data.gains))]  # one block of all the rows: no copies
     parts = [_solve_rows(data if whole else SimpleNamespace(**{k: a[rows] for k, a in vars(data).items()}),
                          n1[rows], p) for rows in blocks]

@@ -69,6 +69,7 @@ The quadrature needs numpy and the standard library only:
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from functools import lru_cache
 
@@ -144,6 +145,10 @@ class QuadratureError(RuntimeError):
 
 
 def _validate_query(rank: int, pop: int, dim: int) -> None:
+    if not type(rank) is type(pop) is type(dim) is int:  # plain ints skip the ABC checks on a memo hit
+        for name, value in (("rank", rank), ("population", pop), ("vector dimension", dim)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
     if pop < 1:
         raise ValueError(f"population must be >= 1, got {pop}")
     if dim < 1:

@@ -465,10 +465,10 @@ def complex_strongest(rng, trials, probed, kept, e, p):
 
 
 class TestStrongestLaw:
-    """The real channel powers of ``channel_sim._strongest``, and the
-    per-trial totals of ``channel_sim._strongest_total``, follow the
-    complex construction.  At m = 1 the off-axis power is exactly 0, and
-    the Gamma(1/2) term is the imaginary part of h1 alone."""
+    """The real channel powers of ``channel_sim._kept_power``, per kept
+    band and summed per trial, follow the complex construction.  At m = 1
+    the off-axis power is exactly 0, and the Gamma(1/2) term is the
+    imaginary part of h1 alone."""
 
     TRIALS = 40_000
 
@@ -477,7 +477,7 @@ class TestStrongestLaw:
         p = params(m=m)
         n1, e1 = 4, 5e-13
         new = captured(
-            monkeypatch, "_strongest",
+            monkeypatch, "_kept_power",
             lambda: ranked_power_moments(n1, e1, p, self.TRIALS, seed),
         )
         _, oracle = complex_strongest(
@@ -494,7 +494,7 @@ class TestStrongestLaw:
         energy = 1e-13
         scheme = BruteForce(energy_per_band=energy)
         new = captured(
-            monkeypatch, "_strongest_total",
+            monkeypatch, "_kept_power",
             lambda: run_benchmark(scheme, p, self.TRIALS, seed),
         )
         oracle, _ = complex_strongest(
@@ -512,7 +512,7 @@ class TestStrongestLaw:
         n1, e1 = 6, 1e-13
         scheme = Phase1Only(n1=n1, e1=e1)
         new = captured(
-            monkeypatch, "_strongest_total",
+            monkeypatch, "_kept_power",
             lambda: run_benchmark(scheme, p, self.TRIALS, seed),
         )
         _, oracle = complex_strongest(

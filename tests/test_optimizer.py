@@ -867,6 +867,12 @@ class TestSolutionCurve:
         assert sol.curve.e1.tolist() == [row.e1 for row in rows.values()]
         assert sol.curve.value.tolist() == [row.value for row in rows.values()]
 
+    def test_no_n1_gives_an_empty_curve(self):
+        p = ism_link(m=4, n=30, n2=4, t=5e-5)
+        curve = optimizer.solve_curve([], p)
+        assert [a.shape for a in curve] == [(0,)] * 5 + [(0, p.n2)]
+        assert curve.n1.dtype == curve.code.dtype == int
+
     @pytest.mark.parametrize(
         "shape",
         [dict(m=4, n=80, n2=64, t=t) for t in (3e-7, 5e-6, 1e-1)] + [dict(m=4, n=400, n2=200, t=5e-7)],

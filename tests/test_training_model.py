@@ -14,6 +14,7 @@ from wetopt.training_model import (
     SystemParams,
     TrainingPlan,
     average_harvested_energy,
+    check_n1,
     esnr,
     expected_selected_power,
     net_harvested_energy,
@@ -210,6 +211,34 @@ class TestTrainedBandRange:
                 call(n1, p)
         call(p.n2, p)
         call(p.n, p)
+
+
+class TestIntegerCounts:
+    """A band count, rank or dimension that is not an integer is refused,
+    not rounded or used as a memo key; NumPy integers are integers."""
+
+    CALLS = {
+        "solve_curve": lambda p: optimizer.solve_curve([5.5], p),
+        "solve_for_n1": lambda p: optimizer.solve_for_n1(5.5, p),
+        "classify_esnr_case": lambda p: optimizer.classify_esnr_case(5.5, p),
+        "net_energy_given_phase1": lambda p: optimizer.net_energy_given_phase1(5.5, 1e-19, p),
+        "gain": lambda p: order_stats.gain(1, 5.5, p.m),
+        "net_harvested_energy": lambda p: net_harvested_energy(
+            TrainingPlan(n1=5.5, e1=1e-13, e2=(0.0,) * p.n2), p
+        ),
+        "check_n1_bool": lambda p: check_n1(True, params(m=4, n=30, n2=1)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"must be an integer, got (5\.5|True)$"):
+            self.CALLS[entry](params(m=4, n=30, n2=4))
+
+    def test_numpy_integers_accepted(self):
+        p = params(m=4, n=30, n2=4)
+        assert optimizer.solve_for_n1(np.int64(5), p) == optimizer.solve_for_n1(5, p)
+        assert order_stats.gain(np.int32(1), np.int64(5), np.int16(4)) == order_stats.gain(1, 5, 4)
+        check_n1(np.int64(1), params(m=4, n=30, n2=1))
 
 
 class TestPhase1EnergyCheck:

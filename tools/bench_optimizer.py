@@ -65,10 +65,8 @@ def _cases():
         def run():
             if not cold:
                 return (optimizer.optimize_training(p),)
-            # empty memos for this op alone, so the warm cases stay warm; a
-            # tree from before the stacked gain view has no _stacks
-            names = [name for name in ("_memo", "_stacks") if hasattr(order_stats, name)]
-            held = {name: getattr(order_stats, name) for name in names}
+            # empty memos for this op alone, so the warm cases stay warm
+            held = {name: getattr(order_stats, name) for name in ("_memo", "_stacks")}
             for name in held:
                 setattr(order_stats, name, {})
             try:

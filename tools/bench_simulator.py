@@ -20,10 +20,9 @@ at growing antenna counts, which shows whether a trial's cost grows with
 m; and the m = 10 plan of that system run at m = 1, where its phase-2
 pilots change nothing but the bill.  The "sweep row" cases run all six
 schemes of a row at the ISM and validate shapes as ``wetopt sweep`` does,
-in one ``channel_sim.run_schemes`` batch (six ``run_benchmark`` calls on
-a tree that predates it).  A digest of the repr of each case's reports
-is written beside the times: ``same_bits`` says whether all trees
-simulated the same numbers.  Two trees with the same simulator make an
+in one ``channel_sim.run_schemes`` batch.  A digest of the repr of each
+case's reports is written beside the times: ``same_bits`` says whether
+all trees simulated the same numbers.  Two trees with the same simulator make an
 A/A run, whose win counts and median ratios show the bench's own spread.
 """
 
@@ -53,9 +52,7 @@ def _sweep_row(channel_sim, optimizer, p, trials):
         channel_sim.Phase2Only(e2=optimizer.solve_phase2_only(p)[0].e2),
         channel_sim.BruteForce(energy_per_band=optimizer.solve_brute_force(p)[0]),
     )
-    if hasattr(channel_sim, "run_schemes"):
-        return schemes, lambda: channel_sim.run_schemes(schemes, p, trials, SEED)
-    return schemes, lambda: [channel_sim.run_benchmark(s, p, trials, SEED) for s in schemes]
+    return schemes, lambda: channel_sim.run_schemes(schemes, p, trials, SEED)
 
 
 def _cases():
