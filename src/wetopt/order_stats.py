@@ -69,7 +69,6 @@ The quadrature needs numpy and the standard library only:
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from functools import lru_cache
 
@@ -144,11 +143,16 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
 
 
+def _check_integer(name: str, value) -> None:
+    # NumPy integers are integers; a bool is not
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate_query(rank: int, pop: int, dim: int) -> None:
-    if not type(rank) is type(pop) is type(dim) is int:  # plain ints skip the ABC checks on a memo hit
-        for name, value in (("rank", rank), ("population", pop), ("vector dimension", dim)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_integer("rank", rank)
+    _check_integer("population", pop)
+    _check_integer("vector dimension", dim)
     if pop < 1:
         raise ValueError(f"population must be >= 1, got {pop}")
     if dim < 1:
@@ -577,10 +581,10 @@ def stacked_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
     One array is kept per ``(rank_max, dim)``, for the largest ``pop``
     asked; a smaller ``pop`` gets a view of its first rows.
     """
+    _validate_query(rank_max, pop, dim)
     stack = _stacks.get((rank_max, dim))
     size = pop - rank_max + 1
-    if stack is None or not 0 < size <= len(stack):
-        _validate_query(rank_max, pop, dim)
+    if stack is None or size > len(stack):
         # largest population first: its fill serves the ones below
         rows = [gains_up_to(rank_max, n, dim) for n in range(pop, rank_max - 1, -1)]
         stack = np.array(rows[::-1])

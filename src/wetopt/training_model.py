@@ -18,7 +18,6 @@ path gain); ``n0`` is the noise energy per matched-filtered pilot entry.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -63,7 +62,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "n2"):
-            _check_integer(name, getattr(self, name))
+            order_stats._check_integer(name, getattr(self, name))
         if self.m < 1:
             raise ValueError(f"antenna count must be >= 1, got {self.m}")
         if self.n < 1:
@@ -115,16 +114,10 @@ class TrainingPlan:
         return self.e1 * self.n1 + math.fsum(self.e2)
 
 
-def _check_integer(name: str, value) -> None:
-    # NumPy integers are integers; a bool is not
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def check_n1(n1: int, p: SystemParams) -> None:
     """Raise unless n1 probed bands can feed the n2 active ones: an integer
     with n2 <= n1 <= n."""
-    _check_integer("n1", n1)
+    order_stats._check_integer("n1", n1)
     if not p.n2 <= n1 <= p.n:
         raise ValueError(f"trained bands must satisfy {p.n2} <= n1 <= {p.n}, got {n1}")
 

@@ -223,6 +223,11 @@ class TestIntegerCounts:
         "classify_esnr_case": lambda p: optimizer.classify_esnr_case(5.5, p),
         "net_energy_given_phase1": lambda p: optimizer.net_energy_given_phase1(5.5, 1e-19, p),
         "gain": lambda p: order_stats.gain(1, 5.5, p.m),
+        # the second call finds the first one's stack held
+        "stacked_gains": lambda p: (
+            order_stats.stacked_gains(p.n2, p.n, p.m),
+            order_stats.stacked_gains(p.n2, 5.5, p.m),
+        ),
         "net_harvested_energy": lambda p: net_harvested_energy(
             TrainingPlan(n1=5.5, e1=1e-13, e2=(0.0,) * p.n2), p
         ),
