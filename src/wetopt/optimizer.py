@@ -279,7 +279,8 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     Compares the refinement threshold with the noise-free expected powers
     beta*g_n.  Threshold at or above the strongest rank: low.  Below the
     channel-hardening floor beta*m: high.  Otherwise medium, with j the
-    count of ranks strictly above the threshold.
+    count of ranks strictly above the threshold.  Reads the row of
+    :func:`solve_curve`, so a cold query fills the stacked view up to ``n``.
     """
     check_n1(n1, p)
     row = slice(n1 - p.n2, n1 - p.n2 + 1)
@@ -341,7 +342,9 @@ def poly_real_roots(coeffs) -> np.ndarray:
     max(1, |x|)^degree, since x^degree overflows for large roots of
     high-degree polynomials; for the same reason a Newton step at |x| > 1
     is taken from the reversed polynomial at 1/x.  Near-coincident roots
-    are merged.
+    are merged.  Polishing resolves a root only as far as the monomial
+    basis' rounding scale allows (on the ``m=4, n1=200, t=1e-1`` piece the
+    small roots stay ~1% off), so this is the tests' oracle for large roots.
     """
     # imported on first use, as in the two helpers above: nothing on the
     # solve path needs numpy.polynomial, and importing it costs start-up
@@ -540,7 +543,9 @@ def _curve(data: SimpleNamespace, n1: np.ndarray, p: SystemParams) -> Curve:
 
 def solve_curve(n1s, p: SystemParams) -> Curve:
     """Best phase-1 energy and value for each n1 in ``n1s``, in the order
-    given, from rows ``n1 - n2`` of the row data :func:`optimize_training` reads."""
+    given, from rows ``n1 - n2`` of the row data :func:`optimize_training` reads,
+    so each keeps its bits there; the price is that a cold query of any n1
+    fills the stacked view up to ``n`` (the whole quadrature at ``n``)."""
     for n1 in n1s:
         check_n1(n1, p)
     n1 = np.array(n1s, dtype=int)
@@ -549,7 +554,7 @@ def solve_curve(n1s, p: SystemParams) -> Curve:
 
 def solve_for_n1(n1: int, p: SystemParams) -> CaseSolution:
     """Best phase-1 energy and value for one fixed number of trained bands:
-    :func:`solve_curve` on ``[n1]``."""
+    :func:`solve_curve` on ``[n1]``, so a cold query fills the view up to ``n``."""
     c = solve_curve([n1], p)
     return CaseSolution(_label(int(c.code[0])), float(c.e1[0]), float(c.value[0]), _tried(float(c.tried[0])))
 

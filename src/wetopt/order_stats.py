@@ -61,16 +61,16 @@ The quadrature needs numpy and the standard library only:
   exact arithmetic; the division cancels the rounding all weights share
   through ``log N!`` (at ``N = 1e4``, ``M = 1`` the rank-1 gain is off by
   1.0e-10 without it, 6.9e-12 with it).
-* Integration.  A globally adaptive Gauss-Kronrod G10K21 rule, the rule
-  of scipy's ``quad_vec``, integrates all ranks at once, evaluating the
-  integrand on every node of every interval it refines in one call.
+* Integration.  A globally adaptive Gauss-Kronrod G10K21 rule, scipy
+  ``quad_vec``'s, integrates all ranks at once, first between the rungs of
+  the cutoff's ladder, then on bisections, evaluating the integrand once a round.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -94,6 +94,7 @@ CLOSED_FORM_MAX_DIM = 8
 # Upper integration endpoint is pushed out until the rank-1 survival drops
 # below this; beyond it the integrand contributes < 1e-16 * range.
 _SURVIVAL_CUTOFF = 1e-16
+_LADDER = 2.0 ** np.arange(200)  # rungs dim * 2^j, which bracket that point
 
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-12
@@ -239,38 +240,28 @@ def _survivals(v: np.ndarray, rank_max: int, pop: int, dim: int) -> np.ndarray:
 
 
 def _upper_cutoff(pop: int, dim: int) -> float:
-    """Point beyond which the rank-1 survival is below the cutoff.
-
-    Doubling from the Erlang mean, then 64 bisection steps onto the
-    crossing.  The rank-1 survival is ``1 - P^pop = -expm1(pop log P)``.  One
-    Erlang tail call tests eight rungs of the ladder, or the 15 midpoints
-    the next four steps may visit, each formed as those steps form it; a
-    point's tail has the bits of a one-point call, so the walk ends where
-    one step per call would.
+    """Point beyond which the rank-1 survival ``-expm1(pop log P)`` is below
+    the cutoff.  One Erlang tail call tests eight rungs of the ladder; each
+    further one narrows the crossing's bracket to a gap of a 64-point grid,
+    until it is within 1e-9 relative.  The bracket's upper end is returned.
     """
 
-    def below(v: np.ndarray) -> list[bool]:
-        return [-math.expm1(pop * x) < _SURVIVAL_CUTOFF for x in _erlang_log_tails(v, dim)[0].tolist()]
+    def below(v: np.ndarray) -> np.ndarray:
+        return -np.expm1(pop * _erlang_log_tails(v, dim)[0]) < _SURVIVAL_CUTOFF
 
-    for j in range(0, 200, 8):
-        rungs = dim * 2.0 ** np.arange(j, j + 8)
-        if True in (hits := below(rungs)):
+    for j in range(0, _LADDER.size, 8):
+        rungs = dim * _LADDER[j : j + 8]
+        if (hits := below(rungs)).any():
             break
     else:  # pragma: no cover - survival always reaches the cutoff
         raise QuadratureError(f"survival cutoff not reached for pop={pop} dim={dim}")
-    hi = float(rungs[hits.index(True)])
+    hi = rungs[hits.argmax()]
     lo = hi / 2.0
-    for _ in range(16):
-        ends, tree = np.array([lo, hi]), []  # per level: the sorted ends, then their midpoints
-        for _ in range(4):
-            tree.append(0.5 * (ends[:-1] + ends[1:]))
-            ends = np.append(np.column_stack((ends[:-1], tree[-1])).ravel(), hi)
-        points = np.concatenate(tree)
-        hits, points, n = below(points), points.tolist(), 0
-        for level in range(4):  # node n of a level is the midpoint of its n-th interval
-            k = (1 << level) - 1 + n
-            lo, hi, n = (lo, points[k], 2 * n) if hits[k] else (points[k], hi, 2 * n + 1)
-    return hi
+    while hi - lo > 1e-9 * hi:
+        ends = np.linspace(lo, hi, 66)
+        k = np.append(below(ends[1:-1]), True).argmax()  # the first gap whose upper end is below
+        lo, hi = ends[k], ends[k + 1]
+    return float(hi)
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,22 +291,22 @@ def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
 def _quadrature_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
     """Gains of ranks 1..rank_max: each survival integrated over [0, cutoff].
 
-    A globally adaptive G10K21 rule over all ranks at once.  It stops when
+    A globally adaptive G10K21 rule over all ranks at once, first between
+    0, the ladder's rungs below the crossing and the cutoff.  It stops when
     the summed interval errors are at most
-    ``max(_QUAD_EPSABS, _QUAD_EPSREL * ||gains||_2)``.  Each round bisects
-    the intervals of largest error until the error left in the others is at
-    most half that tolerance, and evaluates the integrand on all their
-    nodes in one call; a round splits no more intervals than keep that
-    call within ``_ROUND_CELLS`` binomial weights.  ``QuadratureError``
-    is raised when ``_QUAD_LIMIT`` intervals are not enough.
+    ``max(_QUAD_EPSABS, _QUAD_EPSREL * ||gains||_2)``.  Each later round
+    bisects the intervals of largest error until the error left in the
+    others is at most half that tolerance.  A round evaluates the integrand
+    in one call, on at most ``2 * per_round`` intervals (the first drops its
+    lowest rungs past that), so within ``_ROUND_CELLS`` binomial weights.
+    ``QuadratureError`` is raised when ``_QUAD_LIMIT`` intervals are not enough.
     """
-
-    def survivals(v: np.ndarray) -> np.ndarray:
-        return _survivals(v, rank_max, pop, dim)
-
-    lo, hi = np.array([0.0]), np.array([_upper_cutoff(pop, dim)])
-    res, err = _gauss_kronrod(survivals, lo, hi)
+    survivals = partial(_survivals, rank_max=rank_max, pop=pop, dim=dim)
     per_round = max(1, _ROUND_CELLS // (2 * _GK_NODES.size * (pop + 1)))
+    cutoff, rungs = _upper_cutoff(pop, dim), dim * _LADDER
+    hi = np.append(rungs[rungs < cutoff], cutoff)[-2 * per_round :]
+    lo = np.append(0.0, hi[:-1])
+    res, err = _gauss_kronrod(survivals, lo, hi)
     while True:
         total = res.sum(axis=0)
         tol = max(_QUAD_EPSABS, _QUAD_EPSREL * float(np.linalg.norm(total)))
@@ -444,9 +435,7 @@ def gain_monte_carlo(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     values = np.empty(trials)
-    pos = 0
-    chunk_index = 0
-    while pos < trials:
+    for chunk_index, pos in enumerate(range(0, trials, _MC_CHUNK)):
         count = min(_MC_CHUNK, trials - pos)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
         re = rng.standard_normal((count, pop, dim))
@@ -455,8 +444,6 @@ def gain_monte_carlo(
         values[pos : pos + count] = np.partition(norms, pop - rank, axis=1)[
             :, pop - rank
         ]
-        pos += count
-        chunk_index += 1
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -3,6 +3,7 @@ exact structural identities (sum rule, rank monotonicity, bounds)."""
 
 import decimal
 import math
+import re
 import sys
 import threading
 from decimal import Decimal
@@ -145,24 +146,6 @@ def scipy_survivals(v: float, rank_max: int, pop: int, dim: int) -> np.ndarray:
     )
     suffix = np.cumsum(np.exp(logb)[::-1])[::-1]
     return np.minimum(suffix[1 : rank_max + 1], 1.0)
-
-
-def one_point_cutoff(pop: int, dim: int) -> float:
-    """The rank-1 survival's cutoff point as a walk of one-point tail calls:
-    doubling from dim, then 64 bisection steps."""
-
-    def below(v: float) -> bool:
-        logp = order_stats._erlang_log_tails(np.array([v]), dim)[0][0]
-        return -math.expm1(pop * logp) < order_stats._SURVIVAL_CUTOFF
-
-    v = float(dim)
-    while not below(v):
-        v *= 2.0
-    lo, hi = v / 2.0, v
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if below(mid) else (mid, hi)
-    return hi
 
 
 class TestErlangCdf:
@@ -312,7 +295,9 @@ class TestQuadrature:
         value = gain_quadrature(1, 2000, 256)
         assert value > 256.0
 
-    @pytest.mark.parametrize("pop, dim", [(120, 10), (866, 64), (2000, 2), (10000, 1)])
+    @pytest.mark.parametrize(
+        "pop, dim", [(120, 10), (80, 4), (50, 10), (866, 10), (866, 64), (2000, 2), (10000, 1)]
+    )
     def test_cutoff_is_the_rank1_survival_crossing(self, pop, dim):
         # the cutoff reads 1 - P^pop; the binomial row's rank-1 survival
         # crosses the cutoff there too, up to the two sums' rounding
@@ -321,12 +306,56 @@ class TestQuadrature:
         assert row[0] < order_stats._SURVIVAL_CUTOFF * (1 + 1e-10)
         assert row[1] >= order_stats._SURVIVAL_CUTOFF
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 10, 64, 256, 4096])
-    def test_cutoff_has_the_one_point_walk_bits(self, dim):
-        # the batched ladder and bisection visit the points the walk below
-        # visits, one Erlang tail call per point, and end on the same bits
-        for pop in (1, 3, 40, 120, 866, 10000):
-            assert order_stats._upper_cutoff(pop, dim) == one_point_cutoff(pop, dim), pop
+    @pytest.mark.parametrize(
+        "pop, dim, cells",
+        [(120, 10, None), (80, 4, None), (866, 10, None), (2000, 256, None), (10000, 1, None),
+          (120, 10, 2 * 21 * 121), (300, 2, 5 * 21 * 301)],  # G10K21: 21 nodes per interval
+    )
+    def test_first_round_runs_on_the_ladder(self, monkeypatch, pop, dim, cells):
+        # the first round's intervals run from 0 through the rungs dim 2^j
+        # below the crossing to the cutoff, at most 2 * per_round of them
+        # (a smaller cap drops the lowest rungs), and no round's call
+        # evaluates more than _ROUND_CELLS binomial weights
+        if cells is not None:
+            monkeypatch.setattr(order_stats, "_ROUND_CELLS", cells)
+        calls = []
+        real = order_stats._gauss_kronrod
+
+        def recording(f, lo, hi):
+            calls.append((lo.copy(), hi.copy()))
+            return real(f, lo, hi)
+
+        monkeypatch.setattr(order_stats, "_gauss_kronrod", recording)
+        order_stats._quadrature_gains(1, pop, dim)
+        cutoff = order_stats._upper_cutoff(pop, dim)
+        rungs = dim * 2.0 ** np.arange(64)
+        rungs = rungs[rungs < cutoff]
+        assert cutoff <= 2.0 * rungs[-1]
+        assert np.all(order_stats._survivals(rungs, 1, pop, dim)[:, 0] >= order_stats._SURVIVAL_CUTOFF)
+        per_round = max(1, order_stats._ROUND_CELLS // (2 * 21 * (pop + 1)))
+        kept = rungs[max(0, rungs.size + 1 - 2 * per_round) :]
+        assert (kept.size < rungs.size) == (cells is not None)
+        edges = np.array([0.0, *kept, cutoff])
+        assert np.all(np.diff(edges) > 0)
+        assert calls[0][0].tolist() == edges[:-1].tolist() and calls[0][1].tolist() == edges[1:].tolist()
+        assert max(lo.size * 21 * (pop + 1) for lo, _ in calls) <= order_stats._ROUND_CELLS
+
+    def test_tail_calls_and_rounds_at_the_cold_shape(self, monkeypatch):
+        # the optimize-ism-cold population: the cutoff takes at most seven
+        # Erlang tail calls, and the integrator at most four rounds of one
+        # G10K21 call each
+        counts = {"_erlang_log_tails": 0, "_gauss_kronrod": 0}
+        for name in counts:
+
+            def counted(*args, name=name, real=getattr(order_stats, name)):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(order_stats, name, counted)
+        order_stats._upper_cutoff(120, 10)
+        assert counts["_erlang_log_tails"] <= 7
+        order_stats._quadrature_gains(120, 120, 10)
+        assert counts["_gauss_kronrod"] <= 4
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -334,7 +363,7 @@ class TestQuadrature:
         log_ratios=st.lists(st.floats(min_value=-3.0, max_value=60.0), min_size=2, max_size=40),
     )
     def test_batched_tails_have_the_one_point_bits(self, dim, log_ratios):
-        # points on both sides of dim, as the ladder and the bisection pass them
+        # points on both sides of dim, as the ladder and the grids pass them
         v = dim * np.exp(np.array(log_ratios))
         batch = order_stats._erlang_log_tails(v, dim)
         for i, x in enumerate(v.tolist()):
@@ -342,11 +371,13 @@ class TestQuadrature:
             assert (batch[0][i], batch[1][i]) == (one[0][0], one[1][0]), x
 
     def test_reports_non_convergence(self, monkeypatch):
-        # a budget of one interval: the first G10K21 estimate misses the
-        # tolerance, and the integrator must say so rather than return it
+        # a budget of one interval: the first round's four intervals, between
+        # 0, the rungs 10, 20 and 40 and the cutoff, miss the tolerance, and
+        # the integrator must say so rather than return their sum
         monkeypatch.setattr(order_stats, "_QUAD_LIMIT", 1)
-        with pytest.raises(QuadratureError, match="1 subintervals used"):
-            gain_quadrature(1, 40, 2)
+        message = "adaptive quadrature did not converge for pop=120 dim=10 (ranks 1..1, 4 subintervals used)"
+        with pytest.raises(QuadratureError, match=f"^{re.escape(message)}$"):
+            gain_quadrature(1, 120, 10)
 
     @pytest.mark.parametrize(
         "rank_max, pop, dim",

@@ -18,8 +18,8 @@ the warm cases warm.  The cases are the four ``design-sweep-wide`` block
 lengths, one by one and the four together (as one ``perfbench`` op runs
 them), the four together again after a 64 MB pass that evicts the CPU
 caches (as ``perfbench`` runs them between the reference's solves), the
-ISM link (``m=10, n=866, n2=16``, ``t=5e-5``), the same radio at
-``n=5000`` cold and warm, a wide high design (``m=4, n=200, n2=100``), a
+ISM link (``m=10, n=866, n2=16``, ``t=5e-5``) cold and warm, the same
+radio at ``n=5000`` cold and warm, a wide high design (``m=4, n=200, n2=100``), a
 wide medium one (``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings
 per ``n1``), the four ``design-sweep-wide`` block lengths on that wide
 stack together (a ``t`` sweep where ``n2`` is large), the acceptance
@@ -112,6 +112,7 @@ def _cases():
     return wide + [
         ("design-sweep-wide, the four solves together", together, False),
         ("design-sweep-wide, the four solves together, caches evicted", together, True),
+        case("ISM n=866 cold", True, m=10, n=866, n2=16, t=5e-5),
         case("ISM n=866 warm", m=10, n=866, n2=16, t=5e-5),
         case("m=10, n=5000, n2=16 cold", True, m=10, n=5000, n2=16, t=5e-5),
         case("m=10, n=5000, n2=16 warm", m=10, n=5000, n2=16, t=5e-5),
