@@ -328,7 +328,7 @@ def _kernel(scheme: Scheme, p: SystemParams):
         def harvest(rng, chunk):
             energy = chunk.energy[: p.n2]
             total = energy[~trained].sum(axis=0) / p.m
-            for level in np.unique(y[trained]):
+            for level in sorted(set(y[trained].tolist())):
                 kept = energy[y == level]
                 total += _kept_power(rng, kept.T.sum(axis=1), level, len(kept))
             return total

@@ -61,7 +61,6 @@ from .training_model import (
     check_e1,
     check_n1,
     esnr,
-    expected_selected_power,
     selected_powers,
 )
 
@@ -201,7 +200,8 @@ def optimal_phase2_energy(rank: int, n1: int, e1: float, p: SystemParams) -> flo
     band's expected power falls, and bands below the refinement threshold
     get nothing.  With one antenna the water level is zero.
     """
-    rho = expected_selected_power(rank, n1, e1, p) / p.beta
+    check_e1(e1)
+    rho = selected_powers(order_stats.gain(rank, n1, p.m), e1 * (p.beta / p.n0), p.m)
     return float(_phase2_energies(rho, p)) * (p.n0 / p.beta)
 
 
@@ -251,8 +251,8 @@ def _phase1_closed_form(surplus: np.ndarray, n1: np.ndarray, p: SystemParams):
 
 
 def _row_data(gains: np.ndarray, n1: np.ndarray, m: int) -> SimpleNamespace:
-    # each row's t-independent data: gains, surplus sum(gain/m - 1), strongest gain, excess sum(gain - m),
-    # g = m/gain and g (1 - g) on the high piece 0; raises if a row breaks a bound (module docstring)
+    # each row's t-independent data: gains, surplus sum(gain/m - 1) (0 at n1 = n2 by the sum rule), strongest
+    # gain, g = m/gain and g (1 - g) on the high piece 0; raises if a row breaks a bound (module docstring)
     e, g = gains - m, m / gains
     if m > 1:
         s_plus, s2 = np.maximum(e, 0.0).sum(axis=1), (e * e).sum(axis=1)
@@ -260,8 +260,8 @@ def _row_data(gains: np.ndarray, n1: np.ndarray, m: int) -> SimpleNamespace:
         if bad.size:
             raise ArithmeticError(f"gains of n1={n1[bad[0]]} break S+ < n1 (m-1) or S2 < n1 m^2 at m={m}: "
                                   f"S+ = {s_plus[bad[0]]!r}, S2 = {s2[bad[0]]!r}")
-    return SimpleNamespace(gains=gains, surplus=(gains / m - 1.0).sum(axis=1), top=gains[:, 0].copy(),
-                           excess=e.sum(axis=1), g=g, gg=g * (1.0 - g))
+    surplus = np.where(n1 > gains.shape[1], (gains / m - 1.0).sum(axis=1), 0.0)
+    return SimpleNamespace(gains=gains, surplus=surplus, top=gains[:, 0].copy(), g=g, gg=g * (1.0 - g))
 
 
 def _stacked_rows(p: SystemParams) -> SimpleNamespace:
@@ -279,12 +279,11 @@ def classify_esnr_case(n1: int, p: SystemParams) -> CaseLabel:
     Compares the refinement threshold with the noise-free expected powers
     beta*g_n.  Threshold at or above the strongest rank: low.  Below the
     channel-hardening floor beta*m: high.  Otherwise medium, with j the
-    count of ranks strictly above the threshold.  Reads the row of
-    :func:`solve_curve`, so a cold query fills the stacked view up to ``n``.
+    count of ranks strictly above the threshold.  The label of
+    :func:`solve_for_n1`, which solves the row of :func:`solve_curve`, so a
+    cold query fills the stacked view up to ``n``.
     """
-    check_n1(n1, p)
-    row = slice(n1 - p.n2, n1 - p.n2 + 1)
-    return _label(int(_case_codes(SimpleNamespace(**{k: a[row] for k, a in vars(_stacked_rows(p)).items()}), p)[0]))
+    return solve_for_n1(n1, p).label
 
 
 def _case_codes(data: SimpleNamespace, p: SystemParams) -> np.ndarray:
@@ -484,7 +483,7 @@ def _roots_of_h(data: SimpleNamespace, n1: np.ndarray, p: SystemParams):
     if not live.size:
         return live, np.zeros(0)
     n1 = n1[live]
-    root = _stationary_rows((data.g[live], data.gg[live] / n1[:, None], esnr(p) * data.excess[live] / n1), n1)
+    root = _stationary_rows((data.g[live], data.gg[live] / n1[:, None], esnr(p) * p.m * data.surplus[live] / n1), n1)
     found = root > 0.0
     return live[found], root[found]
 
@@ -590,14 +589,14 @@ def solve_phase1_only(p: SystemParams) -> tuple[TrainingPlan, float]:
 
 
 def solve_phase2_only(p: SystemParams) -> tuple[TrainingPlan, float]:
-    """Best design with phase 1 disabled (beamforming gain only).
-
-    Without ranking every band has prior power beta*m, so one water-filling
-    energy is shared by all selected bands.
+    """Best design with phase 1 disabled (beamforming gain only): the point
+    n1 = n2, e1 = 0, solved in lockstep on one row of n2 gains all m, as a
+    ranking by noise alone leaves every band at prior power beta*m.  Reads
+    no gain; value and plan are bit for bit :func:`optimize_training`'s row n1 = n2.
     """
-    e2 = optimal_phase2_energy(1, p.n2, 0.0, p)
-    value = p.n2 * (p.m - float(_penalty(p.m, p))) * (p.eta_t_ps * p.beta)
-    return TrainingPlan(n1=p.n2, e1=0.0, e2=(e2,) * p.n2), value
+    n1 = np.array([p.n2])
+    curve = _curve(_row_data(np.full((1, p.n2), float(p.m)), n1, p.m), n1, p)
+    return curve.plan(0, p), float(curve.value[0])
 
 
 def solve_brute_force(p: SystemParams) -> tuple[float, float]:

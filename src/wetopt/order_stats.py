@@ -27,8 +27,8 @@ whole above it, past any populations the memo lacks, switches to the
 stored array of each population held whole that it passes, and never
 rewrites an entry that already holds the ranks asked for.  A fill holds
 one module-level lock; a hit reads one array without it.
-``stacked_gains`` copies a range of populations once into one read-only
-array.
+``stacked_gains`` copies a range of populations into one read-only
+array, which grows by the populations it lacks.
 
 On the quadrature route ``gains_up_to`` builds a whole gain triangle at
 once.  One adaptive pass integrates every rank of the largest population
@@ -566,15 +566,16 @@ def stacked_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
     ``rank_max..pop`` as the rows of one read-only array.
 
     One array is kept per ``(rank_max, dim)``, for the largest ``pop``
-    asked; a smaller ``pop`` gets a view of its first rows.
+    asked: a smaller ``pop`` gets a view of its first rows, and a larger
+    one grows it by reading only the populations it lacks.
     """
     _validate_query(rank_max, pop, dim)
-    stack = _stacks.get((rank_max, dim))
+    stack = _stacks.get((rank_max, dim), np.empty((0, rank_max)))
     size = pop - rank_max + 1
-    if stack is None or size > len(stack):
-        # largest population first: its fill serves the ones below
-        rows = [gains_up_to(rank_max, n, dim) for n in range(pop, rank_max - 1, -1)]
-        stack = np.array(rows[::-1])
+    if size > len(stack):
+        # the rows held are memo values, which never change; the new ones largest first, whose fill serves the rest
+        rows = [gains_up_to(rank_max, n, dim) for n in range(pop, rank_max + len(stack) - 1, -1)]
+        stack = np.vstack((stack, *rows[::-1]))
         stack.flags.writeable = False
         _stacks[(rank_max, dim)] = stack  # a racing smaller build may replace it: same bits
     return stack[:size]

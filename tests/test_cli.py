@@ -438,6 +438,22 @@ def test_cli_optimize_loads_no_scipy(tmp_path):
     assert os.path.getsize(out) > 0
 
 
+def test_cli_benchmark_sweep_loads_no_numpy_ma(tmp_path):
+    # the phase-2-only harvest finds its energy levels without np.unique,
+    # whose first call in a process imports numpy.ma (about 14 ms)
+    config = write(tmp_path, ISM_DEFAULTS.replace("experiment = optimize", "experiment = sweep_T")
+                   + "sweep_grid = 1e-5, 5e-5\n")
+    out = str(tmp_path / "sweep.csv")
+    code = (
+        "import sys, wetopt.cli\n"
+        "rc = wetopt.cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "sys.exit(rc or ('numpy.ma loaded' if 'numpy.ma' in sys.modules else 0))\n"
+    )
+    result = fresh_python(code, config, out)
+    assert result.returncode == 0, result.stderr
+    assert os.path.getsize(out) > 0
+
+
 def test_cli_import_skips_oracle_modules():
     # numpy.polynomial serves only the tests' root oracle and fractions only
     # the exact closed-form gains, so importing the CLI loads neither

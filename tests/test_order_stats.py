@@ -668,6 +668,22 @@ class TestStackedGains:
         here = np.array([gains_up_to(8, n, 4) for n in range(8, 41)])
         assert large.tobytes() == here.tobytes()
 
+    @pytest.mark.parametrize("rank_max, pop, grown, dim", [(8, 20, 40, 4), (1, 20, 400, 1), (16, 17, 120, 10)])
+    def test_growing_reads_only_the_new_populations(self, rank_max, pop, grown, dim, monkeypatch, empty_memo):
+        held = order_stats.stacked_gains(rank_max, pop, dim)
+        calls, real = [], order_stats.gains_up_to
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(order_stats, "gains_up_to", counting)
+        stack = order_stats.stacked_gains(rank_max, grown, dim)
+        assert len(calls) == grown - pop
+        assert stack[: len(held)].tobytes() == held.tobytes()
+        here = np.array([empty_memo[(n, dim)][:rank_max] for n in range(rank_max, grown + 1)])
+        assert stack.tobytes() == here.tobytes()
+
     @pytest.mark.usefixtures("empty_memo")
     def test_bad_queries_raise_and_keep_the_stack(self):
         stack = order_stats.stacked_gains(8, 40, 4)

@@ -23,7 +23,9 @@ radio at ``n=5000`` cold and warm, a wide high design (``m=4, n=200, n2=100``), 
 wide medium one (``m=4, n=400, n2=200``, ``t=5e-7``: up to 124 crossings
 per ``n1``), the four ``design-sweep-wide`` block lengths on that wide
 stack together (a ``t`` sweep where ``n2`` is large), the acceptance
-c09 shape (``m=1, n=2000, n2=1``), a small link cold (``m=8, n=30,
+c09 shape (``m=1, n=2000, n2=1``), ascending widths cold (one solve per
+``n`` in ``20..400`` at ``m=1, n2=1``, as ``sweep_N_siso`` and c09 run
+them), a small link cold (``m=8, n=30,
 n2=4``: populations up to 30 at ``m <= 8`` once took exact rationals) and
 ``python -m wetopt.cli optimize`` in a fresh interpreter per op at the
 ``perfbench`` ``optimize-ism-cold`` shape (``m=10, n=120, n2=16``,
@@ -59,23 +61,24 @@ def _cases():
 
     link = dict(ps=0.06, eta=0.8, beta=1e-6, n0=1e-19)
 
+    def on_empty_memos(solve):
+        # empty memos for this op alone, so the warm cases stay warm
+        held = {name: getattr(order_stats, name) for name in ("_memo", "_stacks")}
+        for name in held:
+            setattr(order_stats, name, {})
+        try:
+            return solve()
+        finally:
+            for name, memo in held.items():
+                setattr(order_stats, name, memo)
+
     def case(name, cold=False, **shape):
         p = SystemParams(**shape, **link)
 
-        def run():
-            if not cold:
-                return (optimizer.optimize_training(p),)
-            # empty memos for this op alone, so the warm cases stay warm
-            held = {name: getattr(order_stats, name) for name in ("_memo", "_stacks")}
-            for name in held:
-                setattr(order_stats, name, {})
-            try:
-                return (optimizer.optimize_training(p),)
-            finally:
-                for name, memo in held.items():
-                    setattr(order_stats, name, memo)
+        def solve():
+            return (optimizer.optimize_training(p),)
 
-        return name, run, False
+        return name, (lambda: on_empty_memos(solve)) if cold else solve, False
 
     wide_t = (1e-7, 3e-7, 5e-6, 1e-1)
     wide = [
@@ -90,6 +93,11 @@ def _cases():
 
     def wide_stack():
         return tuple(optimizer.optimize_training(p) for p in stack)
+
+    widths = [SystemParams(m=1, n=n, n2=1, t=0.05, **link) for n in range(20, 401)]
+
+    def ascending():
+        return on_empty_memos(lambda: tuple(optimizer.optimize_training(p) for p in widths))
 
     # the command in a fresh interpreter that imports this worker's wetopt,
     # run in a directory of its own so the CSV echoes the same out path
@@ -120,6 +128,7 @@ def _cases():
         case("m=4, n=400, n2=200, t=5e-7 warm", m=4, n=400, n2=200, t=5e-7),
         ("wide-stack t sweep, the four design-sweep-wide t at m=4, n=400, n2=200", wide_stack, False),
         case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
+        ("ascending widths m=1, n2=1, n=20..400 cold", ascending, False),
         case("m=8, n=30, n2=4 cold", True, m=8, n=30, n2=4, t=5e-5),
         ("wetopt optimize, fresh interpreter, m=10, n=120, n2=16, t=1e-5", cli_cold, False),
     ]
