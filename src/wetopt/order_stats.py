@@ -23,7 +23,8 @@ an entry holds the exact gains; every other entry comes from the gain
 triangle below, with ``gain_quadrature`` and ``gain_closed_form`` as its
 oracles.  Every entry on the quadrature route derives from exactly one
 integrated population: a miss walks down from the nearest population held
-whole above it, past any populations the memo lacks, switches to the
+whole above it (if none, from one it integrates, at least twice the
+widest held whole), past any populations the memo lacks, switches to the
 stored array of each population held whole that it passes, and never
 rewrites an entry that already holds the ranks asked for.  A fill holds
 one module-level lock; a hit reads one array without it.
@@ -62,8 +63,9 @@ The quadrature needs numpy and the standard library only:
   through ``log N!`` (at ``N = 1e4``, ``M = 1`` the rank-1 gain is off by
   1.0e-10 without it, 6.9e-12 with it).
 * Integration.  A globally adaptive Gauss-Kronrod G10K21 rule, scipy
-  ``quad_vec``'s, integrates all ranks at once, first between the rungs of
-  the cutoff's ladder, then on bisections, evaluating the integrand once a round.
+  ``quad_vec``'s, integrates all ranks at once up to the first ladder rung
+  past the rank-1 survival's 1e-16 crossing, first between the rungs, then
+  on bisections, evaluating the integrand once a round.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ CLOSED_FORM_MAX_DIM = 8
 # Upper integration endpoint is pushed out until the rank-1 survival drops
 # below this; beyond it the integrand contributes < 1e-16 * range.
 _SURVIVAL_CUTOFF = 1e-16
-_LADDER = 2.0 ** np.arange(200)  # rungs dim * 2^j, which bracket that point
+_LADDER = 2.0 ** np.arange(200)  # rungs dim * 2^j, the first past that point ends it
 
 _QUAD_EPSABS = 1e-13
 _QUAD_EPSREL = 1e-12
@@ -240,28 +242,14 @@ def _survivals(v: np.ndarray, rank_max: int, pop: int, dim: int) -> np.ndarray:
 
 
 def _upper_cutoff(pop: int, dim: int) -> float:
-    """Point beyond which the rank-1 survival ``-expm1(pop log P)`` is below
-    the cutoff.  One Erlang tail call tests eight rungs of the ladder; each
-    further one narrows the crossing's bracket to a gap of a 64-point grid,
-    until it is within 1e-9 relative.  The bracket's upper end is returned.
-    """
-
-    def below(v: np.ndarray) -> np.ndarray:
-        return -np.expm1(pop * _erlang_log_tails(v, dim)[0]) < _SURVIVAL_CUTOFF
-
+    """First ladder rung ``dim * 2**j`` at which the rank-1 survival
+    ``-expm1(pop log P)`` is below the cutoff; one tail call tests eight."""
     for j in range(0, _LADDER.size, 8):
         rungs = dim * _LADDER[j : j + 8]
-        if (hits := below(rungs)).any():
-            break
-    else:  # pragma: no cover - survival always reaches the cutoff
-        raise QuadratureError(f"survival cutoff not reached for pop={pop} dim={dim}")
-    hi = rungs[hits.argmax()]
-    lo = hi / 2.0
-    while hi - lo > 1e-9 * hi:
-        ends = np.linspace(lo, hi, 66)
-        k = np.append(below(ends[1:-1]), True).argmax()  # the first gap whose upper end is below
-        lo, hi = ends[k], ends[k + 1]
-    return float(hi)
+        below = -np.expm1(pop * _erlang_log_tails(rungs, dim)[0]) < _SURVIVAL_CUTOFF
+        if below.any():
+            return float(rungs[below.argmax()])
+    raise QuadratureError(f"survival cutoff not reached for pop={pop} dim={dim}")  # pragma: no cover
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,13 +280,14 @@ def _quadrature_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
     """Gains of ranks 1..rank_max: each survival integrated over [0, cutoff].
 
     A globally adaptive G10K21 rule over all ranks at once, first between
-    0, the ladder's rungs below the crossing and the cutoff.  It stops when
-    the summed interval errors are at most
-    ``max(_QUAD_EPSABS, _QUAD_EPSREL * ||gains||_2)``.  Each later round
-    bisects the intervals of largest error until the error left in the
-    others is at most half that tolerance.  A round evaluates the integrand
-    in one call, on at most ``2 * per_round`` intervals (the first drops its
-    lowest rungs past that), so within ``_ROUND_CELLS`` binomial weights.
+    0 and the ladder's rungs up to the cutoff, itself a rung, whose stretch
+    past the crossing adds less than an ulp.  It stops when the summed
+    interval errors are at most ``max(_QUAD_EPSABS, _QUAD_EPSREL * ||gains||_2)``.
+    Each later round bisects the intervals of largest error until the error
+    left in the others is at most half that tolerance.  A round evaluates
+    the integrand in one call, on at most ``2 * per_round`` intervals (the
+    first drops its lowest rungs past that), so within ``_ROUND_CELLS``
+    binomial weights.
     ``QuadratureError`` is raised when ``_QUAD_LIMIT`` intervals are not enough.
     """
     survivals = partial(_survivals, rank_max=rank_max, pop=pop, dim=dim)
@@ -508,8 +497,10 @@ def _fill(rank_max: int, pop: int, dim: int) -> None:
     elif pop == 1:
         _hold(pop, dim, [float(dim)])
     else:
-        whole = [n for (n, d), held in _memo.items() if d == dim and n > pop and held.size == n]
-        level = _memo[(min(whole), dim)] if whole else _hold(pop, dim, _quadrature_gains(pop, pop, dim))
+        whole = [n for (n, d), held in _memo.items() if d == dim and held.size == n]
+        above = [n for n in whole if n > pop]
+        top = max(pop, 2 * max(whole, default=0))  # used when none is above
+        level = _memo[(min(above), dim)] if above else _hold(top, dim, _quadrature_gains(top, top, dim))
         _walk_down(rank_max, level, dim)
 
 
@@ -522,18 +513,21 @@ def gains_up_to(rank_max: int, pop: int, dim: int) -> np.ndarray:
     later miss; ``pop == 1``: ``dim``).  Every other miss walks the
     triangle rule ``g(r, n-1) = ((n - r) g(r, n) + r g(r + 1, n)) / n``
     down from the smallest population above ``pop`` that the memo holds
-    whole, whatever gaps lie between; if there is none, one adaptive
-    pass integrates all ``pop`` ranks (they share every binomial term) and
-    the walk starts there.  The walk memoizes ranks 1..rank_max of every
-    smaller population down to population ``rank_max`` (or 2), and
-    switches to the stored array of each population held
-    whole that it passes.  So every population's gains derive from one
-    integrated population, a value once returned never changes, and
-    population-wide sweeps, like rank-by-rank :func:`gain` calls, cost one
-    quadrature.  Every derived gain is a convex combination of the
-    integrated ones, so its absolute error is bounded by the quadrature's.
-    A fill holds one module-level lock, so concurrent callers never
-    interleave writes; a hit takes no lock.
+    whole, whatever gaps lie between.  If there is none, one adaptive pass
+    integrates all ranks (they share every binomial term) of population
+    ``max(pop, 2 w)``, ``w`` the widest population held whole (0 if none),
+    and the walk starts there.  The walk memoizes ranks 1..rank_max of
+    every smaller population down to ``rank_max`` (or 2), switching to the
+    stored array of each population held whole that it passes.  So every
+    population's gains derive from one integrated population and a value
+    once returned never changes.  A descending population sweep, like
+    rank-by-rank :func:`gain` calls, costs one quadrature and an ascending
+    one one per doubling, but a step up inside ``(w, 2 w)`` integrates
+    ``2 w``; only a first fill is sure of a fresh process's bits.
+    Every derived gain is a convex combination of the integrated ones, so
+    its absolute error is bounded by the quadrature's.  A fill holds one
+    module-level lock, so concurrent callers never interleave writes; a
+    hit takes no lock.
     """
     return _held_gains(rank_max, pop, dim)
 
@@ -570,7 +564,7 @@ def stacked_gains(rank_max: int, pop: int, dim: int) -> np.ndarray:
     one grows it by reading only the populations it lacks.
     """
     _validate_query(rank_max, pop, dim)
-    stack = _stacks.get((rank_max, dim), np.empty((0, rank_max)))
+    stack = _stacks[(rank_max, dim)] if (rank_max, dim) in _stacks else np.empty((0, rank_max))
     size = pop - rank_max + 1
     if size > len(stack):
         # the rows held are memo values, which never change; the new ones largest first, whose fill serves the rest

@@ -299,12 +299,42 @@ class TestQuadrature:
         "pop, dim", [(120, 10), (80, 4), (50, 10), (866, 10), (866, 64), (2000, 2), (10000, 1)]
     )
     def test_cutoff_is_the_rank1_survival_crossing(self, pop, dim):
-        # the cutoff reads 1 - P^pop; the binomial row's rank-1 survival
-        # crosses the cutoff there too, up to the two sums' rounding
+        # the cutoff is the first rung dim 2^j past the crossing of 1 - P^pop;
+        # the binomial row's rank-1 survival is below the cutoff there, up
+        # to the two sums' rounding, and not yet at the rung before
         cutoff = order_stats._upper_cutoff(pop, dim)
-        row = order_stats._survivals(np.array([cutoff, cutoff * (1 - 1e-9)]), 1, pop, dim)[:, 0]
+        j = math.log2(cutoff / dim)
+        assert j == int(j) >= 0
+        row = order_stats._survivals(np.array([cutoff, cutoff / 2]), 1, pop, dim)[:, 0]
         assert row[0] < order_stats._SURVIVAL_CUTOFF * (1 + 1e-10)
-        assert row[1] >= order_stats._SURVIVAL_CUTOFF
+        assert j == 0 or row[1] >= order_stats._SURVIVAL_CUTOFF
+
+    @pytest.mark.parametrize(
+        "pop, dim", [(120, 10), (80, 4), (64, 32), (300, 2), (866, 10), (2000, 256)]
+    )
+    def test_rung_cutoff_agrees_with_the_crossing(self, monkeypatch, pop, dim):
+        # integrating past the crossing up to the rung adds less than an ulp:
+        # the gains agree with those integrated to the crossing itself,
+        # bracketed by bisection to 1e-9 relative
+        def below(v):
+            logp = order_stats._erlang_log_tails(np.array([v]), dim)[0][0]
+            return -math.expm1(pop * logp) < order_stats._SURVIVAL_CUTOFF
+
+        def crossing(pop_, dim_):
+            assert (pop_, dim_) == (pop, dim)
+            hi = float(dim)
+            while not below(hi):
+                hi *= 2.0
+            lo = hi / 2.0
+            while hi - lo > 1e-9 * hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if below(mid) else (mid, hi)
+            return hi
+
+        rung = order_stats._quadrature_gains(pop, pop, dim)
+        monkeypatch.setattr(order_stats, "_upper_cutoff", crossing)
+        bisected = order_stats._quadrature_gains(pop, pop, dim)
+        np.testing.assert_allclose(rung, bisected, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize(
         "pop, dim, cells",
@@ -313,7 +343,7 @@ class TestQuadrature:
     )
     def test_first_round_runs_on_the_ladder(self, monkeypatch, pop, dim, cells):
         # the first round's intervals run from 0 through the rungs dim 2^j
-        # below the crossing to the cutoff, at most 2 * per_round of them
+        # up to the cutoff, itself a rung, at most 2 * per_round of them
         # (a smaller cap drops the lowest rungs), and no round's call
         # evaluates more than _ROUND_CELLS binomial weights
         if cells is not None:
@@ -341,9 +371,8 @@ class TestQuadrature:
         assert max(lo.size * 21 * (pop + 1) for lo, _ in calls) <= order_stats._ROUND_CELLS
 
     def test_tail_calls_and_rounds_at_the_cold_shape(self, monkeypatch):
-        # the optimize-ism-cold population: the cutoff takes at most seven
-        # Erlang tail calls, and the integrator at most four rounds of one
-        # G10K21 call each
+        # the optimize-ism-cold population: the cutoff takes one Erlang tail
+        # call, and the integrator at most four rounds of one G10K21 call each
         counts = {"_erlang_log_tails": 0, "_gauss_kronrod": 0}
         for name in counts:
 
@@ -353,7 +382,7 @@ class TestQuadrature:
 
             monkeypatch.setattr(order_stats, name, counted)
         order_stats._upper_cutoff(120, 10)
-        assert counts["_erlang_log_tails"] <= 7
+        assert counts["_erlang_log_tails"] == 1
         order_stats._quadrature_gains(120, 120, 10)
         assert counts["_gauss_kronrod"] <= 4
 
@@ -372,7 +401,7 @@ class TestQuadrature:
 
     def test_reports_non_convergence(self, monkeypatch):
         # a budget of one interval: the first round's four intervals, between
-        # 0, the rungs 10, 20 and 40 and the cutoff, miss the tolerance, and
+        # 0 and the rungs 10, 20, 40 and 80 (the cutoff), miss the tolerance, and
         # the integrator must say so rather than return their sum
         monkeypatch.setattr(order_stats, "_QUAD_LIMIT", 1)
         message = "adaptive quadrature did not converge for pop=120 dim=10 (ranks 1..1, 4 subintervals used)"
@@ -563,27 +592,49 @@ class TestTriangle:
     def test_gain_miss_served_by_triangle(self, empty_memo):
         # a quadrature-route miss in gain() walks the triangle from its own
         # population: the same bits as gains_up_to there, and every smaller
-        # population on the quadrature route is memoized along the way
+        # population on the quadrature route is memoized along the way; a
+        # miss above it walks down from twice its population
         value = gain(1, 50, 4)
         assert value == on_empty_memo(gains_up_to, 1, 50, 4)[0]
         assert (40, 4) in empty_memo and not closed_form_domain(40, 4)
-        assert gains_up_to(4, 60, 4)[0] == on_empty_memo(gains_up_to, 4, 60, 4)[0]
+        assert gains_up_to(4, 60, 4)[0] == walk_triangle(empty_memo[(100, 4)])[60][0]
         assert empty_memo[(50, 4)][0] == value
         assert value == pytest.approx(gain_quadrature(1, 50, 4), rel=1e-12)
 
     def test_one_source_per_population(self, monkeypatch, empty_memo):
         # rank 1 of populations 31..49 comes from gain(1, 50, 4); ranks 2..4
-        # asked for later by gains_up_to(4, 60, 4) must come from 50's
-        # triangle too, not from 60's, so no returned value ever changes
+        # asked for later by gains_up_to(4, 60, 4), which integrates 100,
+        # must come from 50's triangle too, not from 100's, so no returned
+        # value ever changes
         calls = count_quadratures(monkeypatch)
         gain(1, 50, 4)
         gains_up_to(4, 60, 4)
-        assert [args[1] for args in calls] == [50, 60]
+        assert [args[1] for args in calls] == [50, 100]
         monkeypatch.undo()
-        for top, pops in ((50, range(31, 50)), (60, range(51, 60))):
+        for top, pops in ((50, range(31, 50)), (100, range(51, 61))):
             walked = walk_triangle(order_stats._quadrature_gains(top, top, 4))
             for n in pops:
                 assert empty_memo[(n, 4)][:4].tolist() == walked[n][:4].tolist(), n
+
+    def test_ascending_widths_integrate_doublings(self, monkeypatch, empty_memo):
+        # a sweep of growing n at m >= 2: a miss above every population held
+        # whole integrates twice the widest, so 285 widths take six
+        # quadratures, and each n1* is the descending sweep's, whose first
+        # fill serves every width
+        from wetopt.optimizer import optimize_training
+        from wetopt.training_model import SystemParams
+
+        links = [
+            SystemParams(m=10, n=n, n2=16, ps=0.06, eta=0.8, t=5e-5, beta=1e-6, n0=1e-19)
+            for n in range(16, 301)
+        ]
+        calls = count_quadratures(monkeypatch)
+        ascending = [optimize_training(p).plan.n1 for p in links]
+        assert [args[1] for args in calls] == [16, 32, 64, 128, 256, 512]
+        empty_memo.clear()
+        order_stats._stacks.clear()
+        descending = [optimize_training(p).plan.n1 for p in links[::-1]]
+        assert ascending == descending[::-1]
 
     def test_concurrent_misses_integrate_once(self, monkeypatch, empty_memo):
         # threads missing on the same populations at once: the fill lock lets

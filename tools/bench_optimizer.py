@@ -25,7 +25,8 @@ per ``n1``), the four ``design-sweep-wide`` block lengths on that wide
 stack together (a ``t`` sweep where ``n2`` is large), the acceptance
 c09 shape (``m=1, n=2000, n2=1``), ascending widths cold (one solve per
 ``n`` in ``20..400`` at ``m=1, n2=1``, as ``sweep_N_siso`` and c09 run
-them), a small link cold (``m=8, n=30,
+them; and in ``16..300`` at ``m=10, n2=16``, where every wider ``n``
+misses the gain memo), a small link cold (``m=8, n=30,
 n2=4``: populations up to 30 at ``m <= 8`` once took exact rationals) and
 ``python -m wetopt.cli optimize`` in a fresh interpreter per op at the
 ``perfbench`` ``optimize-ism-cold`` shape (``m=10, n=120, n2=16``,
@@ -94,10 +95,8 @@ def _cases():
     def wide_stack():
         return tuple(optimizer.optimize_training(p) for p in stack)
 
-    widths = [SystemParams(m=1, n=n, n2=1, t=0.05, **link) for n in range(20, 401)]
-
-    def ascending():
-        return on_empty_memos(lambda: tuple(optimizer.optimize_training(p) for p in widths))
+    def ascending(widths):
+        return lambda: on_empty_memos(lambda: tuple(optimizer.optimize_training(p) for p in widths))
 
     # the command in a fresh interpreter that imports this worker's wetopt,
     # run in a directory of its own so the CSV echoes the same out path
@@ -128,7 +127,10 @@ def _cases():
         case("m=4, n=400, n2=200, t=5e-7 warm", m=4, n=400, n2=200, t=5e-7),
         ("wide-stack t sweep, the four design-sweep-wide t at m=4, n=400, n2=200", wide_stack, False),
         case("c09 shape m=1, n=2000, n2=1 warm", m=1, n=2000, n2=1, t=0.05),
-        ("ascending widths m=1, n2=1, n=20..400 cold", ascending, False),
+        ("ascending widths m=1, n2=1, n=20..400 cold", ascending(
+            [SystemParams(m=1, n=n, n2=1, t=0.05, **link) for n in range(20, 401)]), False),
+        ("ascending widths m=10, n2=16, n=16..300 cold", ascending(
+            [SystemParams(m=10, n=n, n2=16, t=5e-5, **link) for n in range(16, 301)]), False),
         case("m=8, n=30, n2=4 cold", True, m=8, n=30, n2=4, t=5e-5),
         ("wetopt optimize, fresh interpreter, m=10, n=120, n2=16, t=1e-5", cli_cold, False),
     ]
